@@ -3,10 +3,17 @@ import logging
 import numpy as np
 import pytest
 
-from macfluid.fdops import PoissonSystem, apply_poisson, cell_stencil
-from macfluid.grids import GridDims, OccupancyGrid, ScalarGrid, connected_components
+import macfluid.pressure as pr
+from macfluid.fdops import PoissonSystem, apply_poisson, cell_stencil, divergence
+from macfluid.forces import enforce_solid_velocities
+from macfluid.grids import (GridDims, MacVelocity, OccupancyGrid, ScalarGrid,
+                            connected_components)
 from macfluid.pressure import (
+    _build_lattice,
     _closed_components,
+    _ic0_factor,
+    _ic0_lu,
+    _ic0_preconditioner,
     _remove_closed_means,
     make_compatible,
     residual_norm,
@@ -14,6 +21,7 @@ from macfluid.pressure import (
     solve_jacobi,
     solve_pcg,
 )
+from macfluid.sim import plume_scenario
 
 
 def random_system(rng, nx=8, ny=8, p_solid=0.2, open_top=False, compatible=True):
@@ -346,3 +354,91 @@ def test_stencil_diag_zero_only_for_isolated_cells():
     g = OccupancyGrid(GridDims(5, 5), solid)
     st = cell_stencil(g)
     assert st.diag[2, 2] == 0
+
+
+# ====== IC(0) application ======
+
+def _gather(x, idx):
+    return np.where(idx >= 0, x[np.maximum(idx, 0)], 0.0)
+
+
+def _wavefront_ic0_apply(lat, fac, r):
+    """Solve L L^T z = r by forward and backward sweeps over the
+    anti-diagonal wavefronts, one vector step per front."""
+    ldiag, lw, ls = fac
+    # east/north neighbors invert the west/south links
+    e = np.full(lat.n, -1)
+    nn = np.full(lat.n, -1)
+    for link, inv in ((lat.w, e), (lat.s, nn)):
+        has = np.nonzero(link >= 0)[0]
+        inv[link[has]] = has
+    y = np.zeros(lat.n)
+    for f in lat.fronts:
+        y[f] = (r[f] - lw[f] * _gather(y, lat.w[f]) - ls[f] * _gather(y, lat.s[f])) / ldiag[f]
+    z = np.zeros(lat.n)
+    for f in reversed(lat.fronts):
+        ei, ni = e[f], nn[f]
+        z[f] = (y[f] - _gather(lw, ei) * _gather(z, ei)
+                - _gather(ls, ni) * _gather(z, ni)) / ldiag[f]
+    return z
+
+
+def test_ic0_triangular_solves_match_wavefront_sweeps():
+    # seeded so that no random component is a chain: those take the
+    # diagonal fallback, which has its own tests
+    rng = np.random.default_rng(132)
+    for open_top in (False, True):
+        for nx, ny, h, p_solid in ((12, 10, 1.0, 0.2), (17, 13, 0.37, 0.3)):
+            solid = rng.random((ny, nx)) < p_solid
+            # one fluid cell walled in on all four sides stays out of the lattice
+            solid[1:4, 1:4] = True
+            solid[2, 2] = False
+            g = OccupancyGrid(GridDims(nx, ny, h), solid, open_top)
+            lat = _build_lattice(g)
+            assert not lat.active[2, 2]
+            fac = _ic0_factor(lat)
+            assert fac is not None, (open_top, nx, ny)
+            lu = _ic0_lu(lat, fac)
+            # SuperLU keeps L as the unit triangle L D^-1 and U as D: no fill-in
+            nnz_L = lat.n + np.count_nonzero(lat.w >= 0) + np.count_nonzero(lat.s >= 0)
+            assert lu.L.nnz + lu.U.nnz == nnz_L + lat.n
+            np.testing.assert_array_equal(lu.perm_r, np.arange(lat.n))
+            np.testing.assert_array_equal(lu.perm_c, np.arange(lat.n))
+            precond = _ic0_preconditioner(lat, fac)
+            for _ in range(3):
+                r = rng.normal(size=lat.n)
+                got = precond(r)
+                want = _wavefront_ic0_apply(lat, fac, r)
+                assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+            # the CSR matrix is the matrix-free operator on the active cells
+            x = np.zeros(g.dims.shape)
+            x[lat.active] = rng.normal(size=lat.n)
+            np.testing.assert_allclose(lat.A @ x[lat.active],
+                                       apply_poisson(g, ScalarGrid(g.dims, x)).values[lat.active],
+                                       rtol=1e-13, atol=1e-13 / h ** 2)
+
+
+def _disc_plume_system(res, seed):
+    """Pressure system of a seeded random velocity around the plume's disc."""
+    dims = GridDims(res, res)
+    state, _ = plume_scenario(dims, obstacle="disc")
+    rng = np.random.default_rng(seed)
+    u = enforce_solid_velocities(MacVelocity(dims, rng.standard_normal(dims.shape_ux),
+                                             rng.standard_normal(dims.shape_uy)), state.g)
+    d = divergence(u, state.g)
+    return make_compatible(PoissonSystem(state.g, ScalarGrid(dims, -d.values)))
+
+
+def test_pcg_iterations_match_wavefront_preconditioner(monkeypatch):
+    # a factor that is transposed or permuted still solves, but weaker
+    for res in (32, 64):
+        sys = _disc_plume_system(res, seed=80)
+        _, info = solve_pcg(sys, tol=1e-6)
+        with monkeypatch.context() as m:
+            m.setattr(pr, "_ic0_preconditioner",
+                      lambda lat, fac: lambda r: _wavefront_ic0_apply(lat, fac, r))
+            _, ref_info = solve_pcg(sys, tol=1e-6)
+        assert info.converged and ref_info.converged
+        assert info.preconditioner == ref_info.preconditioner == "ic0"
+        assert abs(info.iterations - ref_info.iterations) <= 1, \
+            (res, info.iterations, ref_info.iterations)
