@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grids import MacVelocity, OccupancyGrid, ScalarGrid, _bilinear, sample_velocity
-from .fdops import face_masks
+from .grids import (MacVelocity, OccupancyGrid, ScalarGrid, _bilinear, _lattice_points,
+                    sample_velocity)
 
 _PRESCAN = np.array([0.25, 0.5, 0.75, 1.0])
 _BISECT_ITERS = 8
@@ -82,22 +82,12 @@ def trace_back(pos: np.ndarray, u: MacVelocity, g: OccupancyGrid, dt: float) -> 
     return out
 
 
-def _lattice_positions(shape: tuple[int, int], offx: float, offy: float, h: float) -> np.ndarray:
-    nrows, ncols = shape
-    x = (np.arange(ncols) + offx) * h
-    y = (np.arange(nrows) + offy) * h
-    out = np.empty((nrows, ncols, 2))
-    out[..., 0] = x[None, :]
-    out[..., 1] = y[:, None]
-    return out.reshape(-1, 2)
-
-
 def _advect_lattice(values: np.ndarray, offx: float, offy: float, u: MacVelocity,
                     g: OccupancyGrid, dt: float, scheme: str) -> np.ndarray:
     """Advect one sample lattice (cell centers or one face family)."""
     h = g.dims.h
     shape = values.shape
-    pos = _lattice_positions(shape, offx, offy, h)
+    pos = _lattice_points(shape, offx, offy, h).reshape(-1, 2)
     back = trace_back(pos, u, g, dt)
 
     if scheme == "sl":
@@ -133,7 +123,7 @@ def self_advect(u: MacVelocity, g: OccupancyGrid, dt: float,
     _check_scheme(scheme)
     if dt == 0.0:
         return u.copy()
-    fm = face_masks(g)
+    fm = g.faces
     ux = _advect_lattice(u.ux, 0.0, 0.5, u, g, dt, scheme)
     uy = _advect_lattice(u.uy, 0.5, 0.0, u, g, dt, scheme)
     ux[fm.solid_x] = u.ux[fm.solid_x]

@@ -20,11 +20,11 @@ import numpy as np
 
 from .convnet import NetArch, init_params
 from .datagen import SceneConfig, build_scene, generate_dataset, load_dataset
-from .evaluate import (bench, eval_divergence_curves, match_divergence,
+from .evaluate import (BenchRow, bench, eval_divergence_curves, match_divergence,
                        parse_backend, write_bench_csv)
-from .formats import load_model, save_model
+from .formats import csv_text, load_model, save_model
 from .grids import GridDims
-from .sim import (ConvnetProjection, CsvMetricsSink, PgmFrameSink,
+from .sim import (ConvnetProjection, CsvMetricsSink, FrameMetrics, PgmFrameSink,
                   plume_scenario, run)
 from .training import (EpochStats, LossConfig, TrainConfig, gradient_check,
                        train)
@@ -122,10 +122,7 @@ def _cmd_train(args) -> int:
     Path(out).parent.mkdir(parents=True, exist_ok=True)
     save_model(out, params)
     if args.log is not None:
-        lines = [",".join(EpochStats.COLUMNS)]
-        lines += [",".join(f"{v:.17g}" if isinstance(v, float) else str(v)
-                           for v in s.row()) for s in stats]
-        Path(args.log).write_text("\n".join(lines) + "\n")
+        Path(args.log).write_text(csv_text(EpochStats.COLUMNS, [s.row() for s in stats]))
     last = stats[-1].mean_loss if stats else float("nan")
     print(f"saved model to {out} ({params.n_params} parameters, "
           f"{args.epochs} epochs, final mean loss {last:.6g})")
@@ -198,10 +195,7 @@ def _cmd_bench(args) -> int:
         write_bench_csv(rows, args.out)
         print(f"timings written to {args.out}")
     else:
-        print(",".join(rows[0].COLUMNS))
-        for r in rows:
-            print(",".join(f"{v:.17g}" if isinstance(v, float) else str(v)
-                           for v in r.row()))
+        print(csv_text(BenchRow.COLUMNS, [r.row() for r in rows]), end="")
     return 0
 
 
@@ -266,9 +260,7 @@ def _build_parser() -> _Parser:
 
     p = subs.add_parser("simulate", help="run the plume benchmark scene",
                         description="Simulate and write metrics.csv with columns "
-                                    "frame,mean_div_l2,std_div_l2,max_div,"
-                                    "max_speed,residual,wall_ms.")
-    p.add_argument("--scene", type=str, default="plume", choices=("plume",))
+                                    + ",".join(FrameMetrics.COLUMNS) + ".")
     p.add_argument("--res", type=int, default=64, help="grid side length")
     p.add_argument("--frames", type=int, default=64)
     p.add_argument("--solver", type=str, default="pcg:1e-4",
@@ -308,8 +300,7 @@ def _build_parser() -> _Parser:
     p = subs.add_parser("bench", help="time the projection phase",
                         description="Time divergence + solve + velocity update "
                                     "on synthetic states; CSV columns "
-                                    + ",".join(("backend", "nx", "ny", "cells",
-                                                "repetitions", "median_ms")) + ".")
+                                    + ",".join(BenchRow.COLUMNS) + ".")
     p.add_argument("--backend", type=str, default=None, help="backend spec")
     p.add_argument("--res", type=str, default="32,64,128",
                    help="comma-separated grid side lengths")
@@ -329,9 +320,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--checks", type=int, default=120,
                    help="number of sampled parameters")
     p.add_argument("--eps", type=float, default=1e-5, help="probe step")
-    p.add_argument("--double", action="store_true",
-                   help="run in double precision (always on; single precision "
-                        "would drown the comparison in rounding noise)")
     _add_common(p)
     p.set_defaults(_run=_cmd_gradcheck, _sub=p)
 

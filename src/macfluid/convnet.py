@@ -29,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .fdops import divergence, face_masks, subtract_pressure_gradient
+from .fdops import divergence, subtract_pressure_gradient
 from .grids import MacVelocity, OccupancyGrid, ScalarGrid
 
 
@@ -370,7 +370,7 @@ def projection_backward(t: ProjectionTape, cot_u: MacVelocity) -> np.ndarray:
     # u = u_star - grad(p) on free faces only, so cotangent entries on
     # other faces never reach the pressure; the transpose of -grad under
     # the flat inner products is then the divergence
-    fm = face_masks(t.g)
+    fm = t.g.faces
     masked = MacVelocity(t.g.dims,
                          np.where(fm.free_x, cot_u.ux, 0.0),
                          np.where(fm.free_y, cot_u.uy, 0.0))

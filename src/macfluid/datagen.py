@@ -23,7 +23,8 @@ from scipy.ndimage import gaussian_filter
 
 from .forces import enforce_solid_velocities
 from .formats import read_frame, write_frame
-from .grids import GridDims, MacVelocity, OccupancyGrid, ScalarGrid
+from .grids import (GridDims, MacVelocity, OccupancyGrid, ScalarGrid, _lattice_xy,
+                    box_mask, capsule_mask, disc_mask)
 from .sim import PcgProjection, SimConfig, SimState, step
 
 log = logging.getLogger(__name__)
@@ -100,39 +101,6 @@ def curl_noise_velocity(dims: GridDims, cfg: NoiseConfig | None = None,
 # ====== Random solid geometry ======
 
 _SHAPE_KINDS = ("disc", "box", "capsule")
-
-
-def _cell_xy(dims: GridDims) -> tuple[np.ndarray, np.ndarray]:
-    return np.meshgrid(np.arange(dims.nx) + 0.5, np.arange(dims.ny) + 0.5)
-
-
-def disc_mask(dims: GridDims, center: tuple[float, float], radius: float) -> np.ndarray:
-    """Cells whose center lies inside the disc; coordinates in cell units."""
-    x, y = _cell_xy(dims)
-    return (x - center[0]) ** 2 + (y - center[1]) ** 2 <= radius ** 2
-
-
-def box_mask(dims: GridDims, center: tuple[float, float],
-             half_extents: tuple[float, float], angle: float = 0.0) -> np.ndarray:
-    """Cells whose center lies inside the rotated rectangle."""
-    x, y = _cell_xy(dims)
-    dx, dy = x - center[0], y - center[1]
-    c, s = math.cos(angle), math.sin(angle)
-    local_x = c * dx + s * dy
-    local_y = -s * dx + c * dy
-    return (np.abs(local_x) <= half_extents[0]) & (np.abs(local_y) <= half_extents[1])
-
-
-def capsule_mask(dims: GridDims, p0: tuple[float, float], p1: tuple[float, float],
-                 radius: float) -> np.ndarray:
-    """Cells within ``radius`` of the segment from p0 to p1."""
-    x, y = _cell_xy(dims)
-    ex, ey = p1[0] - p0[0], p1[1] - p0[1]
-    ee = ex * ex + ey * ey
-    if ee == 0.0:
-        return disc_mask(dims, p0, radius)
-    t = np.clip(((x - p0[0]) * ex + (y - p0[1]) * ey) / ee, 0.0, 1.0)
-    return (x - (p0[0] + t * ex)) ** 2 + (y - (p0[1] + t * ey)) ** 2 <= radius ** 2
 
 
 @dataclass(frozen=True)
@@ -232,8 +200,8 @@ def apply_emitters(u: MacVelocity, emitters, frame_index: int) -> MacVelocity:
     if not active:
         return u
     dims = u.dims
-    fxx, fxy = np.meshgrid(np.arange(dims.nx + 1.0), np.arange(dims.ny) + 0.5)
-    fyx, fyy = np.meshgrid(np.arange(dims.nx) + 0.5, np.arange(dims.ny + 1.0))
+    fxx, fxy = _lattice_xy(dims.shape_ux, 0.0, 0.5)
+    fyx, fyy = _lattice_xy(dims.shape_uy, 0.5, 0.0)
     add_x = np.zeros(dims.shape_ux)
     add_y = np.zeros(dims.shape_uy)
     for e in active:
@@ -295,7 +263,7 @@ class SceneConfig:
 def _seed_density(g: OccupancyGrid, rng: np.random.Generator) -> ScalarGrid:
     """A few soft blobs of marker density on fluid cells."""
     dims = g.dims
-    x, y = _cell_xy(dims)
+    x, y = _lattice_xy(dims.shape, 0.5, 0.5)
     rho = np.zeros(dims.shape)
     for _ in range(int(rng.integers(1, 4))):
         cx = rng.uniform(0.0, dims.nx)

@@ -16,11 +16,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .datagen import GeometryConfig, LoadedScene, load_dataset, random_geometry
+from .datagen import GeometryConfig, load_dataset, random_geometry
 from .fdops import divergence
 from .forces import enforce_solid_velocities
-from .formats import load_model
-from .grids import GridDims, MacVelocity, OccupancyGrid, distance_field
+from .formats import csv_text, load_model
+from .grids import GridDims, MacVelocity, OccupancyGrid
 from .sim import (ConvnetProjection, ExactProjection, JacobiProjection,
                   NoProjection, PcgProjection, SimConfig, SimState,
                   SimulationError, project_velocity, step)
@@ -80,19 +80,41 @@ def parse_backend(spec: str) -> tuple[str, object]:
                      "pcg:<tol>, convnet:<model-path>, exact, or none")
 
 
-def _as_scenes(dataset) -> list[LoadedScene]:
-    if isinstance(dataset, (str, Path)):
-        return load_dataset(dataset)
-    return list(dataset)
-
-
-def _scene_dt(scene: LoadedScene) -> float:
-    return float(scene.meta["config"]["dt"])
+def _initial_frames(dataset) -> list[tuple[SimState, float]]:
+    """Each scene's first recorded frame with the scene's dt; ``dataset``
+    is a dataset directory or a list of loaded scenes."""
+    scenes = load_dataset(dataset) if isinstance(dataset, (str, Path)) else dataset
+    samples = []
+    for scene in scenes:
+        if not scene.frames:
+            raise ValueError(f"scene {scene.name} has no frames")
+        samples.append((scene.frames[0], float(scene.meta["config"]["dt"])))
+    return samples
 
 
 def _div_norm(state: SimState) -> float:
     d = divergence(state.u, state.g)
     return float(np.linalg.norm(d.values[state.g.fluid]))
+
+
+def _rollout_norms(samples, projection, frames: int,
+                   warning: tuple) -> tuple[list[np.ndarray], int]:
+    """Fluid divergence norm after each of ``frames`` steps, per sample, and
+    how many samples blew up; each is logged by ``log.warning(*warning, error)``."""
+    rows, dropped = [], 0
+    for state, dt in samples:
+        cfg = SimConfig(dt=dt, projection=projection)
+        norms = np.empty(frames)
+        try:
+            for f in range(frames):
+                state = step(state, cfg)
+                norms[f] = _div_norm(state)
+        except SimulationError as e:
+            log.warning(*warning, e)
+            dropped += 1
+            continue
+        rows.append(norms)
+    return rows, dropped
 
 
 # ====== One-step weighted loss ======
@@ -106,7 +128,7 @@ def one_step_loss(state: SimState, projection, dt: float = 1.0 / 30.0,
     """
     cfg = SimConfig(dt=dt, projection=projection)
     after = step(state, cfg)
-    w = loss_weights(distance_field(after.g), k)
+    w = loss_weights(after.g.distance, k)
     d = divergence(after.u, after.g)
     return float(np.sum(w.values * d.values ** 2))
 
@@ -122,12 +144,6 @@ class DivergenceCurves:
     mean: dict[str, np.ndarray]
     std: dict[str, np.ndarray]
     excluded: dict[str, int]
-
-    def column_header(self) -> list[str]:
-        head = ["frame"]
-        for name in self.names:
-            head += [f"{name}_mean", f"{name}_std"]
-        return head
 
 
 def _unique_names(backends) -> list[str]:
@@ -155,30 +171,12 @@ def eval_divergence_curves(dataset, backends, frames: int,
     if not backends:
         raise ValueError("need at least one backend")
     names = _unique_names(backends)
-    scenes = _as_scenes(dataset)
-    samples = []
-    for scene in scenes:
-        if not scene.frames:
-            raise ValueError(f"scene {scene.name} has no frames")
-        samples.append((scene.frames[0], _scene_dt(scene)))
+    samples = _initial_frames(dataset)
 
     curves = DivergenceCurves(frames, names, {}, {}, {})
     for name, (_, projection) in zip(names, backends):
-        rows = []
-        dropped = 0
-        for start, dt in samples:
-            cfg = SimConfig(dt=dt, projection=projection)
-            state = start.copy()
-            norms = np.empty(frames)
-            try:
-                for f in range(frames):
-                    state = step(state, cfg)
-                    norms[f] = _div_norm(state)
-            except SimulationError as e:
-                log.warning("backend %s: sample excluded (%s)", name, e)
-                dropped += 1
-                continue
-            rows.append(norms)
+        rows, dropped = _rollout_norms(samples, projection, frames,
+                                       ("backend %s: sample excluded (%s)", name))
         if rows:
             stacked = np.stack(rows)
             curves.mean[name] = stacked.mean(axis=0)
@@ -195,15 +193,11 @@ def eval_divergence_curves(dataset, backends, frames: int,
 
 
 def _write_curves_csv(curves: DivergenceCurves, path) -> None:
-    lines = [",".join(curves.column_header())]
-    for f in range(curves.frames):
-        cells = [str(f + 1)]
-        for name in curves.names:
-            cells += [f"{curves.mean[name][f]:.17g}", f"{curves.std[name][f]:.17g}"]
-        lines.append(",".join(cells))
+    header = ["frame"] + [f"{n}_{stat}" for n in curves.names for stat in ("mean", "std")]
+    rows = [[f + 1] + [v for n in curves.names for v in (curves.mean[n][f], curves.std[n][f])]
+            for f in range(curves.frames)]
     footer = ",".join(f"{n}={curves.excluded[n]}" for n in curves.names)
-    lines.append(f"# excluded: {footer}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text(csv_text(header, rows) + f"# excluded: {footer}\n")
 
 
 # ====== Fixed-divergence comparison ======
@@ -220,22 +214,11 @@ class MatchResult:
 
 def _mean_rollout_div(samples, projection, frames: int) -> float:
     """Mean over samples and frames of the fluid divergence norm."""
-    totals = []
-    for start, dt in samples:
-        cfg = SimConfig(dt=dt, projection=projection)
-        state = start.copy()
-        norms = []
-        try:
-            for _ in range(frames):
-                state = step(state, cfg)
-                norms.append(_div_norm(state))
-        except SimulationError as e:
-            log.warning("rollout excluded from divergence average (%s)", e)
-            continue
-        totals.append(np.mean(norms))
-    if not totals:
+    rows, _ = _rollout_norms(samples, projection, frames,
+                             ("rollout excluded from divergence average (%s)",))
+    if not rows:
         raise RuntimeError("every rollout failed; no divergence average")
-    return float(np.mean(totals))
+    return float(np.mean([np.mean(norms) for norms in rows]))
 
 
 def match_divergence(dataset, target_projection, frames: int = 16,
@@ -247,8 +230,7 @@ def match_divergence(dataset, target_projection, frames: int = 16,
     whose statistic is at or below the target's; when even ``max_iters``
     does not reach it, the result carries ``matched=False``.
     """
-    scenes = _as_scenes(dataset)
-    samples = [(s.frames[0], _scene_dt(s)) for s in scenes]
+    samples = _initial_frames(dataset)
     target = _mean_rollout_div(samples, target_projection, frames)
 
     def jacobi_div(iters: int) -> float:
@@ -286,8 +268,7 @@ class BenchRow:
     COLUMNS = ("backend", "nx", "ny", "cells", "repetitions", "median_ms")
 
     def row(self) -> list:
-        return [self.backend, self.nx, self.ny, self.cells,
-                self.repetitions, self.median_ms]
+        return [getattr(self, c) for c in self.COLUMNS]
 
 
 def _bench_state(dims: GridDims, seed: int) -> tuple[MacVelocity, OccupancyGrid]:
@@ -327,8 +308,4 @@ def bench(projection, dims_list, repetitions: int = 5, seed: int = 0,
 
 
 def write_bench_csv(rows, path) -> None:
-    lines = [",".join(BenchRow.COLUMNS)]
-    for r in rows:
-        lines.append(",".join(f"{v:.17g}" if isinstance(v, float) else str(v)
-                              for v in r.row()))
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text(csv_text(BenchRow.COLUMNS, [r.row() for r in rows]))

@@ -2,12 +2,8 @@
 
 All operators are pure: they never mutate their inputs.  Geometry enters
 through an OccupancyGrid, whose border is solid wall except for the open
-air row above the top when ``open_top`` is set.
-
-Face classification: a face is *solid* when either adjacent cell (or the
-border behind it) is solid; it is *free* when it is not solid and at
-least one adjacent cell is fluid.  Free faces are exactly the ones a
-pressure gradient update touches.
+air row above the top when ``open_top`` is set; the masks that the
+operators read are cached on it.
 """
 
 from __future__ import annotations
@@ -16,70 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import GridDims, MacVelocity, OccupancyGrid, ScalarGrid
-
-
-# ====== Neighborhood masks ======
-
-def _padded_masks(g: OccupancyGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Solid and fluid masks padded with one border ring.
-
-    The ring is solid wall everywhere except above the top row in open-top
-    mode, where it is air (neither solid nor fluid).
-    """
-    psolid = np.pad(g.solid, 1, constant_values=True)
-    if g.open_top:
-        psolid[-1, 1:-1] = False
-    pfluid = np.pad(g.fluid, 1, constant_values=False)
-    return psolid, pfluid
-
-
-@dataclass(frozen=True)
-class CellStencil:
-    """Per-cell neighbor masks for the 5-point pressure stencil.
-
-    ``fluid_*`` flag a fluid neighbor in each direction, ``solid_count``
-    counts solid neighbors (border included) and ``diag`` counts non-solid
-    neighbors, which is the diagonal of the pressure system.
-    """
-
-    fluid: np.ndarray
-    fluid_w: np.ndarray
-    fluid_e: np.ndarray
-    fluid_s: np.ndarray
-    fluid_n: np.ndarray
-    solid_count: np.ndarray
-    diag: np.ndarray
-
-
-def cell_stencil(g: OccupancyGrid) -> CellStencil:
-    psolid, pfluid = _padded_masks(g)
-    fw = pfluid[1:-1, :-2]
-    fe = pfluid[1:-1, 2:]
-    fs = pfluid[:-2, 1:-1]
-    fn = pfluid[2:, 1:-1]
-    sc = (psolid[1:-1, :-2].astype(np.int64) + psolid[1:-1, 2:]
-          + psolid[:-2, 1:-1] + psolid[2:, 1:-1])
-    return CellStencil(g.fluid, fw, fe, fs, fn, sc, 4 - sc)
-
-
-@dataclass(frozen=True)
-class FaceMasks:
-    """Solid and free flags for every face of the grid."""
-
-    solid_x: np.ndarray
-    solid_y: np.ndarray
-    free_x: np.ndarray
-    free_y: np.ndarray
-
-
-def face_masks(g: OccupancyGrid) -> FaceMasks:
-    psolid, pfluid = _padded_masks(g)
-    solid_x = psolid[1:-1, :-1] | psolid[1:-1, 1:]
-    solid_y = psolid[:-1, 1:-1] | psolid[1:, 1:-1]
-    fluid_x = pfluid[1:-1, :-1] | pfluid[1:-1, 1:]
-    fluid_y = pfluid[:-1, 1:-1] | pfluid[1:, 1:-1]
-    return FaceMasks(solid_x, solid_y, ~solid_x & fluid_x, ~solid_y & fluid_y)
+# cell_stencil and face_masks are re-exported for callers that look them up here
+from .grids import GridDims, MacVelocity, OccupancyGrid, ScalarGrid, cell_stencil, face_masks
 
 
 # ====== First-order operators ======
@@ -101,7 +35,7 @@ def _face_gradient(p: ScalarGrid, g: OccupancyGrid) -> tuple[np.ndarray, np.ndar
     Air cells beyond an open top contribute pressure zero.
     """
     h = p.dims.h
-    fm = face_masks(g)
+    fm = g.faces
     pp = np.pad(p.values, 1, constant_values=0.0)
     gx = np.where(fm.free_x, pp[1:-1, 1:] - pp[1:-1, :-1], 0.0)
     gy = np.where(fm.free_y, pp[1:, 1:-1] - pp[:-1, 1:-1], 0.0)
@@ -163,7 +97,7 @@ class PoissonSystem:
 
 def apply_poisson(g: OccupancyGrid, p: ScalarGrid) -> ScalarGrid:
     """Matrix-free action A p of the pressure system; zero on solid cells."""
-    st = cell_stencil(g)
+    st = g.stencil
     h2 = g.dims.h ** 2
     pv = p.values
     pp = np.pad(pv, 1, constant_values=0.0)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fdops import face_masks, vorticity
+from .fdops import vorticity
 from .grids import MacVelocity, OccupancyGrid, ScalarGrid
 
 
@@ -29,13 +29,17 @@ class ForceConfig:
     confinement: float = 0.0
 
 
+def _add_on_free_faces(u: MacVelocity, g: OccupancyGrid, ax, ay) -> MacVelocity:
+    """u + (ax, ay) on free faces; the other faces keep their values."""
+    fm = g.faces
+    return MacVelocity(u.dims, u.ux + np.where(fm.free_x, ax, 0.0),
+                       u.uy + np.where(fm.free_y, ay, 0.0))
+
+
 def add_body_force(u: MacVelocity, g: OccupancyGrid, force: tuple[float, float],
                    dt: float) -> MacVelocity:
     """u + dt * force on free faces."""
-    fm = face_masks(g)
-    ux = u.ux + np.where(fm.free_x, dt * force[0], 0.0)
-    uy = u.uy + np.where(fm.free_y, dt * force[1], 0.0)
-    return MacVelocity(u.dims, ux, uy)
+    return _add_on_free_faces(u, g, dt * force[0], dt * force[1])
 
 
 def _to_faces(cx: np.ndarray, cy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -58,11 +62,8 @@ def add_buoyancy(u: MacVelocity, density: ScalarGrid, g: OccupancyGrid,
         dirx, diry = -gx / norm, -gy / norm
     else:
         dirx, diry = 0.0, 1.0
-    fm = face_masks(g)
     rho_x, rho_y = _to_faces(density.values, density.values)
-    ux = u.ux + np.where(fm.free_x, dt * coeff * dirx * rho_x, 0.0)
-    uy = u.uy + np.where(fm.free_y, dt * coeff * diry * rho_y, 0.0)
-    return MacVelocity(u.dims, ux, uy)
+    return _add_on_free_faces(u, g, dt * coeff * dirx * rho_x, dt * coeff * diry * rho_y)
 
 
 def vorticity_confinement(u: MacVelocity, g: OccupancyGrid, strength: float,
@@ -84,10 +85,7 @@ def vorticity_confinement(u: MacVelocity, g: OccupancyGrid, strength: float,
     fcx = strength * h * (ny_ * w)
     fcy = strength * h * (-nx_ * w)
     fx, fy = _to_faces(fcx, fcy)
-    fm = face_masks(g)
-    ux = u.ux + np.where(fm.free_x, dt * fx, 0.0)
-    uy = u.uy + np.where(fm.free_y, dt * fy, 0.0)
-    return MacVelocity(u.dims, ux, uy)
+    return _add_on_free_faces(u, g, dt * fx, dt * fy)
 
 
 def enforce_solid_velocities(u: MacVelocity, g: OccupancyGrid,
@@ -97,7 +95,7 @@ def enforce_solid_velocities(u: MacVelocity, g: OccupancyGrid,
     A MAC face stores only its normal component, so setting the face value
     pins exactly the normal flux through the solid. Idempotent.
     """
-    fm = face_masks(g)
+    fm = g.faces
     ux = np.where(fm.solid_x, solid_velocity[0], u.ux)
     uy = np.where(fm.solid_y, solid_velocity[1], u.uy)
     return MacVelocity(u.dims, ux, uy)

@@ -1,4 +1,4 @@
-"""Binary interchange formats and image dumps.
+"""Binary interchange formats, image dumps and CSV rows.
 
 Frame files ("FNF1") hold one simulation frame; model files ("FNM1") hold
 trained network parameters.  Both are little endian with float32 payloads
@@ -174,3 +174,14 @@ def write_pgm(path, values: np.ndarray, vmax: float = 1.0) -> None:
     img = (scaled[::-1, :] * 255.0 + 0.5).astype(np.uint8)
     h, w = img.shape
     Path(path).write_bytes(b"P5\n%d %d\n255\n" % (w, h) + img.tobytes())
+
+
+def format_row(values) -> list[str]:
+    """CSV cells of one row: floats as %.17g, which reads back to the same
+    double, everything else through str()."""
+    return [f"{v:.17g}" if isinstance(v, float) else str(v) for v in values]
+
+
+def csv_text(header, rows) -> str:
+    """The header line, then one line per row of :func:`format_row` cells."""
+    return "".join(",".join(line) + "\n" for line in [header, *map(format_row, rows)])

@@ -18,7 +18,9 @@ is open air instead: not solid, not fluid, held at zero pressure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import ndimage
@@ -56,12 +58,7 @@ class GridDims:
 
     def cell_centers(self) -> np.ndarray:
         """Positions of all cell centers, shape (ny, nx, 2)."""
-        x = (np.arange(self.nx) + 0.5) * self.h
-        y = (np.arange(self.ny) + 0.5) * self.h
-        out = np.empty((self.ny, self.nx, 2))
-        out[..., 0] = x[None, :]
-        out[..., 1] = y[:, None]
-        return out
+        return _lattice_points(self.shape, 0.5, 0.5, self.h)
 
 
 def _check_shape(name: str, arr: np.ndarray, shape: tuple[int, int]) -> None:
@@ -124,13 +121,16 @@ class MacVelocity:
         return np.concatenate([self.ux.ravel(), self.uy.ravel()])
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class OccupancyGrid:
     """Cell-centered solid geometry plus the border condition of the domain.
 
     ``solid[j, i]`` is True on cells occupied by static solid.  Cells that
     are not solid are fluid.  ``open_top`` switches the border above the
     top cell row from solid wall to zero-pressure air.
+
+    A grid is immutable and compares by identity.  It keeps a read-only copy
+    of ``solid``; the geometry operators derive from it is cached, read-only.
     """
 
     dims: GridDims
@@ -138,25 +138,45 @@ class OccupancyGrid:
     open_top: bool = False
 
     def __post_init__(self) -> None:
-        self.solid = np.asarray(self.solid)
-        _check_shape("solid mask", self.solid, self.dims.shape)
-        if self.solid.dtype != np.bool_:
-            raise ValueError(f"solid mask must be boolean, got dtype {self.solid.dtype}")
+        solid = np.array(self.solid)
+        _check_shape("solid mask", solid, self.dims.shape)
+        if solid.dtype != np.bool_:
+            raise ValueError(f"solid mask must be boolean, got dtype {solid.dtype}")
+        object.__setattr__(self, "solid", _read_only(solid))
 
     @classmethod
     def empty(cls, dims: GridDims, open_top: bool = False) -> "OccupancyGrid":
         return cls(dims, np.zeros(dims.shape, dtype=bool), open_top)
 
-    @property
+    @cached_property
     def fluid(self) -> np.ndarray:
-        return ~self.solid
+        return _read_only(~self.solid)
 
-    @property
+    @cached_property
     def n_fluid(self) -> int:
         return int(np.count_nonzero(self.fluid))
 
-    def copy(self) -> "OccupancyGrid":
-        return OccupancyGrid(self.dims, self.solid.copy(), self.open_top)
+    @cached_property
+    def faces(self) -> "FaceMasks":
+        return _read_only(face_masks(self))
+
+    @cached_property
+    def stencil(self) -> "CellStencil":
+        return _read_only(cell_stencil(self))
+
+    @cached_property
+    def components(self) -> "FluidComponents":
+        labels, count = connected_components(self)
+        closed = np.ones(count, dtype=bool)
+        if self.open_top and count:
+            top = labels[-1, :]
+            closed[top[top >= 0]] = False
+        sizes = np.bincount(labels[self.fluid], minlength=count)
+        return _read_only(FluidComponents(labels, closed, sizes))
+
+    @cached_property
+    def distance(self) -> "DistanceField":
+        return _read_only(distance_field(self))
 
 
 @dataclass
@@ -238,6 +258,93 @@ def sample_velocity(u: MacVelocity, pos) -> np.ndarray:
 
 # ====== Geometry queries ======
 
+def _read_only(obj):
+    """Mark an array, or the array fields of ``obj``, read-only."""
+    for value in [obj] if isinstance(obj, np.ndarray) else vars(obj).values():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+    return obj
+
+
+def _padded_masks(g: OccupancyGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Solid and fluid masks padded with one border ring.
+
+    The ring is solid wall everywhere except above the top row in open-top
+    mode, where it is air (neither solid nor fluid).
+    """
+    psolid = np.pad(g.solid, 1, constant_values=True)
+    if g.open_top:
+        psolid[-1, 1:-1] = False
+    pfluid = np.pad(g.fluid, 1, constant_values=False)
+    return psolid, pfluid
+
+
+@dataclass(frozen=True)
+class CellStencil:
+    """Per-cell neighbor masks for the 5-point pressure stencil.
+
+    ``fluid_*`` flag a fluid neighbor in each direction, ``solid_count``
+    counts solid neighbors (border included) and ``diag`` counts non-solid
+    neighbors, which is the diagonal of the pressure system.
+    """
+
+    fluid: np.ndarray
+    fluid_w: np.ndarray
+    fluid_e: np.ndarray
+    fluid_s: np.ndarray
+    fluid_n: np.ndarray
+    solid_count: np.ndarray
+    diag: np.ndarray
+
+
+def cell_stencil(g: OccupancyGrid) -> CellStencil:
+    psolid, pfluid = _padded_masks(g)
+    fw = pfluid[1:-1, :-2]
+    fe = pfluid[1:-1, 2:]
+    fs = pfluid[:-2, 1:-1]
+    fn = pfluid[2:, 1:-1]
+    sc = (psolid[1:-1, :-2].astype(np.int64) + psolid[1:-1, 2:]
+          + psolid[:-2, 1:-1] + psolid[2:, 1:-1])
+    return CellStencil(g.fluid, fw, fe, fs, fn, sc, 4 - sc)
+
+
+@dataclass(frozen=True)
+class FaceMasks:
+    """Solid and free flags for every face of the grid.
+
+    A face is *solid* when either adjacent cell (or the border behind it)
+    is solid; it is *free* when it is not solid and at least one adjacent
+    cell is fluid.  Free faces are exactly the ones a pressure gradient
+    update touches.
+    """
+
+    solid_x: np.ndarray
+    solid_y: np.ndarray
+    free_x: np.ndarray
+    free_y: np.ndarray
+
+
+def face_masks(g: OccupancyGrid) -> FaceMasks:
+    psolid, pfluid = _padded_masks(g)
+    solid_x = psolid[1:-1, :-1] | psolid[1:-1, 1:]
+    solid_y = psolid[:-1, 1:-1] | psolid[1:, 1:-1]
+    fluid_x = pfluid[1:-1, :-1] | pfluid[1:-1, 1:]
+    fluid_y = pfluid[:-1, 1:-1] | pfluid[1:, 1:-1]
+    return FaceMasks(solid_x, solid_y, ~solid_x & fluid_x, ~solid_y & fluid_y)
+
+
+@dataclass(frozen=True)
+class FluidComponents:
+    """4-connected fluid components: ``labels`` as from
+    :func:`connected_components`, each component's cell count ``sizes``, and
+    ``closed``, set where no cell touches the air above an open top; only
+    closed components carry a constant null vector of the pressure system."""
+
+    labels: np.ndarray
+    closed: np.ndarray
+    sizes: np.ndarray
+
+
 def distance_field(g: OccupancyGrid) -> DistanceField:
     """Euclidean distance from each cell center to the nearest solid cell
     center, in units of h.  Zero on solid cells.  If the grid holds no
@@ -258,3 +365,55 @@ def connected_components(g: OccupancyGrid) -> tuple[np.ndarray, int]:
     four = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=int)
     raw, count = ndimage.label(g.fluid, structure=four)
     return raw.astype(np.int32) - 1, int(count)
+
+
+# ====== Shape masks ======
+
+def _lattice_xy(shape: tuple[int, int], offx: float, offy: float
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Cell-unit x, shape (1, ncols), and y, shape (nrows, 1), of the nodes
+    of a lattice whose node (c, r) sits at (c + offx, r + offy)."""
+    nrows, ncols = shape
+    return (np.arange(ncols) + offx)[None, :], (np.arange(nrows) + offy)[:, None]
+
+
+def _lattice_points(shape: tuple[int, int], offx: float, offy: float, h: float) -> np.ndarray:
+    """World positions of the lattice nodes, shape (nrows, ncols, 2)."""
+    x, y = _lattice_xy(shape, offx, offy)
+    out = np.empty(shape + (2,))
+    out[..., 0], out[..., 1] = x * h, y * h
+    return out
+
+
+def _in_disc(x: np.ndarray, y: np.ndarray, center: tuple[float, float],
+            radius: float) -> np.ndarray:
+    """Points (x, y) inside the closed disc."""
+    return (x - center[0]) ** 2 + (y - center[1]) ** 2 <= radius ** 2
+
+
+def disc_mask(dims: GridDims, center: tuple[float, float], radius: float) -> np.ndarray:
+    """Cells whose center lies inside the disc; coordinates in cell units."""
+    return _in_disc(*_lattice_xy(dims.shape, 0.5, 0.5), center, radius)
+
+
+def box_mask(dims: GridDims, center: tuple[float, float],
+             half_extents: tuple[float, float], angle: float = 0.0) -> np.ndarray:
+    """Cells whose center lies inside the rotated rectangle."""
+    x, y = _lattice_xy(dims.shape, 0.5, 0.5)
+    dx, dy = x - center[0], y - center[1]
+    c, s = math.cos(angle), math.sin(angle)
+    local_x = c * dx + s * dy
+    local_y = -s * dx + c * dy
+    return (np.abs(local_x) <= half_extents[0]) & (np.abs(local_y) <= half_extents[1])
+
+
+def capsule_mask(dims: GridDims, p0: tuple[float, float], p1: tuple[float, float],
+                 radius: float) -> np.ndarray:
+    """Cells within ``radius`` of the segment from p0 to p1."""
+    x, y = _lattice_xy(dims.shape, 0.5, 0.5)
+    ex, ey = p1[0] - p0[0], p1[1] - p0[1]
+    ee = ex * ex + ey * ey
+    if ee == 0.0:
+        return disc_mask(dims, p0, radius)
+    t = np.clip(((x - p0[0]) * ex + (y - p0[1]) * ey) / ee, 0.0, 1.0)
+    return (x - (p0[0] + t * ex)) ** 2 + (y - (p0[1] + t * ey)) ** 2 <= radius ** 2

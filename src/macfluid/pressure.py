@@ -32,8 +32,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .fdops import PoissonSystem, apply_poisson, cell_stencil
-from .grids import OccupancyGrid, ScalarGrid, connected_components
+from .fdops import PoissonSystem, apply_poisson
+from .grids import CellStencil, FluidComponents, OccupancyGrid, ScalarGrid
 
 logger = logging.getLogger(__name__)
 
@@ -42,33 +42,23 @@ DENSE_CELL_LIMIT = 4096
 
 # ====== Null-space handling ======
 
-def _closed_components(g: OccupancyGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Fluid component labels plus a per-component closed flag.
+def _project_out_constants(lab: np.ndarray, x: np.ndarray,
+                           comps: FluidComponents) -> np.ndarray:
+    """x minus its mean over each closed component; ``lab`` labels x's entries.
 
-    A component is open when any of its cells touches the air above an
-    open top; only closed components carry a constant null vector.
+    The divisors are the components' cell counts: the only fluid cells a
+    solve leaves out are walled in on all sides, each its own component.
     """
-    labels, count = connected_components(g)
-    closed = np.ones(count, dtype=bool)
-    if g.open_top and count:
-        top = labels[-1, :]
-        closed[top[top >= 0]] = False
-    return labels, closed
+    if not comps.closed.any():
+        return x
+    sums = np.bincount(lab, weights=x, minlength=len(comps.sizes))
+    return x - np.where(comps.closed, sums / comps.sizes, 0.0)[lab]
 
 
-def _remove_closed_means(values: np.ndarray, g: OccupancyGrid,
-                         labels: np.ndarray, closed: np.ndarray) -> np.ndarray:
+def _remove_closed_means(values: np.ndarray, g: OccupancyGrid) -> np.ndarray:
     fluid = g.fluid
-    lab = labels[fluid]
-    if lab.size == 0:
-        return np.zeros_like(values)
-    count = len(closed)
-    sums = np.bincount(lab, weights=values[fluid], minlength=count)
-    cnts = np.bincount(lab, minlength=count)
-    means = np.where(closed & (cnts > 0), sums / np.maximum(cnts, 1), 0.0)
-    out = values.copy()
-    out[fluid] -= means[lab]
-    out[~fluid] = 0.0
+    out = np.zeros_like(values)
+    out[fluid] = _project_out_constants(g.components.labels[fluid], values[fluid], g.components)
     return out
 
 
@@ -78,8 +68,7 @@ def make_compatible(sys: PoissonSystem) -> PoissonSystem:
     Subtracts the mean of b over every closed fluid component and zeroes
     b on solid cells.  Open components are left untouched.
     """
-    labels, closed = _closed_components(sys.g)
-    b = _remove_closed_means(np.asarray(sys.b.values, dtype=np.float64), sys.g, labels, closed)
+    b = _remove_closed_means(np.asarray(sys.b.values, dtype=np.float64), sys.g)
     return PoissonSystem(sys.g, ScalarGrid(sys.dims, b))
 
 
@@ -87,6 +76,18 @@ def residual_norm(sys: PoissonSystem, p: ScalarGrid) -> float:
     """Euclidean norm of A p - b over fluid cells."""
     r = apply_poisson(sys.g, p).values - sys.b.values
     return float(np.linalg.norm(r[sys.g.fluid]))
+
+
+def _neighbor_index(st: CellStencil, cells: np.ndarray, missing: int) -> np.ndarray:
+    """(4, n) row-major numbers, among ``cells``, of the west, east, south
+    and north fluid neighbor of each of them; ``missing`` where there is none."""
+    idx = np.full(cells.shape, missing, dtype=np.intp)
+    idx[cells] = np.arange(np.count_nonzero(cells))
+    pi = np.pad(idx, 1, constant_values=missing)
+    return np.stack([np.where(st.fluid_w, pi[1:-1, :-2], missing)[cells],
+                     np.where(st.fluid_e, pi[1:-1, 2:], missing)[cells],
+                     np.where(st.fluid_s, pi[:-2, 1:-1], missing)[cells],
+                     np.where(st.fluid_n, pi[2:, 1:-1], missing)[cells]])
 
 
 # ====== Jacobi ======
@@ -107,7 +108,7 @@ def solve_jacobi(sys: PoissonSystem, iters: int = 34) -> ScalarGrid:
     if iters < 0:
         raise ValueError(f"iteration count must be nonnegative, got {iters}")
     g = sys.g
-    st = cell_stencil(g)
+    st = g.stencil
     fluid = g.fluid
     b = sys.b.values
     isolated = fluid & (st.diag == 0)
@@ -119,13 +120,7 @@ def solve_jacobi(sys: PoissonSystem, iters: int = 34) -> ScalarGrid:
     # fluid cells in row-major order; index n is a sentinel that stays +0.0
     # and stands in for every neighbor that is not fluid
     n = hb.size
-    idx = np.full(g.dims.shape, n, dtype=np.intp)
-    idx[fluid] = np.arange(n)
-    pi = np.pad(idx, 1, constant_values=n)
-    nbr_idx = np.stack([np.where(st.fluid_w, pi[1:-1, :-2], n)[fluid],
-                        np.where(st.fluid_e, pi[1:-1, 2:], n)[fluid],
-                        np.where(st.fluid_s, pi[:-2, 1:-1], n)[fluid],
-                        np.where(st.fluid_n, pi[2:, 1:-1], n)[fluid]])
+    nbr_idx = _neighbor_index(st, fluid, n)
     x = np.zeros(n + 1)
     p = x[:n]
     nbr = np.empty((4, n))
@@ -145,8 +140,7 @@ def solve_jacobi(sys: PoissonSystem, iters: int = 34) -> ScalarGrid:
         np.multiply(w, 0.25, out=p)
     out = np.zeros(g.dims.shape)
     out[fluid] = p
-    labels, closed = _closed_components(g)
-    return ScalarGrid(g.dims, _remove_closed_means(out, g, labels, closed))
+    return ScalarGrid(g.dims, _remove_closed_means(out, g))
 
 
 # ====== Preconditioned conjugate gradients ======
@@ -174,28 +168,21 @@ class _Lattice:
     fronts: list       # anti-diagonal wavefronts in increasing i+j order
     active: np.ndarray  # 2d bool mask
     lab: np.ndarray    # component label per active cell
-    closed: np.ndarray  # per-component closed flag
+    comps: FluidComponents
 
 
 def _build_lattice(g: OccupancyGrid) -> _Lattice:
-    st = cell_stencil(g)
+    st = g.stencil
     # cells with an all-solid neighborhood have an empty matrix row; they
     # stay out of the solve and keep pressure zero
     active = g.fluid & (st.diag > 0)
     n = int(np.count_nonzero(active))
-    idx = np.full(g.dims.shape, -1, dtype=np.int64)
-    idx[active] = np.arange(n)
-    pi = np.pad(idx, 1, constant_values=-1)
-    wi = np.where(st.fluid_w, pi[1:-1, :-2], -1)[active]
-    ei = np.where(st.fluid_e, pi[1:-1, 2:], -1)[active]
-    si = np.where(st.fluid_s, pi[:-2, 1:-1], -1)[active]
-    ni = np.where(st.fluid_n, pi[2:, 1:-1], -1)[active]
+    nbr = _neighbor_index(st, active, -1)
     h2 = g.dims.h ** 2
     adiag = st.diag[active].astype(np.float64) / h2
     off = -1.0 / h2
 
     rows = np.arange(n)
-    nbr = np.stack([wi, ei, si, ni])
     has = nbr >= 0
     A = sp.csr_matrix(
         (np.concatenate([adiag, np.full(np.count_nonzero(has), off)]),
@@ -208,9 +195,8 @@ def _build_lattice(g: OccupancyGrid) -> _Lattice:
     fronts = [rows[diag_id == v] for v in range(int(diag_id.max()) + 1)] if n else []
     fronts = [f for f in fronts if f.size]
 
-    labels, closed = _closed_components(g)
-    return _Lattice(n, adiag, off, wi, si, A, fronts, active,
-                    labels[active], closed)
+    return _Lattice(n, adiag, off, nbr[0], nbr[2], A, fronts, active,
+                    g.components.labels[active], g.components)
 
 
 def _gather(x: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -276,16 +262,6 @@ def _ic0_preconditioner(lat: _Lattice, fac):
     return lambda rv: lu.solve(lu.solve(rv), trans="T")
 
 
-def _project_out_constants(lat: _Lattice, x: np.ndarray) -> np.ndarray:
-    count = len(lat.closed)
-    if count == 0 or not lat.closed.any():
-        return x
-    sums = np.bincount(lat.lab, weights=x, minlength=count)
-    cnts = np.bincount(lat.lab, minlength=count)
-    means = np.where(lat.closed & (cnts > 0), sums / np.maximum(cnts, 1), 0.0)
-    return x - means[lat.lab]
-
-
 def solve_pcg(sys: PoissonSystem, tol: float = 1e-4,
               max_iter: int = 2000) -> tuple[ScalarGrid, PcgInfo]:
     """Conjugate gradients with an IC(0) preconditioner.
@@ -323,7 +299,7 @@ def solve_pcg(sys: PoissonSystem, tol: float = 1e-4,
 
     x = np.zeros(lat.n)
     r = bv.copy()
-    z = _project_out_constants(lat, precond(r))
+    z = _project_out_constants(lat.lab, precond(r), lat.comps)
     d = z.copy()
     rz = float(r @ z)
     converged = False
@@ -336,7 +312,7 @@ def solve_pcg(sys: PoissonSystem, tol: float = 1e-4,
             # search direction fell into the null space; only roundoff is left
             break
         alpha = rz / dq
-        x = _project_out_constants(lat, x + alpha * d)
+        x = _project_out_constants(lat.lab, x + alpha * d, lat.comps)
         r = r - alpha * q
         iterations += 1
         relres = float(np.linalg.norm(r)) / bnorm
@@ -347,7 +323,7 @@ def solve_pcg(sys: PoissonSystem, tol: float = 1e-4,
                 converged = True
                 break
             r = r_true
-        z = _project_out_constants(lat, precond(r))
+        z = _project_out_constants(lat.lab, precond(r), lat.comps)
         rz_new = float(r @ z)
         beta = rz_new / rz
         d = z + beta * d
@@ -373,7 +349,7 @@ def solve_dense_direct(sys: PoissonSystem) -> ScalarGrid:
     if g.n_fluid > DENSE_CELL_LIMIT:
         raise ValueError(f"dense solve capped at {DENSE_CELL_LIMIT} fluid cells, "
                          f"got {g.n_fluid}")
-    st = cell_stencil(g)
+    st = g.stencil
     fluid = g.fluid
     n = g.n_fluid
     idx = np.full(g.dims.shape, -1, dtype=np.int64)
@@ -391,5 +367,4 @@ def solve_dense_direct(sys: PoissonSystem) -> ScalarGrid:
     x, *_ = np.linalg.lstsq(A, bv, rcond=None)
     out = np.zeros(g.dims.shape)
     out[fluid] = x
-    labels, closed = _closed_components(g)
-    return ScalarGrid(g.dims, _remove_closed_means(out, g, labels, closed))
+    return ScalarGrid(g.dims, _remove_closed_means(out, g))

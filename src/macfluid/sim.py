@@ -24,8 +24,9 @@ from .convnet import NetParams, learned_project
 from .fdops import divergence, subtract_pressure_gradient
 from .forces import (ForceConfig, add_body_force, add_buoyancy,
                      enforce_solid_velocities, vorticity_confinement)
-from .formats import write_frame, write_pgm
-from .grids import GridDims, MacVelocity, OccupancyGrid, ScalarGrid
+from .formats import format_row, write_frame, write_pgm
+from .grids import (GridDims, MacVelocity, OccupancyGrid, ScalarGrid, _in_disc,
+                    _lattice_xy, box_mask, disc_mask)
 from .pressure import (PoissonSystem, make_compatible, solve_dense_direct,
                        solve_jacobi, solve_pcg)
 
@@ -123,15 +124,12 @@ def _apply_inflow(u: MacVelocity, density: ScalarGrid, g: OccupancyGrid,
     dims = g.dims
     ux, uy = u.ux.copy(), u.uy.copy()
     rho = density.values.copy()
-    ci, cj = np.meshgrid(np.arange(dims.nx) + 0.5, np.arange(dims.ny) + 0.5)
-    fxi, fxj = np.meshgrid(np.arange(dims.nx + 1.0), np.arange(dims.ny) + 0.5)
-    fyi, fyj = np.meshgrid(np.arange(dims.nx) + 0.5, np.arange(dims.ny + 1.0))
+    faces_x = _lattice_xy(dims.shape_ux, 0.0, 0.5)
+    faces_y = _lattice_xy(dims.shape_uy, 0.5, 0.0)
     for r in regions:
-        cx, cy = r.center
-        inside = (ci - cx) ** 2 + (cj - cy) ** 2 <= r.radius ** 2
-        rho[inside & g.fluid] = r.density
-        ux[(fxi - cx) ** 2 + (fxj - cy) ** 2 <= r.radius ** 2] = r.velocity[0]
-        uy[(fyi - cx) ** 2 + (fyj - cy) ** 2 <= r.radius ** 2] = r.velocity[1]
+        rho[disc_mask(dims, r.center, r.radius) & g.fluid] = r.density
+        ux[_in_disc(*faces_x, r.center, r.radius)] = r.velocity[0]
+        uy[_in_disc(*faces_y, r.center, r.radius)] = r.velocity[1]
     return MacVelocity(dims, ux, uy), ScalarGrid(dims, rho)
 
 
@@ -235,8 +233,7 @@ class FrameMetrics:
                "max_speed", "residual", "wall_ms")
 
     def row(self) -> list:
-        return [self.frame, self.mean_div_l2, self.std_div_l2, self.max_div,
-                self.max_speed, self.residual, self.wall_ms]
+        return [getattr(self, c) for c in self.COLUMNS]
 
 
 def frame_metrics(state: SimState, wall_ms: float = 0.0) -> FrameMetrics:
@@ -258,8 +255,7 @@ class CsvMetricsSink:
         self._w.writerow(FrameMetrics.COLUMNS)
 
     def __call__(self, metrics: FrameMetrics, state: SimState) -> None:
-        self._w.writerow([f"{v:.17g}" if isinstance(v, float) else v
-                          for v in metrics.row()])
+        self._w.writerow(format_row(metrics.row()))
 
     def close(self) -> None:
         self._f.close()
@@ -324,17 +320,16 @@ def plume_scenario(dims: GridDims, open_top: bool = False,
     """
     if dims.ny % 4 or dims.nx % 4:
         raise ValueError(f"grid sides must be divisible by 4, got {dims.nx}x{dims.ny}")
-    solid = np.zeros(dims.shape, dtype=bool)
-    if obstacle is not None:
-        cx, cy = dims.nx / 2.0, dims.ny / 2.0
-        r = dims.nx / 8.0
-        ci, cj = np.meshgrid(np.arange(dims.nx) + 0.5, np.arange(dims.ny) + 0.5)
-        if obstacle == "disc":
-            solid |= (ci - cx) ** 2 + (cj - cy) ** 2 <= r ** 2
-        elif obstacle == "box":
-            solid |= (np.abs(ci - cx) <= r) & (np.abs(cj - cy) <= r)
-        else:
-            raise ValueError(f"unknown obstacle {obstacle!r}")
+    center = (dims.nx / 2.0, dims.ny / 2.0)
+    r = dims.nx / 8.0
+    if obstacle is None:
+        solid = np.zeros(dims.shape, dtype=bool)
+    elif obstacle == "disc":
+        solid = disc_mask(dims, center, r)
+    elif obstacle == "box":
+        solid = box_mask(dims, center, (r, r))
+    else:
+        raise ValueError(f"unknown obstacle {obstacle!r}")
     g = OccupancyGrid(dims, solid, open_top)
 
     radius = max(1.5, inflow_fraction * dims.nx / 2.0)

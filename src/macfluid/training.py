@@ -19,7 +19,7 @@ from .convnet import (NetArch, NetParams, init_params, learned_project,
                       projection_backward)
 from .fdops import adjoint_divergence, divergence
 from .forces import ForceConfig
-from .grids import DistanceField, MacVelocity, OccupancyGrid, ScalarGrid, distance_field
+from .grids import DistanceField, MacVelocity, OccupancyGrid, ScalarGrid
 from .sim import ConvnetProjection, SimConfig, SimState, step
 
 log = logging.getLogger(__name__)
@@ -186,7 +186,7 @@ def unrolled_loss(params: NetParams, frame: SimState, cfg: LossConfig,
 
     sim_cfg = SimConfig(dt=dt, forces=forces,
                         projection=ConvnetProjection(params))
-    w = loss_weights(distance_field(state.g), cfg.k)
+    w = loss_weights(state.g.distance, cfg.k)
 
     tapes: list = []
     state = step(state, sim_cfg, tape_sink=tapes)
@@ -278,8 +278,7 @@ class EpochStats:
     COLUMNS = ("epoch", "mean_loss", "mean_div_step1", "mean_div_stepn", "wall_ms")
 
     def row(self) -> list:
-        return [self.epoch, self.mean_loss, self.mean_div_step1,
-                self.mean_div_stepn, self.wall_ms]
+        return [getattr(self, c) for c in self.COLUMNS]
 
 
 def train(dataset, cfg: TrainConfig, epochs: int, seed

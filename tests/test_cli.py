@@ -243,7 +243,7 @@ def test_bench_stdout_and_bad_backend(capsys):
 # ====== gradcheck ======
 
 def test_gradcheck_passes_and_prints(capsys):
-    rc = cli(["gradcheck", "--res", "8", "--double", "--features", "2",
+    rc = cli(["gradcheck", "--res", "8", "--features", "2",
               "--checks", "25", "--seed", "3"])
     assert rc == 0
     assert "max relative error" in capsys.readouterr().out

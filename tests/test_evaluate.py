@@ -96,13 +96,17 @@ def test_curves_tight_pcg_stays_projected(small_dataset):
     assert np.all(curves.mean["pcg_1e-10"] <= 1e-6)
 
 
-def test_curves_failed_sample_excluded(small_dataset, tmp_path, caplog):
+def _blown_up_scene(small_dataset):
     dims = GridDims(16, 16)
     bad_state = SimState(
         MacVelocity(dims, np.full(dims.shape_ux, np.nan), np.zeros(dims.shape_uy)),
         small_dataset[0].frames[0].density.copy(),
         small_dataset[0].frames[0].g)
-    bad = LoadedScene("scene_bad", {"config": {"dt": 1.0 / 30.0}}, [bad_state])
+    return LoadedScene("scene_bad", {"config": {"dt": 1.0 / 30.0}}, [bad_state])
+
+
+def test_curves_failed_sample_excluded(small_dataset, tmp_path, caplog):
+    bad = _blown_up_scene(small_dataset)
     out = tmp_path / "curves.csv"
     with caplog.at_level("WARNING", logger="macfluid.evaluate"):
         curves = eval_divergence_curves(list(small_dataset) + [bad],
@@ -143,6 +147,18 @@ def test_match_divergence_finds_reference_count(small_dataset):
     assert result.matched
     assert 1 <= result.iterations <= 32
     assert result.jacobi_div <= result.target_div
+
+
+def test_match_divergence_excludes_failed_rollouts(small_dataset, caplog):
+    bad = _blown_up_scene(small_dataset)
+    target = JacobiProjection(20)
+    with caplog.at_level("WARNING", logger="macfluid.evaluate"):
+        result = match_divergence(small_dataset[:2] + [bad], target, frames=4)
+    assert result == match_divergence(small_dataset[:2], target, frames=4)
+    assert any("rollout excluded from divergence average" in r.message
+               for r in caplog.records)
+    with pytest.raises(RuntimeError, match="every rollout failed"):
+        match_divergence([bad], target, frames=4)
 
 
 def test_match_divergence_unreachable_target(small_dataset):

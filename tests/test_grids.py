@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,56 @@ def test_shape_checks():
         MacVelocity(dims, np.zeros((4, 7)), np.zeros((4, 6)))
     with pytest.raises(ValueError):
         OccupancyGrid(dims, np.zeros((4, 6)))  # not boolean
+
+
+# ====== Occupancy grid ======
+
+def test_occupancy_grid_is_immutable():
+    dims = GridDims(6, 4)
+    solid = np.zeros(dims.shape, dtype=bool)
+    solid[1, 2] = True
+    g = OccupancyGrid(dims, solid)
+    for mask in (g.solid, g.fluid):
+        with pytest.raises(ValueError):
+            mask[0, 0] = not mask[0, 0]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        g.open_top = True
+    # the grid keeps its own copy of the caller's mask
+    solid[1, 2] = False
+    solid[3, 5] = True
+    assert g.solid[1, 2] and not g.solid[3, 5]
+    assert not g.fluid[1, 2] and g.fluid[3, 5]
+    # grids compare and hash by identity, not by content
+    twin = OccupancyGrid(dims, g.solid)
+    assert twin != g and len({g, twin}) == 2
+
+
+def test_occupancy_grid_caches_read_only_geometry():
+    rng = np.random.default_rng(5)
+    g = OccupancyGrid(GridDims(9, 7), rng.random((7, 9)) < 0.3, open_top=True)
+    for name in ("fluid", "n_fluid", "faces", "stencil", "components", "distance"):
+        assert getattr(g, name) is getattr(g, name), name
+    for arr in (g.faces.free_x, g.faces.solid_y, g.stencil.fluid_w,
+                g.stencil.diag, g.components.labels, g.components.sizes,
+                g.distance.d):
+        with pytest.raises(ValueError):
+            arr[0, ...] = 0
+
+
+def test_components_closed_flags_and_sizes():
+    dims = GridDims(6, 5)
+    solid = np.zeros(dims.shape, dtype=bool)
+    solid[:, 2] = True   # wall splitting the domain
+    solid[-1, :2] = True  # cap the left part below the open top
+    for open_top in (False, True):
+        g = OccupancyGrid(dims, solid, open_top)
+        labels, count = connected_components(g)
+        comps = g.components
+        np.testing.assert_array_equal(comps.labels, labels)
+        left, right = labels[0, 0], labels[0, 5]
+        assert count == 2 and comps.sizes[left] == 8 and comps.sizes[right] == 15
+        assert comps.closed[left]
+        assert comps.closed[right] == (not open_top)
 
 
 # ====== Bilinear sampling ======

@@ -10,7 +10,6 @@ from macfluid.grids import (GridDims, MacVelocity, OccupancyGrid, ScalarGrid,
                             connected_components)
 from macfluid.pressure import (
     _build_lattice,
-    _closed_components,
     _ic0_factor,
     _ic0_lu,
     _ic0_preconditioner,
@@ -148,8 +147,7 @@ def _reference_jacobi(sys, iters):
                + np.where(st.fluid_s, pp[:-2, 1:-1], 0.0)
                + np.where(st.fluid_n, pp[2:, 1:-1], 0.0))
         p = np.where(g.fluid, 0.25 * (hb + nbr + st.solid_count * p), 0.0)
-    labels, closed = _closed_components(g)
-    return _remove_closed_means(p, g, labels, closed)
+    return _remove_closed_means(p, g)
 
 
 def test_jacobi_matches_reference_sweep_bit_for_bit():
@@ -179,9 +177,7 @@ def test_dense_recovers_constructed_solution():
         solid = rng.random((8, 9)) < 0.2
         g = OccupancyGrid(GridDims(9, 8), solid, open_top)
         # manufacture a solvable system from a known zero-mean pressure
-        from macfluid.pressure import _closed_components, _remove_closed_means
-        labels, closed = _closed_components(g)
-        p0 = _remove_closed_means(rng.normal(size=g.dims.shape) * g.fluid, g, labels, closed)
+        p0 = _remove_closed_means(rng.normal(size=g.dims.shape) * g.fluid, g)
         b = apply_poisson(g, ScalarGrid(g.dims, p0))
         got = solve_dense_direct(PoissonSystem(g, b))
         np.testing.assert_allclose(got.values, p0, atol=1e-9)

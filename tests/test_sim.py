@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from macfluid import grids
 from macfluid.convnet import NetArch, init_params
 from macfluid.fdops import divergence
 from macfluid.forces import ForceConfig
@@ -133,6 +134,21 @@ def test_config_validation():
         InflowRegion(center=(1.0, 1.0), radius=0.0, velocity=(0.0, 0.0))
     with pytest.raises(ValueError):
         run(_random_state(0), SimConfig(), frames=0)
+
+
+@pytest.mark.parametrize("projection", [JacobiProjection(34), PcgProjection(1e-6)])
+def test_steps_derive_grid_geometry_once(monkeypatch, projection):
+    calls = {}
+    for name in ("face_masks", "cell_stencil", "connected_components"):
+        def counted(g, _name=name, _original=getattr(grids, name)):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _original(g)
+        monkeypatch.setattr(grids, name, counted)
+    state, cfg = plume_scenario(GridDims(16, 16), obstacle="disc", confinement=0.2,
+                                projection=projection)
+    for _ in range(3):
+        state = step(state, cfg)
+    assert calls == {"face_masks": 1, "cell_stencil": 1, "connected_components": 1}
 
 
 # ====== driver ======
