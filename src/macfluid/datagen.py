@@ -25,6 +25,7 @@ from .forces import enforce_solid_velocities
 from .formats import read_frame, write_frame
 from .grids import (GridDims, MacVelocity, OccupancyGrid, ScalarGrid, _lattice_xy,
                     box_mask, capsule_mask, disc_mask)
+from .pressure import PcgInfo
 from .sim import PcgProjection, SimConfig, SimState, step
 
 log = logging.getLogger(__name__)
@@ -323,7 +324,7 @@ def _generate_scene(cfg: SceneConfig, frames: int, stride: int, scene_dir: Path,
                           state.density, state.g, state.frame, state.time)
         infos: list = []
         state = step(pushed, sim_cfg, info_sink=infos)
-        if infos and not infos[0].converged:
+        if infos and isinstance(infos[0], PcgInfo) and not infos[0].converged:
             log.warning("scene %s frame %d: projection did not converge "
                         "(relative residual %.3e)", scene_dir.name, state.frame,
                         infos[0].relres)
@@ -396,7 +397,11 @@ class LoadedScene:
 
 
 def load_dataset(root) -> list[LoadedScene]:
-    """Read every scene directory under ``root``, frames in recorded order."""
+    """Read every scene directory under ``root``, frames in recorded order.
+
+    Frames of a scene whose solid masks equal the first frame's share its
+    grid, so the scene's geometry is derived once.
+    """
     root = Path(root)
     scenes = []
     for scene_dir in sorted(root.glob("scene_*")):
@@ -406,7 +411,10 @@ def load_dataset(root) -> list[LoadedScene]:
         for path in sorted(scene_dir.glob("frame_*.fnf")):
             data = read_frame(path, open_top=open_top)
             index = int(path.stem.split("_")[1])
-            frames.append(SimState(data.u, data.density, data.g,
+            g = data.g
+            if frames and np.array_equal(frames[0].g.solid, g.solid):
+                g = frames[0].g
+            frames.append(SimState(data.u, data.density, g,
                                    frame=index, time=index * data.dt))
         scenes.append(LoadedScene(scene_dir.name, meta, frames))
     if not scenes:

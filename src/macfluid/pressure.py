@@ -17,8 +17,11 @@ Three routes with very different cost/accuracy trade-offs:
   incomplete Cholesky factor without fill-in, iterated to a residual
   tolerance.  The factor is computed along anti-diagonal wavefronts and
   applied with two compiled sparse triangular solves; the matrix is a
-  CSR product.  Falls back to diagonal preconditioning if the
-  factorization hits a nonpositive pivot.
+  CSR product.  A pivot that collapses, as on a chain-shaped closed
+  component, is replaced by the cell's diagonal, so the factor always
+  exists and there is no fallback preconditioner.  The preconditioned
+  residual is centred on closed components every iteration, the
+  iterate once per solve.
 * :func:`solve_dense_direct`: dense least-squares reference for small
   grids, minimum-norm on singular components.
 """
@@ -147,7 +150,10 @@ def solve_jacobi(sys: PoissonSystem, iters: int = 34) -> ScalarGrid:
 
 @dataclass(frozen=True)
 class PcgInfo:
-    """Outcome of a conjugate gradient solve."""
+    """Outcome of a conjugate gradient solve.
+
+    ``preconditioner`` names the preconditioner used; it is always "ic0".
+    """
 
     iterations: int
     converged: bool
@@ -204,13 +210,16 @@ def _gather(x: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return np.where(idx >= 0, x[np.maximum(idx, 0)], 0.0)
 
 
-def _ic0_factor(lat: _Lattice) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+def _ic0_factor(lat: _Lattice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Incomplete Cholesky without fill-in, swept along anti-diagonals.
 
     Within one wavefront no cell depends on another, so each front is a
-    vector step.  Returns (Ldiag, Lw, Ls) or None on a nonpositive pivot;
-    :func:`_ic0_lu` assembles them into the sparse factor that
-    :func:`solve_pcg` applies.
+    vector step.  A pivot at or below 1e-12 times the cell's diagonal is
+    replaced by that diagonal: on a chain-shaped closed component IC(0)
+    is the complete factorization of a singular block, so its last pivot
+    lands on zero up to roundoff.  Every pivot is therefore positive and
+    the factor always exists.  Returns (Ldiag, Lw, Ls); :func:`_ic0_lu`
+    assembles them into the sparse factor that :func:`solve_pcg` applies.
     """
     ldiag = np.zeros(lat.n)
     lw = np.zeros(lat.n)
@@ -222,12 +231,9 @@ def _ic0_factor(lat: _Lattice) -> tuple[np.ndarray, np.ndarray, np.ndarray] | No
         gs = _gather(ldiag, si)
         fw = np.where(wi >= 0, lat.off / np.where(gw > 0, gw, 1.0), 0.0)
         fs = np.where(si >= 0, lat.off / np.where(gs > 0, gs, 1.0), 0.0)
-        pivot = lat.adiag[front] - fw * fw - fs * fs
-        # chain-shaped closed components make IC(0) complete, so the last
-        # pivot of such a component lands on zero up to roundoff
-        if np.any(pivot <= 1e-12 * lat.adiag[front]):
-            return None
-        ldiag[front] = np.sqrt(pivot)
+        ad = lat.adiag[front]
+        pivot = ad - fw * fw - fs * fs
+        ldiag[front] = np.sqrt(np.where(pivot > 1e-12 * ad, pivot, ad))
         lw[front] = fw
         ls[front] = fs
     return ldiag, lw, ls
@@ -272,9 +278,12 @@ def solve_pcg(sys: PoissonSystem, tol: float = 1e-4,
 
     Stops at the first iterate with ||A p - b|| <= tol * ||b|| (verified
     against the true residual, not just the recurrence).  The
-    preconditioned residual and the iterate have their per-component
-    means removed every iteration so closed components cannot drift along
-    the null space.  Returns the pressure and a :class:`PcgInfo`.
+    preconditioned residual has its per-component means removed every
+    iteration, which keeps every search direction in the range of A; the
+    iterate only gathers roundoff along the null space, and its means are
+    removed once, before it is returned.  There is no fallback: the
+    preconditioner is always IC(0).  Returns the pressure and a
+    :class:`PcgInfo`.
     """
     g = sys.g
     lat = _build_lattice(g)
@@ -285,18 +294,7 @@ def solve_pcg(sys: PoissonSystem, tol: float = 1e-4,
     if lat.n == 0 or bnorm == 0.0:
         return ScalarGrid(g.dims, out), PcgInfo(0, True, 0.0, "ic0")
 
-    fac = _ic0_factor(lat)
-    if fac is None:
-        logger.warning("IC(0) factorization hit a nonpositive pivot; "
-                       "falling back to diagonal preconditioning")
-        pname = "diagonal"
-
-        def precond(rv: np.ndarray) -> np.ndarray:
-            return rv / lat.adiag
-    else:
-        pname = "ic0"
-        precond = _ic0_preconditioner(lat, fac)
-
+    precond = _ic0_preconditioner(lat, _ic0_factor(lat))
     x = np.zeros(lat.n)
     r = bv.copy()
     z = _project_out_constants(lat.lab, precond(r), lat.comps)
@@ -312,7 +310,7 @@ def solve_pcg(sys: PoissonSystem, tol: float = 1e-4,
             # search direction fell into the null space; only roundoff is left
             break
         alpha = rz / dq
-        x = _project_out_constants(lat.lab, x + alpha * d, lat.comps)
+        x += alpha * d
         r = r - alpha * q
         iterations += 1
         relres = float(np.linalg.norm(r)) / bnorm
@@ -332,8 +330,8 @@ def solve_pcg(sys: PoissonSystem, tol: float = 1e-4,
     if not converged:
         logger.warning("PCG stopped after %d iterations at relative residual %.3e "
                        "(tol %.3e)", iterations, relres, tol)
-    out[lat.active] = x
-    return ScalarGrid(g.dims, out), PcgInfo(iterations, converged, relres, pname)
+    out[lat.active] = _project_out_constants(lat.lab, x, lat.comps)
+    return ScalarGrid(g.dims, out), PcgInfo(iterations, converged, relres, "ic0")
 
 
 # ====== Dense reference ======

@@ -134,18 +134,17 @@ def _apply_inflow(u: MacVelocity, density: ScalarGrid, g: OccupancyGrid,
 
 
 def project_velocity(u: MacVelocity, g: OccupancyGrid, backend,
-                     tape_sink: list | None = None,
                      info_sink: list | None = None) -> MacVelocity:
     """One pressure projection of a tentative velocity.
 
-    ``tape_sink`` collects the backward tape of a learned projection;
-    ``info_sink`` collects the PcgInfo of a pcg solve.  Other backends
-    append nothing.
+    ``info_sink`` collects what the backend reports: the PcgInfo of a pcg
+    solve, or the backward tape of a learned projection, so a training
+    loop can differentiate through it.  Other backends append nothing.
     """
     if isinstance(backend, ConvnetProjection):
-        if tape_sink is not None:
+        if info_sink is not None:
             u_new, _, tape = learned_project(backend.params, u, g, tape=True)
-            tape_sink.append(tape)
+            info_sink.append(tape)
         else:
             u_new, _ = learned_project(backend.params, u, g)
         return u_new
@@ -166,20 +165,13 @@ def project_velocity(u: MacVelocity, g: OccupancyGrid, backend,
     return subtract_pressure_gradient(u, p, g)
 
 
-def step(state: SimState, cfg: SimConfig, trace: list | None = None,
-         tape_sink: list | None = None,
+def step(state: SimState, cfg: SimConfig,
          info_sink: list | None = None) -> SimState:
     """Advance one frame; the input state is left untouched.
 
-    ``trace``, when given, collects the names of the sub-steps that ran.
-    ``tape_sink`` collects the backward tape of a learned projection so a
-    training loop can differentiate through it.  ``info_sink`` collects
-    the convergence info of a pcg projection.
+    ``info_sink`` collects what the projection reports; see
+    :func:`project_velocity`.
     """
-    def note(name: str) -> None:
-        if trace is not None:
-            trace.append(name)
-
     g = state.g
     u, density = state.u, state.density
     if not _all_finite(u, density):
@@ -187,24 +179,15 @@ def step(state: SimState, cfg: SimConfig, trace: list | None = None,
         raise SimulationError(f"non-finite fields in the input of frame {state.frame + 1}")
     if cfg.inflow:
         u, density = _apply_inflow(u, density, g, cfg.inflow)
-        note("inflow")
     density = advect_scalar(density, u, g, cfg.dt, cfg.advection)
-    note("advect_density")
     u = self_advect(u, g, cfg.dt, cfg.advection)
-    note("advect_velocity")
     u = add_body_force(u, g, cfg.forces.gravity, cfg.dt)
-    note("body_force")
     u = add_buoyancy(u, density, g, cfg.forces.buoyancy, cfg.forces.gravity, cfg.dt)
-    note("buoyancy")
     u = vorticity_confinement(u, g, cfg.forces.confinement, cfg.dt)
-    note("confinement")
     u = enforce_solid_velocities(u, g)
-    note("enforce_solids")
     if not isinstance(cfg.projection, NoProjection):
-        u = project_velocity(u, g, cfg.projection, tape_sink, info_sink)
-        note("project")
+        u = project_velocity(u, g, cfg.projection, info_sink)
         u = enforce_solid_velocities(u, g)
-        note("enforce_solids")
 
     if not _all_finite(u, density):
         msg = f"non-finite fields after frame {state.frame + 1}"

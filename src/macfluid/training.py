@@ -189,7 +189,7 @@ def unrolled_loss(params: NetParams, frame: SimState, cfg: LossConfig,
     w = loss_weights(state.g.distance, cfg.k)
 
     tapes: list = []
-    state = step(state, sim_cfg, tape_sink=tapes)
+    state = step(state, sim_cfg, info_sink=tapes)
     if state.u.max_speed() > cfg.speed_limit:
         log.warning("sample skipped: speed %.3g beyond limit at step 1",
                     state.u.max_speed())
@@ -207,7 +207,7 @@ def unrolled_loss(params: NetParams, frame: SimState, cfg: LossConfig,
                 log.warning("sample skipped: speed beyond limit mid-unroll")
                 return None
         tapes.clear()
-        state = step(state, sim_cfg, tape_sink=tapes)
+        state = step(state, sim_cfg, info_sink=tapes)
         if state.u.max_speed() > cfg.speed_limit:
             log.warning("sample skipped: speed beyond limit at step %d", n)
             return None

@@ -319,10 +319,13 @@ def test_load_dataset_round_trip(tmp_path):
     for scene in scenes:
         assert isinstance(scene, LoadedScene)
         assert [st.frame for st in scene.frames] == [4, 8]
+        # one grid per scene, so its geometry is derived once
+        assert scene.frames[0].g is scene.frames[-1].g
         for state in scene.frames:
             assert state.g.open_top
             assert state.u.ux.dtype == np.float64
             assert state.time == pytest.approx(state.frame / 30.0)
+    assert scenes[0].frames[0].g is not scenes[1].frames[0].g
 
 
 def test_load_dataset_missing(tmp_path):

@@ -7,7 +7,7 @@ import macfluid.pressure as pr
 from macfluid.fdops import PoissonSystem, apply_poisson, cell_stencil, divergence
 from macfluid.forces import enforce_solid_velocities
 from macfluid.grids import (GridDims, MacVelocity, OccupancyGrid, ScalarGrid,
-                            connected_components)
+                            connected_components, disc_mask)
 from macfluid.pressure import (
     _build_lattice,
     _ic0_factor,
@@ -239,45 +239,22 @@ def test_pcg_is_deterministic():
     assert i1.relres == i2.relres
 
 
-def test_pcg_beats_unpreconditioned_iteration_counts():
+def test_pcg_beats_unpreconditioned_iteration_counts(monkeypatch):
     # IC(0) should cut the iteration count well below the diagonal route
     rng = np.random.default_rng(72)
     sys = random_system(rng, nx=32, ny=32, p_solid=0.1)
     _, with_ic = solve_pcg(sys, tol=1e-8)
-    import macfluid.pressure as pr
-    orig = pr._ic0_factor
-    pr._ic0_factor = lambda lat: None
-    try:
+    with monkeypatch.context() as m:
+        m.setattr(pr, "_ic0_preconditioner", lambda lat, fac: lambda r: r / lat.adiag)
         _, without = solve_pcg(sys, tol=1e-8)
-    finally:
-        pr._ic0_factor = orig
-    assert without.preconditioner == "diagonal"
     assert with_ic.converged and without.converged
     assert with_ic.iterations < without.iterations
 
 
-def test_pcg_diagonal_fallback_still_solves(caplog):
-    rng = np.random.default_rng(73)
-    sys = random_system(rng, nx=8, ny=8, p_solid=0.2)
-    import macfluid.pressure as pr
-    orig = pr._ic0_factor
-    pr._ic0_factor = lambda lat: None
-    try:
-        with caplog.at_level(logging.WARNING, logger="macfluid.pressure"):
-            p, info = solve_pcg(sys, tol=1e-8)
-    finally:
-        pr._ic0_factor = orig
-    assert info.preconditioner == "diagonal"
-    assert info.converged
-    assert any("nonpositive pivot" in r.message for r in caplog.records)
-    ref = solve_dense_direct(sys)
-    np.testing.assert_allclose(p.values, ref.values, atol=1e-6)
-
-
-def test_chain_component_triggers_ic0_fallback_naturally(caplog):
+def test_chain_component_keeps_ic0_with_safeguarded_pivot(caplog):
     # a one-cell-wide closed channel is a chain: IC(0) has no fill to drop
     # there, so it becomes the complete factorization of a singular block
-    # and its last pivot lands on zero
+    # and its last pivot lands on zero; the cell's diagonal stands in
     solid = np.ones((6, 8), dtype=bool)
     solid[2, 1:7] = False
     g = OccupancyGrid(GridDims(8, 6), solid)
@@ -286,10 +263,28 @@ def test_chain_component_triggers_ic0_fallback_naturally(caplog):
     sys = make_compatible(PoissonSystem(g, b))
     with caplog.at_level(logging.WARNING, logger="macfluid.pressure"):
         p, info = solve_pcg(sys, tol=1e-10)
-    assert info.preconditioner == "diagonal"
+    assert info.preconditioner == "ic0"
     assert info.converged
+    assert not caplog.records
     ref = solve_dense_direct(sys)
     np.testing.assert_allclose(p.values, ref.values, atol=1e-8)
+
+    # a chain elsewhere in the domain must not weaken the whole solve: a
+    # closed box around a disc and a solid bar, which with ``channel`` is
+    # hollow, a one-cell channel walled in on every side
+    iterations = {}
+    for channel in (False, True):
+        dims = GridDims(32, 32)
+        solid = disc_mask(dims, (16.0, 16.0), 4.0)
+        solid[4:7, 2:30] = True
+        solid[5, 3:29] = not channel
+        g = OccupancyGrid(dims, solid)
+        rng = np.random.default_rng(79)
+        b = ScalarGrid(g.dims, rng.normal(size=g.dims.shape) * g.fluid)
+        _, info = solve_pcg(make_compatible(PoissonSystem(g, b)), tol=1e-6)
+        assert info.converged and info.preconditioner == "ic0"
+        iterations[channel] = info.iterations
+    assert iterations[True] <= iterations[False] + 5, iterations
 
 
 def test_pcg_reports_nonconvergence_and_still_returns(caplog):
@@ -380,20 +375,27 @@ def _wavefront_ic0_apply(lat, fac, r):
 
 
 def test_ic0_triangular_solves_match_wavefront_sweeps():
-    # seeded so that no random component is a chain: those take the
-    # diagonal fallback, which has its own tests
     rng = np.random.default_rng(132)
     for open_top in (False, True):
-        for nx, ny, h, p_solid in ((12, 10, 1.0, 0.2), (17, 13, 0.37, 0.3)):
+        for nx, ny, h, p_solid, chain in ((12, 10, 1.0, 0.2, False),
+                                          (17, 13, 0.37, 0.3, False),
+                                          (14, 12, 1.0, 0.1, True)):
             solid = rng.random((ny, nx)) < p_solid
             # one fluid cell walled in on all four sides stays out of the lattice
             solid[1:4, 1:4] = True
             solid[2, 2] = False
+            if chain:
+                # a closed one-cell channel, whose last pivot collapses
+                solid[5:8, 1:nx - 1] = True
+                solid[6, 2:nx - 2] = False
             g = OccupancyGrid(GridDims(nx, ny, h), solid, open_top)
             lat = _build_lattice(g)
             assert not lat.active[2, 2]
             fac = _ic0_factor(lat)
-            assert fac is not None, (open_top, nx, ny)
+            ldiag, lw, ls = fac
+            # a safeguarded pivot is the cell's diagonal although it has links
+            safeguarded = (ldiag ** 2 == lat.adiag) & ((lw != 0) | (ls != 0))
+            assert safeguarded.any() == chain, (open_top, nx, ny)
             lu = _ic0_lu(lat, fac)
             # SuperLU keeps L as the unit triangle L D^-1 and U as D: no fill-in
             nnz_L = lat.n + np.count_nonzero(lat.w >= 0) + np.count_nonzero(lat.s >= 0)

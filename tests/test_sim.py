@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from macfluid import grids
+from macfluid import grids, sim
 from macfluid.convnet import NetArch, init_params
 from macfluid.fdops import divergence
 from macfluid.forces import ForceConfig
@@ -72,19 +72,28 @@ def test_second_projection_is_nearly_free():
     assert np.max(np.abs(p2.values)) <= 1e-6
 
 
-def test_step_ordering_trace():
+def test_step_ordering_trace(monkeypatch):
+    trace = []
+    for attr, name in (("_apply_inflow", "inflow"), ("advect_scalar", "advect_density"),
+                       ("self_advect", "advect_velocity"), ("add_body_force", "body_force"),
+                       ("add_buoyancy", "buoyancy"), ("vorticity_confinement", "confinement"),
+                       ("enforce_solid_velocities", "enforce_solids"),
+                       ("project_velocity", "project")):
+        def noted(*args, _fn=getattr(sim, attr), _name=name, **kwargs):
+            trace.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(sim, attr, noted)
+
     state = _random_state(6)
     inlet = InflowRegion(center=(4.0, 2.0), radius=1.5, velocity=(0.0, 1.0))
     cfg = SimConfig(projection=PcgProjection(), inflow=(inlet,))
-    trace = []
-    step(state, cfg, trace=trace)
+    step(state, cfg)
     assert trace == ["inflow", "advect_density", "advect_velocity",
                      "body_force", "buoyancy", "confinement",
                      "enforce_solids", "project", "enforce_solids"]
 
-    trace = []
-    step(state, dataclasses.replace(cfg, inflow=(), projection=NoProjection()),
-         trace=trace)
+    trace.clear()
+    step(state, dataclasses.replace(cfg, inflow=(), projection=NoProjection()))
     assert trace == ["advect_density", "advect_velocity", "body_force",
                      "buoyancy", "confinement", "enforce_solids"]
 
@@ -100,7 +109,7 @@ def test_convnet_backend_runs_and_collects_tapes():
     params = init_params(NetArch(features=4), seed=1)
     cfg = SimConfig(projection=ConvnetProjection(params))
     tapes = []
-    out = step(state, cfg, tape_sink=tapes)
+    out = step(state, cfg, info_sink=tapes)
     assert len(tapes) == 1
     assert tapes[0].cache is not None
     assert out.frame == 1
