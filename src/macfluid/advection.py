@@ -5,8 +5,10 @@ the velocity field with a single backward Euler step and interpolating
 the source field at the landing point.  A backtrace that leaves the fluid
 (entering a solid cell, the border wall, or the air above an open top) is
 clamped to the fluid side of the first crossing: a coarse scan at
-parameters 0.25, 0.5, 0.75 and 1.0 along the trace finds the first
-non-fluid sample, then bisection refines the crossing.
+evenly spaced parameters along the trace, at least four and at most half
+a cell apart, finds the first non-fluid sample, then bisection refines
+the crossing.  At that spacing no trace steps over a straight wall one
+cell thick, at any CFL number.
 
 The MacCormack scheme runs the plain trace forward and backward, applies
 half the round-trip defect as a correction, and keeps the corrected value
@@ -16,12 +18,14 @@ of the forward trace; otherwise it falls back to the plain value.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .grids import (MacVelocity, OccupancyGrid, ScalarGrid, _bilinear, _lattice_points,
                     sample_velocity)
 
-_PRESCAN = np.array([0.25, 0.5, 0.75, 1.0])
+_MIN_PROBES = 4
 _BISECT_ITERS = 8
 
 Scheme = str  # "sl" or "maccormack"
@@ -55,19 +59,22 @@ def trace_back(pos: np.ndarray, u: MacVelocity, g: OccupancyGrid, dt: float) -> 
     x0, y0 = pos[:, 0], pos[:, 1]
     dx, dy = delta[:, 0], delta[:, 1]
 
-    # coarse scan for the first parameter whose sample left the fluid
-    bad = np.zeros((len(_PRESCAN), pos.shape[0]), dtype=bool)
-    for k, t in enumerate(_PRESCAN):
-        bad[k] = ~_fluid_at_points(g, x0 + t * dx, y0 + t * dy)
-    any_bad = bad.any(axis=0)
-    if not any_bad.any():
+    # coarse scan for the first probe that left the fluid: k probes per
+    # trace at fractions i/k; a probe past the domain is never fluid, so no
+    # trace needs more than ``reach`` of them, however long it is
+    k = np.maximum(_MIN_PROBES, np.ceil(2.0 * np.sqrt(dx * dx + dy * dy) / g.dims.h))
+    reach = math.ceil(2.0 * math.hypot(g.dims.nx, g.dims.ny)) + 4
+    pdx, pdy = dx / k, dy / k
+    first = np.zeros(pos.shape[0], dtype=np.int64)  # 0: every probe in fluid
+    for i in range(int(min(reach, k.max(initial=0.0))), 0, -1):
+        left = ~_fluid_at_points(g, x0 + i * pdx, y0 + i * pdy)
+        first[left & (i <= k)] = i
+    sel = np.flatnonzero(first)
+    if sel.size == 0:
         return pos + delta
 
-    first = np.argmax(bad, axis=0)
-    sel = np.flatnonzero(any_bad)
-    f = first[sel]
-    lo = np.where(f == 0, 0.0, _PRESCAN[np.maximum(f - 1, 0)])
-    hi = _PRESCAN[f]
+    f, ks = first[sel], k[sel]
+    lo, hi = (f - 1) / ks, f / ks
     sx, sy = x0[sel], y0[sel]
     sdx, sdy = dx[sel], dy[sel]
     for _ in range(_BISECT_ITERS):

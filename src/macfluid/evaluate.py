@@ -23,7 +23,7 @@ from .formats import csv_text, load_model
 from .grids import GridDims, MacVelocity, OccupancyGrid
 from .sim import (ConvnetProjection, ExactProjection, JacobiProjection,
                   NoProjection, PcgProjection, SimConfig, SimState,
-                  SimulationError, project_velocity, step)
+                  SimulationError, project_velocity, run, step)
 from .training import loss_weights
 
 log = logging.getLogger(__name__)
@@ -92,28 +92,19 @@ def _initial_frames(dataset) -> list[tuple[SimState, float]]:
     return samples
 
 
-def _div_norm(state: SimState) -> float:
-    d = divergence(state.u, state.g)
-    return float(np.linalg.norm(d.values[state.g.fluid]))
-
-
 def _rollout_norms(samples, projection, frames: int,
                    warning: tuple) -> tuple[list[np.ndarray], int]:
     """Fluid divergence norm after each of ``frames`` steps, per sample, and
     how many samples blew up; each is logged by ``log.warning(*warning, error)``."""
     rows, dropped = [], 0
     for state, dt in samples:
-        cfg = SimConfig(dt=dt, projection=projection)
-        norms = np.empty(frames)
         try:
-            for f in range(frames):
-                state = step(state, cfg)
-                norms[f] = _div_norm(state)
+            _, metrics = run(state, SimConfig(dt=dt, projection=projection), frames)
         except SimulationError as e:
             log.warning(*warning, e)
             dropped += 1
             continue
-        rows.append(norms)
+        rows.append(np.array([m.residual for m in metrics]))
     return rows, dropped
 
 

@@ -209,7 +209,7 @@ class FrameMetrics:
     std_div_l2: float
     max_div: float
     max_speed: float
-    residual: float  # l2 norm of the post-step divergence
+    residual: float  # l2 norm of the post-step divergence, not a solver residual
     wall_ms: float
 
     COLUMNS = ("frame", "mean_div_l2", "std_div_l2", "max_div",
@@ -225,7 +225,7 @@ def frame_metrics(state: SimState, wall_ms: float = 0.0) -> FrameMetrics:
         mean = std = mx = l2 = 0.0
     else:
         mean, std = float(d.mean()), float(d.std())
-        mx, l2 = float(d.max()), float(np.sqrt(np.sum(d * d)))
+        mx, l2 = float(d.max()), float(np.linalg.norm(d))
     return FrameMetrics(state.frame, mean, std, mx, state.u.max_speed(), l2, wall_ms)
 
 

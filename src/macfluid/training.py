@@ -15,12 +15,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .convnet import (NetArch, NetParams, init_params, learned_project,
-                      projection_backward)
+from .convnet import NetArch, NetParams, init_params, projection_backward
 from .fdops import adjoint_divergence, divergence
 from .forces import ForceConfig
 from .grids import DistanceField, MacVelocity, OccupancyGrid, ScalarGrid
-from .sim import ConvnetProjection, SimConfig, SimState, step
+from .sim import ConvnetProjection, SimConfig, SimState, frame_metrics, step
 
 log = logging.getLogger(__name__)
 
@@ -164,11 +163,6 @@ class SampleStats:
     div_stepn: float  # same at the last loss step (equals step 1 when n=1)
 
 
-def _mean_abs_div(state: SimState) -> float:
-    d = divergence(state.u, state.g).values[state.g.fluid]
-    return float(np.mean(np.abs(d))) if d.size else 0.0
-
-
 def unrolled_loss(params: NetParams, frame: SimState, cfg: LossConfig,
                   rng: np.random.Generator,
                   aug: AugmentConfig | None = None) -> SampleStats | None:
@@ -187,35 +181,23 @@ def unrolled_loss(params: NetParams, frame: SimState, cfg: LossConfig,
     sim_cfg = SimConfig(dt=dt, forces=forces,
                         projection=ConvnetProjection(params))
     w = loss_weights(state.g.distance, cfg.k)
+    last = 1 if cfg.single_frame else n
 
-    tapes: list = []
-    state = step(state, sim_cfg, info_sink=tapes)
-    if state.u.max_speed() > cfg.speed_limit:
-        log.warning("sample skipped: speed %.3g beyond limit at step 1",
-                    state.u.max_speed())
-        return None
-    loss1, cot1 = divergence_loss(state.u, w, state.g)
-    grads = projection_backward(tapes[0], cot1)
-    div1 = _mean_abs_div(state)
-
-    total = loss1
-    divn = div1
-    if n > 1 and not cfg.single_frame:
-        for _ in range(n - 2):
-            state = step(state, sim_cfg)
-            if state.u.max_speed() > cfg.speed_limit:
-                log.warning("sample skipped: speed beyond limit mid-unroll")
-                return None
-        tapes.clear()
+    total, grads, divs = 0.0, 0.0, []
+    for s in range(1, last + 1):
+        taped = s in (1, last)
+        tapes = [] if taped else None
         state = step(state, sim_cfg, info_sink=tapes)
-        if state.u.max_speed() > cfg.speed_limit:
-            log.warning("sample skipped: speed beyond limit at step %d", n)
+        speed = state.u.max_speed()
+        if speed > cfg.speed_limit:
+            log.warning("sample skipped: speed %.3g beyond limit at step %d", speed, s)
             return None
-        lossn, cotn = divergence_loss(state.u, w, state.g)
-        total += lossn
-        grads = grads + projection_backward(tapes[0], cotn)
-        divn = _mean_abs_div(state)
-    return SampleStats(total, grads, n, div1, divn)
+        if taped:
+            loss, cot = divergence_loss(state.u, w, state.g)
+            total += loss
+            grads = grads + projection_backward(tapes[0], cot)
+            divs.append(frame_metrics(state).mean_div_l2)
+    return SampleStats(total, grads, n, divs[0], divs[-1])
 
 
 # ====== ADAM ======

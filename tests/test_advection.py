@@ -130,6 +130,25 @@ def test_trace_crossing_fraction_is_refined_by_bisection():
     assert end[0, 1] == 3.5
 
 
+def test_long_trace_does_not_tunnel_through_a_one_cell_wall():
+    # a one-cell wall at x in [16, 17), flow of one cell per unit time: traces
+    # of 6 and 7 cells step over the wall between probes a quarter trace apart
+    dims = GridDims(32, 8)
+    solid = np.zeros(dims.shape, dtype=bool)
+    solid[:, 16] = True
+    g = OccupancyGrid(dims, solid)
+    u = MacVelocity(dims, np.ones(dims.shape_ux), np.zeros(dims.shape_uy))
+    vals = np.zeros(dims.shape)
+    vals[:, :16] = 1.0
+    for scheme in ("sl", "maccormack"):
+        out = advect_scalar(ScalarGrid(dims, vals), u, g, 6.0, scheme)
+        assert np.all(out.values[:, 17:] == 0.0), scheme
+
+    end = trace_back(np.array([[20.5, 3.5]]), u, g, 7.0)
+    assert 17.0 <= end[0, 0] < 20.5
+    assert end[0, 1] == 3.5
+
+
 def test_self_advect_uniform_flow_is_steady():
     dims = GridDims(10, 10, h=0.5)
     g = OccupancyGrid.empty(dims)

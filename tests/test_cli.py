@@ -1,9 +1,13 @@
 """Command-line interface tests; every invocation runs in process."""
 
+import re
+import shlex
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from macfluid.cli import cli
+from macfluid.cli import CliError, _build_parser, cli
 from macfluid.formats import load_model
 
 
@@ -215,6 +219,10 @@ def test_eval_match_divergence(dataset_dir, tmp_path, capsys):
               "--match-divergence", "--model", str(model), "--max-iters", "64"])
     assert rc == 0
     assert "jacobi iterations matching" in capsys.readouterr().out
+    rc = cli(["eval", "--data", str(dataset_dir), "--frames", "0",
+              "--match-divergence", "--model", str(model)])
+    assert rc == 1
+    assert "at least one frame" in capsys.readouterr().err
 
 
 def test_eval_requires_out_or_match(dataset_dir, capsys):
@@ -247,3 +255,31 @@ def test_gradcheck_passes_and_prints(capsys):
               "--checks", "25", "--seed", "3"])
     assert rc == 0
     assert "max relative error" in capsys.readouterr().out
+
+
+# ====== README ======
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _readme_commands() -> list[list[str]]:
+    """Arguments of every ``macfluid ...`` line in README.md's sh blocks."""
+    blocks = re.findall(r"^```sh\n(.*?)^```", README.read_text(), re.M | re.S)
+    commands = []
+    for block in blocks:
+        for line in block.replace("\\\n", " ").splitlines():
+            argv = shlex.split(line, comments=True)
+            if argv and argv[0] == "macfluid":
+                commands.append(argv[1:])
+    return commands
+
+
+def test_readme_commands_parse():
+    commands = _readme_commands()
+    assert len(commands) >= 9
+    parser = _build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except CliError as e:
+            pytest.fail(f"README command 'macfluid {' '.join(argv)}' does not parse: {e}")

@@ -169,6 +169,11 @@ def test_match_divergence_unreachable_target(small_dataset):
     assert result.jacobi_div > result.target_div
 
 
+def test_match_divergence_rejects_zero_frames(small_dataset):
+    with pytest.raises(ValueError, match="at least one frame"):
+        match_divergence(small_dataset[:1], JacobiProjection(8), frames=0)
+
+
 # ====== Timing ======
 
 def test_bench_row_per_resolution():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from macfluid.convnet import NetArch, init_params
+from macfluid.convnet import NetArch, init_params, projection_backward
 from macfluid.fdops import divergence, face_masks
 from macfluid.forces import ForceConfig
 from macfluid.grids import (DistanceField, GridDims, MacVelocity,
@@ -213,6 +213,19 @@ def test_unrolled_loss_n1_equals_single_step_loss():
     assert stats.div_step1 == stats.div_stepn
 
 
+def _replay_start(state, params, cfg, seed, aug_cfg):
+    """The augmented start state and step config that unrolled_loss draws."""
+    rng = np.random.default_rng(seed)
+    dt = sample_timestep(rng, cfg.dt_base)
+    n = sample_unroll(rng, cfg)
+    cur, forces = augment(state, rng, aug_cfg)
+    return cur, n, SimConfig(dt=dt, forces=forces, projection=ConvnetProjection(params))
+
+
+def _mean_abs_fluid_div(state):
+    return float(np.mean(np.abs(divergence(state.u, state.g).values[state.g.fluid])))
+
+
 def test_unrolled_loss_replay_oracle_n4():
     state = _random_state(8, nx=8, ny=8)
     params = init_params(NetArch(features=4), seed=1)
@@ -221,19 +234,26 @@ def test_unrolled_loss_replay_oracle_n4():
 
     stats = unrolled_loss(params, state, cfg, np.random.default_rng(12), aug_cfg)
 
-    rng = np.random.default_rng(12)
-    dt = sample_timestep(rng, cfg.dt_base)
-    n = sample_unroll(rng, cfg)
+    cur, n, sim_cfg = _replay_start(state, params, cfg, 12, aug_cfg)
     assert n == 4
-    cur, forces = augment(state, rng, aug_cfg)
-    sim_cfg = SimConfig(dt=dt, forces=forces, projection=ConvnetProjection(params))
     w = loss_weights(distance_field(state.g), cfg.k)
-    cur = step(cur, sim_cfg)
-    want = divergence_loss(cur.u, w, cur.g)[0]
-    for _ in range(3):
+    tapes = []
+    cur = step(cur, sim_cfg, info_sink=tapes)
+    want, cot = divergence_loss(cur.u, w, cur.g)
+    want_grads = projection_backward(tapes[0], cot)
+    div1 = _mean_abs_fluid_div(cur)
+    for _ in range(2):
         cur = step(cur, sim_cfg)
-    want += divergence_loss(cur.u, w, cur.g)[0]
+    tapes = []
+    cur = step(cur, sim_cfg, info_sink=tapes)
+    lossn, cot = divergence_loss(cur.u, w, cur.g)
+    want += lossn
+    want_grads = want_grads + projection_backward(tapes[0], cot)
     assert stats.loss == want
+    assert np.array_equal(stats.grads, want_grads)
+    assert stats.div_step1 == div1
+    assert stats.div_stepn == _mean_abs_fluid_div(cur)
+    assert stats.div_stepn != stats.div_step1
 
 
 def test_unrolled_loss_single_frame_flag_drops_future_term():
@@ -255,6 +275,34 @@ def test_unrolled_loss_speed_limit_skips():
     cfg = LossConfig(unroll=((1, 1.0),), speed_limit=1e6)
     quiet = AugmentConfig(p_gravity=0.0, p_buoyancy=0.0, p_confinement=0.0, p_density=0.0)
     assert unrolled_loss(params, state, cfg, np.random.default_rng(14), quiet) is None
+
+
+@pytest.mark.parametrize("skip_at", [2, 4])
+def test_unrolled_loss_speed_limit_skips_mid_and_last_step(skip_at, caplog):
+    # steady gravity speeds the flow up every step; a limit between the
+    # speeds after steps skip_at - 1 and skip_at trips first at skip_at
+    state = _random_state(11, speed=0.1)
+    params = init_params(NetArch(features=4), seed=4)
+    falling = AugmentConfig(p_gravity=1.0, gravity_range=(50.0, 50.0),
+                            p_buoyancy=0.0, p_confinement=0.0, p_density=0.0)
+    cfg = LossConfig(unroll=((4, 1.0),))
+    cur, _, sim_cfg = _replay_start(state, params, cfg, 15, falling)
+    speeds = []
+    for _ in range(4):
+        cur = step(cur, sim_cfg)
+        speeds.append(cur.u.max_speed())
+    assert speeds == sorted(speeds) and len(set(speeds)) == 4
+
+    limit = 0.5 * (speeds[skip_at - 2] + speeds[skip_at - 1])
+    limited = LossConfig(unroll=((4, 1.0),), speed_limit=limit)
+    with caplog.at_level("WARNING", logger="macfluid.training"):
+        assert unrolled_loss(params, state, limited, np.random.default_rng(15),
+                             falling) is None
+    assert any(f"at step {skip_at}" in r.message for r in caplog.records)
+
+    above = LossConfig(unroll=((4, 1.0),), speed_limit=speeds[-1])
+    assert unrolled_loss(params, state, above, np.random.default_rng(15),
+                         falling) is not None
 
 
 # ====== ADAM ======
