@@ -19,11 +19,12 @@ of the forward trace; otherwise it falls back to the plain value.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
 from .grids import (MacVelocity, OccupancyGrid, ScalarGrid, _bilinear, _lattice_points,
-                    sample_velocity)
+                    _read_only, sample_velocity)
 
 _MIN_PROBES = 4
 _BISECT_ITERS = 8
@@ -37,14 +38,24 @@ def _check_scheme(scheme: str) -> None:
 
 
 def _fluid_at_points(g: OccupancyGrid, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """True where the point lies inside a fluid cell."""
+    """True where the point lies inside a fluid cell.
+
+    One lookup into the padded fluid mask: a cell index shifted by one and
+    clamped to the ring of False cells stands for every point outside the
+    grid.
+    """
     nx, ny = g.dims.nx, g.dims.ny
     i = np.floor(x / g.dims.h).astype(np.int64)
     j = np.floor(y / g.dims.h).astype(np.int64)
-    inside = (i >= 0) & (i < nx) & (j >= 0) & (j < ny)
-    ic = np.clip(i, 0, nx - 1)
-    jc = np.clip(j, 0, ny - 1)
-    return inside & g.fluid[jc, ic]
+    i += 1
+    j += 1
+    np.maximum(i, 0, out=i)
+    np.minimum(i, nx + 1, out=i)
+    np.maximum(j, 0, out=j)
+    np.minimum(j, ny + 1, out=j)
+    j *= nx + 2
+    j += i
+    return g.fluid_padded.ravel().take(j)
 
 
 def trace_back(pos: np.ndarray, u: MacVelocity, g: OccupancyGrid, dt: float) -> np.ndarray:
@@ -89,12 +100,19 @@ def trace_back(pos: np.ndarray, u: MacVelocity, g: OccupancyGrid, dt: float) -> 
     return out
 
 
+@lru_cache(maxsize=32)
+def _lattice_positions(shape: tuple[int, int], offx: float, offy: float,
+                       h: float) -> np.ndarray:
+    """Read-only world positions of a lattice's nodes, shape (nrows * ncols, 2)."""
+    return _read_only(_lattice_points(shape, offx, offy, h).reshape(-1, 2))
+
+
 def _advect_lattice(values: np.ndarray, offx: float, offy: float, u: MacVelocity,
                     g: OccupancyGrid, dt: float, scheme: str) -> np.ndarray:
     """Advect one sample lattice (cell centers or one face family)."""
     h = g.dims.h
     shape = values.shape
-    pos = _lattice_points(shape, offx, offy, h).reshape(-1, 2)
+    pos = _lattice_positions(shape, offx, offy, h)
     back = trace_back(pos, u, g, dt)
 
     if scheme == "sl":

@@ -35,6 +35,12 @@ class CliError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    """Exact flag names only: a prefix of a flag is an error, so a new flag
+    can never change what an existing command line means."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message: str) -> None:  # type: ignore[override]
         sys.stderr.write(self.format_usage())
         raise CliError(message)

@@ -153,6 +153,11 @@ class OccupancyGrid:
         return _read_only(~self.solid)
 
     @cached_property
+    def fluid_padded(self) -> np.ndarray:
+        """``fluid`` with a ring of False cells around it, shape (ny + 2, nx + 2)."""
+        return _read_only(np.pad(self.fluid, 1, constant_values=False))
+
+    @cached_property
     def n_fluid(self) -> int:
         return int(np.count_nonzero(self.fluid))
 
@@ -275,8 +280,7 @@ def _padded_masks(g: OccupancyGrid) -> tuple[np.ndarray, np.ndarray]:
     psolid = np.pad(g.solid, 1, constant_values=True)
     if g.open_top:
         psolid[-1, 1:-1] = False
-    pfluid = np.pad(g.fluid, 1, constant_values=False)
-    return psolid, pfluid
+    return psolid, g.fluid_padded
 
 
 @dataclass(frozen=True)

@@ -17,11 +17,12 @@ Three routes with very different cost/accuracy trade-offs:
   incomplete Cholesky factor without fill-in, iterated to a residual
   tolerance.  The factor is computed along anti-diagonal wavefronts and
   applied with two compiled sparse triangular solves; the matrix is a
-  CSR product.  A pivot that collapses, as on a chain-shaped closed
-  component, is replaced by the cell's diagonal, so the factor always
-  exists and there is no fallback preconditioner.  The preconditioned
-  residual is centred on closed components every iteration, the
-  iterate once per solve.
+  CSR product.  Matrix and factor are built once per grid, on its first
+  solve, and held weakly keyed by the grid for every later solve on it.
+  A pivot that collapses, as on a chain-shaped closed component, is
+  replaced by the cell's diagonal, so the factor always exists and there
+  is no fallback preconditioner.  The preconditioned residual is centred
+  on closed components every iteration, the iterate once per solve.
 * :func:`solve_dense_direct`: dense least-squares reference for small
   grids, minimum-norm on singular components.
 """
@@ -29,6 +30,7 @@ Three routes with very different cost/accuracy trade-offs:
 from __future__ import annotations
 
 import logging
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -268,12 +270,29 @@ def _ic0_preconditioner(lat: _Lattice, fac):
     return lambda rv: lu.solve(lu.solve(rv), trans="T")
 
 
+# grid -> (lattice, preconditioner); grids are immutable and hash by
+# identity, and no entry refers to its grid, so an entry lives as long as
+# its grid and is never stale
+_pcg_setups: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _pcg_setup(g: OccupancyGrid):
+    """The lattice and IC(0) preconditioner of g, built on its first solve."""
+    setup = _pcg_setups.get(g)
+    if setup is None:
+        lat = _build_lattice(g)
+        precond = _ic0_preconditioner(lat, _ic0_factor(lat)) if lat.n else None
+        setup = _pcg_setups[g] = (lat, precond)
+    return setup
+
+
 def solve_pcg(sys: PoissonSystem, tol: float = 1e-4,
               max_iter: int = 2000) -> tuple[ScalarGrid, PcgInfo]:
     """Conjugate gradients with an IC(0) preconditioner.
 
-    The incomplete Cholesky factor L is computed once per solve along
-    anti-diagonal wavefronts; each iteration applies (L L^T)^-1 with two
+    The incomplete Cholesky factor L is computed along anti-diagonal
+    wavefronts once per grid, on its first solve, and held weakly keyed by
+    the grid together with A; each iteration applies (L L^T)^-1 with two
     compiled sparse triangular solves and A with a CSR product.
 
     Stops at the first iterate with ||A p - b|| <= tol * ||b|| (verified
@@ -286,7 +305,7 @@ def solve_pcg(sys: PoissonSystem, tol: float = 1e-4,
     :class:`PcgInfo`.
     """
     g = sys.g
-    lat = _build_lattice(g)
+    lat, precond = _pcg_setup(g)
     out = np.zeros(g.dims.shape)
 
     bv = sys.b.values[lat.active]
@@ -294,7 +313,6 @@ def solve_pcg(sys: PoissonSystem, tol: float = 1e-4,
     if lat.n == 0 or bnorm == 0.0:
         return ScalarGrid(g.dims, out), PcgInfo(0, True, 0.0, "ic0")
 
-    precond = _ic0_preconditioner(lat, _ic0_factor(lat))
     x = np.zeros(lat.n)
     r = bv.copy()
     z = _project_out_constants(lat.lab, precond(r), lat.comps)

@@ -14,6 +14,7 @@ import csv
 import logging
 import math
 import time
+import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -119,17 +120,34 @@ def _all_finite(u: MacVelocity, density: ScalarGrid) -> bool:
                 and np.all(np.isfinite(density.values)))
 
 
+# grid -> {regions: per region, its fluid cell, x face and y face masks};
+# an entry lives as long as its grid
+_inflow_masks: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _inflow_region_masks(g: OccupancyGrid, regions: tuple[InflowRegion, ...]) -> list:
+    by_regions = _inflow_masks.setdefault(g, {})
+    masks = by_regions.get(regions)
+    if masks is None:
+        dims = g.dims
+        faces_x = _lattice_xy(dims.shape_ux, 0.0, 0.5)
+        faces_y = _lattice_xy(dims.shape_uy, 0.5, 0.0)
+        masks = by_regions[regions] = [
+            (disc_mask(dims, r.center, r.radius) & g.fluid,
+             _in_disc(*faces_x, r.center, r.radius),
+             _in_disc(*faces_y, r.center, r.radius)) for r in regions]
+    return masks
+
+
 def _apply_inflow(u: MacVelocity, density: ScalarGrid, g: OccupancyGrid,
                   regions: tuple[InflowRegion, ...]) -> tuple[MacVelocity, ScalarGrid]:
     dims = g.dims
     ux, uy = u.ux.copy(), u.uy.copy()
     rho = density.values.copy()
-    faces_x = _lattice_xy(dims.shape_ux, 0.0, 0.5)
-    faces_y = _lattice_xy(dims.shape_uy, 0.5, 0.0)
-    for r in regions:
-        rho[disc_mask(dims, r.center, r.radius) & g.fluid] = r.density
-        ux[_in_disc(*faces_x, r.center, r.radius)] = r.velocity[0]
-        uy[_in_disc(*faces_y, r.center, r.radius)] = r.velocity[1]
+    for r, (cells, faces_x, faces_y) in zip(regions, _inflow_region_masks(g, regions)):
+        rho[cells] = r.density
+        ux[faces_x] = r.velocity[0]
+        uy[faces_y] = r.velocity[1]
     return MacVelocity(dims, ux, uy), ScalarGrid(dims, rho)
 
 

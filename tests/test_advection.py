@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from macfluid.advection import advect_scalar, self_advect, trace_back
+from macfluid.advection import (_fluid_at_points, _lattice_positions, advect_scalar,
+                                self_advect, trace_back)
 from macfluid.grids import GridDims, MacVelocity, OccupancyGrid, ScalarGrid
 
 
@@ -171,3 +172,36 @@ def test_solid_faces_keep_enforced_values():
     out = self_advect(u, g, 0.3, "maccormack")
     np.testing.assert_array_equal(out.ux[fm.solid_x], u.ux[fm.solid_x])
     np.testing.assert_array_equal(out.uy[fm.solid_y], u.uy[fm.solid_y])
+
+
+def _fluid_at_points_reference(g, x, y):
+    """Four compares and two clips: the lookup before the padded mask."""
+    nx, ny = g.dims.nx, g.dims.ny
+    i = np.floor(x / g.dims.h).astype(np.int64)
+    j = np.floor(y / g.dims.h).astype(np.int64)
+    inside = (i >= 0) & (i < nx) & (j >= 0) & (j < ny)
+    return inside & g.fluid[np.clip(j, 0, ny - 1), np.clip(i, 0, nx - 1)]
+
+
+@pytest.mark.parametrize("open_top", [False, True])
+def test_fluid_at_points_matches_bounds_checked_lookup(open_top):
+    rng = np.random.default_rng(47)
+    dims = GridDims(13, 9, h=0.7)
+    g = OccupancyGrid(dims, rng.random(dims.shape) < 0.3, open_top)
+    w, t = dims.nx * dims.h, dims.ny * dims.h
+    near = rng.uniform(-2.0, 2.0, size=(4000, 2)) * (w, t) + (w / 2, t / 2)
+    far = rng.choice([-1e6, 1e6], size=(200, 2)) * rng.random((200, 2))
+    border = np.array([(x, y) for x in (0.0, w, -0.0, w / 2, np.nextafter(w, 0.0))
+                       for y in (0.0, t, t / 2, np.nextafter(t, 0.0), t + 1e-9)])
+    pts = np.concatenate([near, far, border, [(1e6, 1e6), (-1e6, -1e6)]])
+    got = _fluid_at_points(g, pts[:, 0], pts[:, 1])
+    want = _fluid_at_points_reference(g, pts[:, 0], pts[:, 1])
+    np.testing.assert_array_equal(got, want)
+    assert want.any() and not want.all()
+
+
+def test_lattice_positions_are_shared_and_read_only():
+    pos = _lattice_positions((5, 7), 0.0, 0.5, 0.25)
+    assert pos is _lattice_positions((5, 7), 0.0, 0.5, 0.25)
+    assert pos.shape == (35, 2) and not pos.flags.writeable
+    np.testing.assert_array_equal(pos[8], (0.25 * 1, 0.25 * 1.5))

@@ -50,6 +50,15 @@ def test_unknown_flag_exits_one(capsys):
     assert "usage:" in err
 
 
+def test_flag_prefix_is_not_the_flag(capsys):
+    # "--frame" is a prefix of eval's --frames, not an abbreviation of it
+    with pytest.raises(CliError, match="unrecognized arguments: --frame"):
+        _build_parser().parse_args(["eval", "--data", "ds", "--frame", "4"])
+    assert cli(["eval", "--data", "ds", "--frame", "4"]) == 1
+    assert "usage:" in capsys.readouterr().err
+    assert _build_parser().parse_args(["eval", "--data", "ds", "--frames", "4"]).frames == 4
+
+
 def test_unknown_subcommand_exits_one():
     assert cli(["transmogrify"]) == 1
 

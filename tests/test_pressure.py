@@ -1,4 +1,6 @@
+import gc
 import logging
+import weakref
 
 import numpy as np
 import pytest
@@ -239,16 +241,75 @@ def test_pcg_is_deterministic():
     assert i1.relres == i2.relres
 
 
+def _same_geometry(sys):
+    """sys on a fresh grid with the same geometry, which has no PCG set-up yet."""
+    g = sys.g
+    return PoissonSystem(OccupancyGrid(g.dims, g.solid, g.open_top), sys.b)
+
+
 def test_pcg_beats_unpreconditioned_iteration_counts(monkeypatch):
-    # IC(0) should cut the iteration count well below the diagonal route
+    # IC(0) should cut the iteration count well below the diagonal route;
+    # the diagonal solve runs on a fresh grid, since sys.g keeps its set-up
     rng = np.random.default_rng(72)
     sys = random_system(rng, nx=32, ny=32, p_solid=0.1)
     _, with_ic = solve_pcg(sys, tol=1e-8)
     with monkeypatch.context() as m:
         m.setattr(pr, "_ic0_preconditioner", lambda lat, fac: lambda r: r / lat.adiag)
-        _, without = solve_pcg(sys, tol=1e-8)
+        _, without = solve_pcg(_same_geometry(sys), tol=1e-8)
     assert with_ic.converged and without.converged
     assert with_ic.iterations < without.iterations
+
+
+@pytest.mark.parametrize("open_top", [False, True])
+def test_pcg_setup_is_built_once_per_grid(monkeypatch, open_top):
+    calls = {"_build_lattice": 0, "_ic0_factor": 0}
+    for name in calls:
+        def counted(lat_or_g, _name=name, _original=getattr(pr, name)):
+            calls[_name] += 1
+            return _original(lat_or_g)
+        monkeypatch.setattr(pr, name, counted)
+    rng = np.random.default_rng(73)
+    sys = random_system(rng, nx=16, ny=12, p_solid=0.2, open_top=open_top)
+    solve_pcg(sys, tol=1e-8)
+    other = make_compatible(PoissonSystem(sys.g, ScalarGrid(
+        sys.dims, rng.normal(size=sys.dims.shape) * sys.g.fluid)))
+    p, info = solve_pcg(other, tol=1e-8)
+    assert calls == {"_build_lattice": 1, "_ic0_factor": 1}
+    # the reused set-up gives, bit for bit, what a first solve gives
+    p_fresh, info_fresh = solve_pcg(_same_geometry(other), tol=1e-8)
+    assert calls == {"_build_lattice": 2, "_ic0_factor": 2}
+    assert np.array_equal(p.values, p_fresh.values)
+    assert info == info_fresh
+
+
+def test_pcg_setup_is_not_shared_between_geometries():
+    rng = np.random.default_rng(74)
+    dims = GridDims(12, 12)
+    solid_a = rng.random(dims.shape) < 0.2
+    solid_b = solid_a.copy()
+    solid_b[5, 5] = not solid_b[5, 5]
+    b = ScalarGrid(dims, rng.normal(size=dims.shape))
+    for solid in (solid_a, solid_b):
+        sys = make_compatible(PoissonSystem(OccupancyGrid(dims, solid), b))
+        p, info = solve_pcg(sys, tol=1e-8)
+        lat, _ = pr._pcg_setups[sys.g]
+        np.testing.assert_array_equal(lat.active, _build_lattice(sys.g).active)
+        assert info.converged
+        assert residual_norm(sys, p) <= 1e-8 * np.linalg.norm(sys.b.values) * (1 + 1e-12)
+    assert not np.array_equal(solid_a, solid_b)
+
+
+def test_pcg_setup_dies_with_its_grid():
+    rng = np.random.default_rng(75)
+    sys = random_system(rng, nx=16, ny=16, p_solid=0.2)
+    solve_pcg(sys, tol=1e-6)
+    grid = weakref.ref(sys.g)
+    assert grid() in pr._pcg_setups
+    entries = len(pr._pcg_setups)
+    del sys
+    gc.collect()
+    assert grid() is None
+    assert len(pr._pcg_setups) == entries - 1
 
 
 def test_chain_component_keeps_ic0_with_safeguarded_pivot(caplog):
@@ -435,7 +496,7 @@ def test_pcg_iterations_match_wavefront_preconditioner(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(pr, "_ic0_preconditioner",
                       lambda lat, fac: lambda r: _wavefront_ic0_apply(lat, fac, r))
-            _, ref_info = solve_pcg(sys, tol=1e-6)
+            _, ref_info = solve_pcg(_same_geometry(sys), tol=1e-6)
         assert info.converged and ref_info.converged
         assert info.preconditioner == ref_info.preconditioner == "ic0"
         assert abs(info.iterations - ref_info.iterations) <= 1, \

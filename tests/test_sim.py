@@ -1,6 +1,8 @@
 """The per-frame step, its ordering contract, and the simulation driver."""
 
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -96,6 +98,45 @@ def test_step_ordering_trace(monkeypatch):
     step(state, dataclasses.replace(cfg, inflow=(), projection=NoProjection()))
     assert trace == ["advect_density", "advect_velocity", "body_force",
                      "buoyancy", "confinement", "enforce_solids"]
+
+
+def test_inflow_masks_are_built_once_per_grid_and_regions(monkeypatch):
+    built = []
+
+    def counted(dims, center, radius, _original=sim.disc_mask):
+        built.append(center)
+        return _original(dims, center, radius)
+    monkeypatch.setattr(sim, "disc_mask", counted)
+    state = _random_state(11)
+    dims, g = state.g.dims, state.g
+    a = InflowRegion(center=(4.0, 2.0), radius=1.5, velocity=(0.0, 1.0))
+    b = InflowRegion(center=(5.0, 3.0), radius=2.0, velocity=(0.5, -1.0), density=0.5)
+    jc, ic = np.indices(dims.shape)
+    jx, ix = np.indices(dims.shape_ux)
+    jy, iy = np.indices(dims.shape_uy)
+
+    def inside(r, x, y):
+        return (x - r.center[0]) ** 2 + (y - r.center[1]) ** 2 <= r.radius ** 2
+
+    for regions in ((a,), (a, b), (a,), (a, b)):
+        u, rho = sim._apply_inflow(state.u, state.density, g, regions)
+        # later regions overwrite earlier ones; face midpoints in cell units
+        ux, uy, want_rho = state.u.ux.copy(), state.u.uy.copy(), state.density.values.copy()
+        for r in regions:
+            want_rho[inside(r, ic + 0.5, jc + 0.5) & g.fluid] = r.density
+            ux[inside(r, ix, jx + 0.5)] = r.velocity[0]
+            uy[inside(r, iy + 0.5, jy)] = r.velocity[1]
+        np.testing.assert_array_equal(rho.values, want_rho)
+        np.testing.assert_array_equal(u.ux, ux)
+        np.testing.assert_array_equal(u.uy, uy)
+    assert built == [a.center, a.center, b.center]
+
+    grid = weakref.ref(g)
+    entries = len(sim._inflow_masks)
+    del state, g
+    gc.collect()
+    assert grid() is None
+    assert len(sim._inflow_masks) == entries - 1
 
 
 def test_unknown_backend_rejected():
