@@ -29,9 +29,6 @@ from .grids import (MacVelocity, OccupancyGrid, ScalarGrid, _bilinear, _lattice_
 _MIN_PROBES = 4
 _BISECT_ITERS = 8
 
-Scheme = str  # "sl" or "maccormack"
-
-
 def _check_scheme(scheme: str) -> None:
     if scheme not in ("sl", "maccormack"):
         raise ValueError(f"unknown advection scheme {scheme!r}")

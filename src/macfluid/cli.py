@@ -118,12 +118,11 @@ def _cmd_gen_data(args) -> int:
 def _cmd_train(args) -> int:
     data = _require(args, "data")
     out = _require(args, "out")
-    scenes = load_dataset(data)
-    dataset = [frame for scene in scenes for frame in scene.frames]
     cfg = TrainConfig(arch=NetArch(features=args.features, kernel=args.kernel),
                       loss=LossConfig(single_frame=args.single_frame_loss),
-                      batch_size=args.batch_size, lr=args.lr,
-                      grad_clip=args.grad_clip if args.grad_clip > 0 else None)
+                      batch_size=args.batch_size, lr=args.lr, grad_clip=args.grad_clip)
+    scenes = load_dataset(data)
+    dataset = [frame for scene in scenes for frame in scene.frames]
     params, stats = train(dataset, cfg, args.epochs, args.seed)
     Path(out).parent.mkdir(parents=True, exist_ok=True)
     save_model(out, params)

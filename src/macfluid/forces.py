@@ -88,14 +88,13 @@ def vorticity_confinement(u: MacVelocity, g: OccupancyGrid, strength: float,
     return _add_on_free_faces(u, g, dt * fx, dt * fy)
 
 
-def enforce_solid_velocities(u: MacVelocity, g: OccupancyGrid,
-                             solid_velocity: tuple[float, float] = (0.0, 0.0)) -> MacVelocity:
-    """Overwrite every solid face with the solid's velocity component.
+def enforce_solid_velocities(u: MacVelocity, g: OccupancyGrid) -> MacVelocity:
+    """Zero every solid face: solids are at rest.
 
     A MAC face stores only its normal component, so setting the face value
     pins exactly the normal flux through the solid. Idempotent.
     """
     fm = g.faces
-    ux = np.where(fm.solid_x, solid_velocity[0], u.ux)
-    uy = np.where(fm.solid_y, solid_velocity[1], u.uy)
+    ux = np.where(fm.solid_x, 0.0, u.ux)
+    uy = np.where(fm.solid_y, 0.0, u.uy)
     return MacVelocity(u.dims, ux, uy)

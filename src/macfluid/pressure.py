@@ -7,7 +7,9 @@ side is only solvable once its per-component mean is removed; solvers
 here expect that and :func:`make_compatible` does it.  All solvers pin
 the free constant by returning zero-mean pressure on such components.
 
-Three routes with very different cost/accuracy trade-offs:
+Three routes with very different cost/accuracy trade-offs.  Jacobi and
+PCG share one lattice per grid, the compressed active fluid cells, built
+on the grid's first solve by either and held weakly keyed by the grid:
 
 * :func:`solve_jacobi`: fixed iteration count, cheap, smooth error decay.
   The update mirrors the pressure across solid faces and sees zero beyond
@@ -15,11 +17,10 @@ Three routes with very different cost/accuracy trade-offs:
   h^2/4 and keeps the residual monotone.
 * :func:`solve_pcg`: conjugate gradients preconditioned with an
   incomplete Cholesky factor without fill-in, iterated to a residual
-  tolerance.  The factor is computed along anti-diagonal wavefronts and
-  applied with two compiled sparse triangular solves; the matrix is a
-  CSR product.  Matrix and factor are built once per grid, on its first
-  solve, and held weakly keyed by the grid for every later solve on it.
-  A pivot that collapses, as on a chain-shaped closed component, is
+  tolerance.  The factor is computed along anti-diagonal wavefronts on
+  the grid's first PCG solve, kept on its lattice, and applied with two
+  compiled sparse triangular solves; the matrix is a CSR product.  A
+  pivot that collapses, as on a chain-shaped closed component, is
   replaced by the cell's diagonal, so the factor always exists and there
   is no fallback preconditioner.  The preconditioned residual is centred
   on closed components every iteration, the iterate once per solve.
@@ -32,13 +33,14 @@ from __future__ import annotations
 import logging
 import weakref
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .fdops import PoissonSystem, apply_poisson
-from .grids import CellStencil, FluidComponents, OccupancyGrid, ScalarGrid
+from .grids import FluidComponents, OccupancyGrid, ScalarGrid
 
 logger = logging.getLogger(__name__)
 
@@ -83,109 +85,49 @@ def residual_norm(sys: PoissonSystem, p: ScalarGrid) -> float:
     return float(np.linalg.norm(r[sys.g.fluid]))
 
 
-def _neighbor_index(st: CellStencil, cells: np.ndarray, missing: int) -> np.ndarray:
-    """(4, n) row-major numbers, among ``cells``, of the west, east, south
-    and north fluid neighbor of each of them; ``missing`` where there is none."""
-    idx = np.full(cells.shape, missing, dtype=np.intp)
-    idx[cells] = np.arange(np.count_nonzero(cells))
-    pi = np.pad(idx, 1, constant_values=missing)
-    return np.stack([np.where(st.fluid_w, pi[1:-1, :-2], missing)[cells],
-                     np.where(st.fluid_e, pi[1:-1, 2:], missing)[cells],
-                     np.where(st.fluid_s, pi[:-2, 1:-1], missing)[cells],
-                     np.where(st.fluid_n, pi[2:, 1:-1], missing)[cells]])
-
-
-# ====== Jacobi ======
-
-def solve_jacobi(sys: PoissonSystem, iters: int = 34) -> ScalarGrid:
-    """Run a fixed number of Jacobi sweeps from a zero initial guess.
-
-    Each sweep averages the four neighbor pressures (the cell's own value
-    mirrored across solid faces, zero across an open top) plus h^2 b,
-    reading only the previous iterate.  Zero-mean on closed components.
-
-    The summation order of a sweep is fixed: per fluid cell it computes
-    ``0.25 * ((h^2 b + (((w + e) + s) + n)) + solid_count * p)``, where a
-    neighbor that is not fluid reads as +0.0.  Results are pinned bit for
-    bit to that order, and the closed-box oracle gap of acceptance
-    criterion 1 sits just under its bound, so a faster sweep must keep it.
-    """
-    if iters < 0:
-        raise ValueError(f"iteration count must be nonnegative, got {iters}")
-    g = sys.g
-    st = g.stencil
-    fluid = g.fluid
-    b = sys.b.values
-    isolated = fluid & (st.diag == 0)
-    if np.any(isolated & (b != 0.0)):
-        raise ValueError("isolated fluid cell with nonzero right hand side")
-    h2 = g.dims.h ** 2
-    hb = (h2 * b)[fluid]
-    sc = st.solid_count[fluid].astype(np.float64)
-    # fluid cells in row-major order; index n is a sentinel that stays +0.0
-    # and stands in for every neighbor that is not fluid
-    n = hb.size
-    nbr_idx = _neighbor_index(st, fluid, n)
-    x = np.zeros(n + 1)
-    p = x[:n]
-    nbr = np.empty((4, n))
-    w, e, s, nn = nbr
-    own = np.empty(n)
-    # a few calls into fixed buffers per sweep: on small grids numpy's
-    # per-call overhead, not arithmetic, sets the cost; indices are in
-    # range, and "clip" skips the bounds check and buffered copy of "raise"
-    for _ in range(iters):
-        x.take(nbr_idx, out=nbr, mode="clip")
-        w += e
-        w += s
-        w += nn
-        w += hb
-        np.multiply(sc, p, out=own)
-        w += own
-        np.multiply(w, 0.25, out=p)
-    out = np.zeros(g.dims.shape)
-    out[fluid] = p
-    return ScalarGrid(g.dims, _remove_closed_means(out, g))
-
-
-# ====== Preconditioned conjugate gradients ======
-
-@dataclass(frozen=True)
-class PcgInfo:
-    """Outcome of a conjugate gradient solve.
-
-    ``preconditioner`` names the preconditioner used; it is always "ic0".
-    """
-
-    iterations: int
-    converged: bool
-    relres: float
-    preconditioner: str
-
+# ====== The lattice of unknowns ======
 
 @dataclass
 class _Lattice:
-    """Compressed view of the active fluid cells in row-major cell order."""
+    """The pressure unknowns of one grid: its active fluid cells, row-major.
+
+    A fluid cell walled in on all four sides has an empty matrix row and
+    no fluid neighbor; it stays out of every solve and keeps pressure +0.0.
+    ``nbr`` holds the index of each cell's west, east, south and north
+    fluid neighbor, -1 where there is none; a vector gathered through it
+    carries one trailing +0.0 slot, which index -1 reads.
+    """
 
     n: int
+    nbr: np.ndarray    # (4, n) neighbor indices
+    solid_count: np.ndarray  # solid neighbors per active cell, as float64
     adiag: np.ndarray  # A diagonal per active cell
     off: float         # off-diagonal coefficient (-1/h^2)
-    w: np.ndarray      # compressed index of the west/south fluid
-    s: np.ndarray      # neighbor, -1 when absent
     A: sp.csr_matrix   # the system matrix on the active cells
     fronts: list       # anti-diagonal wavefronts in increasing i+j order
     active: np.ndarray  # 2d bool mask
     lab: np.ndarray    # component label per active cell
     comps: FluidComponents
 
+    w = property(lambda self: self.nbr[0])  # west and south neighbor rows
+    s = property(lambda self: self.nbr[2])
+
+    @cached_property
+    def precond(self):
+        """The IC(0) preconditioner, factored on the first PCG solve."""
+        return _ic0_preconditioner(self, _ic0_factor(self))
+
 
 def _build_lattice(g: OccupancyGrid) -> _Lattice:
     st = g.stencil
-    # cells with an all-solid neighborhood have an empty matrix row; they
-    # stay out of the solve and keep pressure zero
     active = g.fluid & (st.diag > 0)
     n = int(np.count_nonzero(active))
-    nbr = _neighbor_index(st, active, -1)
+    # solid, outside and walled-in cells all read -1
+    idx = np.full(g.dims.shape, -1, dtype=np.intp)
+    idx[active] = np.arange(n)
+    pi = np.pad(idx, 1, constant_values=-1)
+    nbr = np.stack([pi[1:-1, :-2][active], pi[1:-1, 2:][active],
+                    pi[:-2, 1:-1][active], pi[2:, 1:-1][active]])
     h2 = g.dims.h ** 2
     adiag = st.diag[active].astype(np.float64) / h2
     off = -1.0 / h2
@@ -203,13 +145,84 @@ def _build_lattice(g: OccupancyGrid) -> _Lattice:
     fronts = [rows[diag_id == v] for v in range(int(diag_id.max()) + 1)] if n else []
     fronts = [f for f in fronts if f.size]
 
-    return _Lattice(n, adiag, off, nbr[0], nbr[2], A, fronts, active,
-                    g.components.labels[active], g.components)
+    return _Lattice(n, nbr, st.solid_count[active].astype(np.float64), adiag, off, A,
+                    fronts, active, g.components.labels[active], g.components)
 
 
-def _gather(x: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """x[idx] with -1 entries reading as zero."""
-    return np.where(idx >= 0, x[np.maximum(idx, 0)], 0.0)
+# grid -> lattice; grids are immutable and hash by identity, and a lattice
+# holds no reference to its grid, so an entry lives as long as its grid
+# and is never stale
+_lattices: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _lattice(g: OccupancyGrid) -> _Lattice:
+    """The lattice of g, built on its first solve by either solver."""
+    lat = _lattices.get(g)
+    if lat is None:
+        lat = _lattices[g] = _build_lattice(g)
+    return lat
+
+
+# ====== Jacobi ======
+
+def solve_jacobi(sys: PoissonSystem, iters: int = 34) -> ScalarGrid:
+    """Run a fixed number of Jacobi sweeps from a zero initial guess.
+
+    Each sweep averages the four neighbor pressures (the cell's own value
+    mirrored across solid faces, zero across an open top) plus h^2 b,
+    reading only the previous iterate.  Zero-mean on closed components.
+    The sweeps run on the grid's cached lattice, the one PCG solves on.
+
+    The summation order of a sweep is fixed: per active cell it computes
+    ``0.25 * ((h^2 b + (((w + e) + s) + n)) + solid_count * p)``, where a
+    neighbor that is not fluid reads as +0.0.  Results are pinned bit for
+    bit to that order, and the closed-box oracle gap of acceptance
+    criterion 1 sits just under its bound, so a faster sweep must keep it.
+    """
+    if iters < 0:
+        raise ValueError(f"iteration count must be nonnegative, got {iters}")
+    g = sys.g
+    lat = _lattice(g)
+    b = sys.b.values
+    if np.any(b[g.fluid & ~lat.active] != 0.0):
+        raise ValueError("isolated fluid cell with nonzero right hand side")
+    hb = g.dims.h ** 2 * b[lat.active]
+    n = lat.n
+    x = np.zeros(n + 1)
+    p = x[:n]
+    nbr = np.empty((4, n))
+    w, e, s, nn = nbr
+    own = np.empty(n)
+    # a few calls into fixed buffers per sweep: on small grids numpy's
+    # per-call overhead, not arithmetic, sets the cost; "wrap" sends -1 to
+    # the +0.0 slot and skips the bounds check and buffered copy of "raise"
+    for _ in range(iters):
+        x.take(lat.nbr, out=nbr, mode="wrap")
+        w += e
+        w += s
+        w += nn
+        w += hb
+        np.multiply(lat.solid_count, p, out=own)
+        w += own
+        np.multiply(w, 0.25, out=p)
+    out = np.zeros(g.dims.shape)
+    out[lat.active] = _project_out_constants(lat.lab, p, lat.comps)
+    return ScalarGrid(g.dims, out)
+
+
+# ====== Preconditioned conjugate gradients ======
+
+@dataclass(frozen=True)
+class PcgInfo:
+    """Outcome of a conjugate gradient solve.
+
+    ``preconditioner`` names the preconditioner used; it is always "ic0".
+    """
+
+    iterations: int
+    converged: bool
+    relres: float
+    preconditioner: str
 
 
 def _ic0_factor(lat: _Lattice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -223,14 +236,14 @@ def _ic0_factor(lat: _Lattice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     the factor always exists.  Returns (Ldiag, Lw, Ls); :func:`_ic0_lu`
     assembles them into the sparse factor that :func:`solve_pcg` applies.
     """
-    ldiag = np.zeros(lat.n)
+    ldiag = np.zeros(lat.n + 1)
     lw = np.zeros(lat.n)
     ls = np.zeros(lat.n)
     for front in lat.fronts:
         wi = lat.w[front]
         si = lat.s[front]
-        gw = _gather(ldiag, wi)  # pivots of earlier fronts, 0 where absent
-        gs = _gather(ldiag, si)
+        gw = ldiag[wi]  # pivots of earlier fronts, 0 where absent
+        gs = ldiag[si]
         fw = np.where(wi >= 0, lat.off / np.where(gw > 0, gw, 1.0), 0.0)
         fs = np.where(si >= 0, lat.off / np.where(gs > 0, gs, 1.0), 0.0)
         ad = lat.adiag[front]
@@ -238,7 +251,7 @@ def _ic0_factor(lat: _Lattice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         ldiag[front] = np.sqrt(np.where(pivot > 1e-12 * ad, pivot, ad))
         lw[front] = fw
         ls[front] = fs
-    return ldiag, lw, ls
+    return ldiag[:-1], lw, ls
 
 
 def _ic0_lu(lat: _Lattice, fac):
@@ -270,30 +283,15 @@ def _ic0_preconditioner(lat: _Lattice, fac):
     return lambda rv: lu.solve(lu.solve(rv), trans="T")
 
 
-# grid -> (lattice, preconditioner); grids are immutable and hash by
-# identity, and no entry refers to its grid, so an entry lives as long as
-# its grid and is never stale
-_pcg_setups: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def _pcg_setup(g: OccupancyGrid):
-    """The lattice and IC(0) preconditioner of g, built on its first solve."""
-    setup = _pcg_setups.get(g)
-    if setup is None:
-        lat = _build_lattice(g)
-        precond = _ic0_preconditioner(lat, _ic0_factor(lat)) if lat.n else None
-        setup = _pcg_setups[g] = (lat, precond)
-    return setup
-
-
 def solve_pcg(sys: PoissonSystem, tol: float = 1e-4,
               max_iter: int = 2000) -> tuple[ScalarGrid, PcgInfo]:
     """Conjugate gradients with an IC(0) preconditioner.
 
-    The incomplete Cholesky factor L is computed along anti-diagonal
-    wavefronts once per grid, on its first solve, and held weakly keyed by
-    the grid together with A; each iteration applies (L L^T)^-1 with two
-    compiled sparse triangular solves and A with a CSR product.
+    A is the CSR matrix of the grid's lattice, which Jacobi shares.  The
+    incomplete Cholesky factor L is computed along anti-diagonal wavefronts
+    on the grid's first PCG solve and kept on that lattice; each iteration
+    applies (L L^T)^-1 with two compiled sparse triangular solves and A
+    with a CSR product.
 
     Stops at the first iterate with ||A p - b|| <= tol * ||b|| (verified
     against the true residual, not just the recurrence).  The
@@ -305,13 +303,14 @@ def solve_pcg(sys: PoissonSystem, tol: float = 1e-4,
     :class:`PcgInfo`.
     """
     g = sys.g
-    lat, precond = _pcg_setup(g)
+    lat = _lattice(g)
     out = np.zeros(g.dims.shape)
 
     bv = sys.b.values[lat.active]
     bnorm = float(np.linalg.norm(bv))
     if lat.n == 0 or bnorm == 0.0:
         return ScalarGrid(g.dims, out), PcgInfo(0, True, 0.0, "ic0")
+    precond = lat.precond
 
     x = np.zeros(lat.n)
     r = bv.copy()

@@ -159,6 +159,8 @@ def project_velocity(u: MacVelocity, g: OccupancyGrid, backend,
     solve, or the backward tape of a learned projection, so a training
     loop can differentiate through it.  Other backends append nothing.
     """
+    if isinstance(backend, NoProjection):
+        return u
     if isinstance(backend, ConvnetProjection):
         if info_sink is not None:
             u_new, _, tape = learned_project(backend.params, u, g, tape=True)
@@ -203,9 +205,8 @@ def step(state: SimState, cfg: SimConfig,
     u = add_buoyancy(u, density, g, cfg.forces.buoyancy, cfg.forces.gravity, cfg.dt)
     u = vorticity_confinement(u, g, cfg.forces.confinement, cfg.dt)
     u = enforce_solid_velocities(u, g)
-    if not isinstance(cfg.projection, NoProjection):
-        u = project_velocity(u, g, cfg.projection, info_sink)
-        u = enforce_solid_velocities(u, g)
+    u = project_velocity(u, g, cfg.projection, info_sink)
+    u = enforce_solid_velocities(u, g)
 
     if not _all_finite(u, density):
         msg = f"non-finite fields after frame {state.frame + 1}"
@@ -306,7 +307,6 @@ def run(state: SimState, cfg: SimConfig, frames: int,
 
 def plume_scenario(dims: GridDims, open_top: bool = False,
                    obstacle: str | None = None,
-                   inflow_fraction: float = 0.125,
                    inflow_speed: float = 1.0,
                    buoyancy: float = 0.5,
                    confinement: float = 0.0,
@@ -315,9 +315,8 @@ def plume_scenario(dims: GridDims, open_top: bool = False,
                    advection: str = "maccormack") -> tuple[SimState, SimConfig]:
     """Buoyant plume rising from a disc-shaped inlet near the bottom.
 
-    ``inflow_fraction`` is the inlet diameter as a fraction of the domain
-    width.  ``obstacle`` places a held-out solid mid-domain: "disc" or
-    "box".  Returns the initial state and a ready-to-run configuration.
+    ``obstacle`` places a held-out solid mid-domain: "disc" or "box".
+    Returns the initial state and a ready-to-run configuration.
     """
     if dims.ny % 4 or dims.nx % 4:
         raise ValueError(f"grid sides must be divisible by 4, got {dims.nx}x{dims.ny}")
@@ -333,7 +332,7 @@ def plume_scenario(dims: GridDims, open_top: bool = False,
         raise ValueError(f"unknown obstacle {obstacle!r}")
     g = OccupancyGrid(dims, solid, open_top)
 
-    radius = max(1.5, inflow_fraction * dims.nx / 2.0)
+    radius = max(1.5, 0.125 * dims.nx / 2.0)
     inlet = InflowRegion(center=(dims.nx / 2.0, radius + 1.5), radius=radius,
                          velocity=(0.0, inflow_speed), density=1.0)
     cfg = SimConfig(

@@ -22,6 +22,9 @@ from .grids import DistanceField, MacVelocity, OccupancyGrid, ScalarGrid
 from .sim import ConvnetProjection, SimConfig, SimState, frame_metrics, step
 
 log = logging.getLogger(__name__)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 class TrainingError(RuntimeError):
@@ -208,9 +211,6 @@ class AdamState:
     v: np.ndarray
     t: int = 0
     lr: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
     def init(cls, params: NetParams, lr: float = 1e-4) -> "AdamState":
@@ -224,13 +224,13 @@ def adam_step(params: NetParams, grads: np.ndarray, st: AdamState
     if grads.shape != st.m.shape:
         raise ValueError(f"gradient size {grads.shape} does not match state {st.m.shape}")
     t = st.t + 1
-    m = st.beta1 * st.m + (1.0 - st.beta1) * grads
-    v = st.beta2 * st.v + (1.0 - st.beta2) * grads ** 2
-    mhat = m / (1.0 - st.beta1 ** t)
-    vhat = v / (1.0 - st.beta2 ** t)
-    flat = params.pack().astype(np.float64) - st.lr * mhat / (np.sqrt(vhat) + st.eps)
+    m = ADAM_BETA1 * st.m + (1.0 - ADAM_BETA1) * grads
+    v = ADAM_BETA2 * st.v + (1.0 - ADAM_BETA2) * grads ** 2
+    mhat = m / (1.0 - ADAM_BETA1 ** t)
+    vhat = v / (1.0 - ADAM_BETA2 ** t)
+    flat = params.pack().astype(np.float64) - st.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
     new_params = params.with_flat(flat)
-    return new_params, AdamState(m, v, t, st.lr, st.beta1, st.beta2, st.eps)
+    return new_params, AdamState(m, v, t, st.lr)
 
 
 # ====== The training loop ======
@@ -242,11 +242,15 @@ class TrainConfig:
     augment: AugmentConfig = field(default_factory=AugmentConfig)
     batch_size: int = 8
     lr: float = 1e-4
-    grad_clip: float | None = 1.0  # global l2 norm; None disables
+    grad_clip: float = 1.0  # global l2 norm; 0 disables
 
     def __post_init__(self) -> None:
         if self.batch_size < 1:
             raise ValueError(f"batch size must be >= 1, got {self.batch_size}")
+        if not self.lr > 0.0:
+            raise ValueError(f"learning rate must be > 0, got {self.lr}")
+        if not self.grad_clip >= 0.0:
+            raise ValueError(f"grad clip must be >= 0 (0 disables), got {self.grad_clip}")
 
 
 @dataclass(frozen=True)
@@ -305,7 +309,7 @@ def train(dataset, cfg: TrainConfig, epochs: int, seed
                 log.warning("epoch %d: entire batch skipped", epoch)
                 continue
             grad = acc / used
-            if cfg.grad_clip is not None:
+            if cfg.grad_clip > 0.0:
                 norm = float(np.linalg.norm(grad))
                 if norm > cfg.grad_clip:
                     grad *= cfg.grad_clip / norm

@@ -164,6 +164,17 @@ def test_train_different_seed_differs(dataset_dir, tmp_path):
     assert (tmp_path / "a.fnm").read_bytes() != (tmp_path / "b.fnm").read_bytes()
 
 
+def test_train_grad_clip_must_be_nonnegative(dataset_dir, tmp_path, capsys):
+    base = ["train", "--data", str(dataset_dir), "--epochs", "1",
+            "--features", "2", "--batch-size", "4"]
+    assert cli(base + ["--grad-clip", "-1", "--out", str(tmp_path / "a.fnm")]) == 1
+    assert "grad" in capsys.readouterr().err
+    assert not (tmp_path / "a.fnm").exists()
+    # 0 is the one value that disables clipping
+    assert cli(base + ["--grad-clip", "0", "--out", str(tmp_path / "b.fnm")]) == 0
+    assert (tmp_path / "b.fnm").exists()
+
+
 # ====== simulate ======
 
 def test_simulate_writes_metrics_and_pgm(tmp_path):
@@ -255,6 +266,13 @@ def test_bench_stdout_and_bad_backend(capsys):
     assert cli(["bench", "--backend", "jacobi:5", "--res", "16", "--reps", "1"]) == 0
     assert "median_ms" in capsys.readouterr().out
     assert cli(["bench", "--backend", "sorcery", "--res", "16"]) == 1
+
+
+def test_bench_no_projection(capsys):
+    assert cli(["bench", "--backend", "none", "--res", "8", "--reps", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "backend,nx,ny,cells,repetitions,median_ms"
+    assert len(lines) == 2 and lines[1].startswith("none,8,8,64,1,")
 
 
 # ====== gradcheck ======

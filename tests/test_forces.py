@@ -136,12 +136,13 @@ def test_enforce_sets_solid_faces_and_is_idempotent():
     rng = np.random.default_rng(54)
     g, u = _scene(rng, p_solid=0.3)
     fm = face_masks(g)
-    out = enforce_solid_velocities(u, g, (0.7, -0.2))
-    assert np.all(out.ux[fm.solid_x] == 0.7)
-    assert np.all(out.uy[fm.solid_y] == -0.2)
+    assert np.all(u.ux[fm.solid_x] != 0.0) and np.all(u.uy[fm.solid_y] != 0.0)
+    out = enforce_solid_velocities(u, g)
+    assert np.all(out.ux[fm.solid_x] == 0.0)
+    assert np.all(out.uy[fm.solid_y] == 0.0)
     np.testing.assert_array_equal(out.ux[~fm.solid_x], u.ux[~fm.solid_x])
     np.testing.assert_array_equal(out.uy[~fm.solid_y], u.uy[~fm.solid_y])
-    again = enforce_solid_velocities(out, g, (0.7, -0.2))
+    again = enforce_solid_velocities(out, g)
     assert np.array_equal(again.ux, out.ux)
     assert np.array_equal(again.uy, out.uy)
 

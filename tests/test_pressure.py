@@ -242,7 +242,7 @@ def test_pcg_is_deterministic():
 
 
 def _same_geometry(sys):
-    """sys on a fresh grid with the same geometry, which has no PCG set-up yet."""
+    """sys on a fresh grid with the same geometry, which has no lattice yet."""
     g = sys.g
     return PoissonSystem(OccupancyGrid(g.dims, g.solid, g.open_top), sys.b)
 
@@ -260,14 +260,19 @@ def test_pcg_beats_unpreconditioned_iteration_counts(monkeypatch):
     assert with_ic.iterations < without.iterations
 
 
-@pytest.mark.parametrize("open_top", [False, True])
-def test_pcg_setup_is_built_once_per_grid(monkeypatch, open_top):
+def _count_setup_calls(monkeypatch):
     calls = {"_build_lattice": 0, "_ic0_factor": 0}
     for name in calls:
         def counted(lat_or_g, _name=name, _original=getattr(pr, name)):
             calls[_name] += 1
             return _original(lat_or_g)
         monkeypatch.setattr(pr, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("open_top", [False, True])
+def test_pcg_setup_is_built_once_per_grid(monkeypatch, open_top):
+    calls = _count_setup_calls(monkeypatch)
     rng = np.random.default_rng(73)
     sys = random_system(rng, nx=16, ny=12, p_solid=0.2, open_top=open_top)
     solve_pcg(sys, tol=1e-8)
@@ -282,6 +287,24 @@ def test_pcg_setup_is_built_once_per_grid(monkeypatch, open_top):
     assert info == info_fresh
 
 
+@pytest.mark.parametrize("open_top", [False, True])
+def test_jacobi_shares_the_lattice_and_never_factors(monkeypatch, open_top):
+    calls = _count_setup_calls(monkeypatch)
+    rng = np.random.default_rng(76)
+    sys = random_system(rng, nx=14, ny=11, p_solid=0.3, open_top=open_top)
+    p = solve_jacobi(sys, 20)
+    assert calls == {"_build_lattice": 1, "_ic0_factor": 0}
+    # a reused lattice gives, bit for bit, what a fresh grid gives
+    assert np.array_equal(solve_jacobi(sys, 20).values, p.values)
+    assert calls == {"_build_lattice": 1, "_ic0_factor": 0}
+    assert np.array_equal(solve_jacobi(_same_geometry(sys), 20).values, p.values)
+    assert calls == {"_build_lattice": 2, "_ic0_factor": 0}
+    # PCG on the Jacobi grid factors once and builds no second lattice
+    solve_pcg(sys, tol=1e-8)
+    solve_pcg(sys, tol=1e-8)
+    assert calls == {"_build_lattice": 2, "_ic0_factor": 1}
+
+
 def test_pcg_setup_is_not_shared_between_geometries():
     rng = np.random.default_rng(74)
     dims = GridDims(12, 12)
@@ -292,7 +315,7 @@ def test_pcg_setup_is_not_shared_between_geometries():
     for solid in (solid_a, solid_b):
         sys = make_compatible(PoissonSystem(OccupancyGrid(dims, solid), b))
         p, info = solve_pcg(sys, tol=1e-8)
-        lat, _ = pr._pcg_setups[sys.g]
+        lat = pr._lattices[sys.g]
         np.testing.assert_array_equal(lat.active, _build_lattice(sys.g).active)
         assert info.converged
         assert residual_norm(sys, p) <= 1e-8 * np.linalg.norm(sys.b.values) * (1 + 1e-12)
@@ -304,12 +327,12 @@ def test_pcg_setup_dies_with_its_grid():
     sys = random_system(rng, nx=16, ny=16, p_solid=0.2)
     solve_pcg(sys, tol=1e-6)
     grid = weakref.ref(sys.g)
-    assert grid() in pr._pcg_setups
-    entries = len(pr._pcg_setups)
+    assert grid() in pr._lattices
+    entries = len(pr._lattices)
     del sys
     gc.collect()
     assert grid() is None
-    assert len(pr._pcg_setups) == entries - 1
+    assert len(pr._lattices) == entries - 1
 
 
 def test_chain_component_keeps_ic0_with_safeguarded_pivot(caplog):

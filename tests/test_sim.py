@@ -97,7 +97,8 @@ def test_step_ordering_trace(monkeypatch):
     trace.clear()
     step(state, dataclasses.replace(cfg, inflow=(), projection=NoProjection()))
     assert trace == ["advect_density", "advect_velocity", "body_force",
-                     "buoyancy", "confinement", "enforce_solids"]
+                     "buoyancy", "confinement", "enforce_solids", "project",
+                     "enforce_solids"]
 
 
 def test_inflow_masks_are_built_once_per_grid_and_regions(monkeypatch):
@@ -143,6 +144,15 @@ def test_unknown_backend_rejected():
     state = _random_state(7)
     with pytest.raises(TypeError):
         step(state, SimConfig(projection="jacobi"))
+
+
+def test_no_projection_returns_velocity_unchanged():
+    state = _random_state(11)
+    sink = []
+    out = sim.project_velocity(state.u, state.g, NoProjection(), info_sink=sink)
+    np.testing.assert_array_equal(out.ux, state.u.ux)
+    np.testing.assert_array_equal(out.uy, state.u.uy)
+    assert sink == []
 
 
 def test_convnet_backend_runs_and_collects_tapes():

@@ -379,6 +379,13 @@ def test_train_empty_dataset_rejected():
         train([], _fast_cfg(), epochs=1, seed=0)
 
 
+@pytest.mark.parametrize("kw", [dict(grad_clip=-1.0), dict(lr=0.0), dict(lr=-1e-3)])
+def test_train_config_rejects_bad_step_settings(kw):
+    # a negative clip would flip the gradient: grad *= clip / norm
+    with pytest.raises(ValueError):
+        TrainConfig(**kw)
+
+
 def test_train_gradient_clip_bounds_update():
     # with clipping at c, a single adam step moves parameters by at most
     # lr * |mhat| / sqrt(vhat) where the gradient norm is <= c; just check
