@@ -8,10 +8,12 @@ clamped to the fluid side of the first crossing: a coarse scan at
 evenly spaced parameters along the trace, at least four and at most half
 a cell apart, finds the first non-fluid sample, then bisection refines
 the crossing.  At that spacing no trace steps over a straight wall one
-cell thick, at any CFL number.
+cell thick, at any CFL number.  Each lattice (cell centers, x faces,
+y faces) is traced in its own (nrows, ncols) shape.
 
-The MacCormack scheme runs the plain trace forward and backward, applies
-half the round-trip defect as a correction, and keeps the corrected value
+The MacCormack scheme runs the plain trace forward and backward, both
+scaled from one velocity sample at the lattice nodes, applies half the
+round-trip defect as a correction, and keeps the corrected value
 only while it stays inside the min/max of the four interpolation samples
 of the forward trace; otherwise it falls back to the plain value.
 """
@@ -19,12 +21,11 @@ of the forward trace; otherwise it falls back to the plain value.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
-from .grids import (MacVelocity, OccupancyGrid, ScalarGrid, _bilinear, _lattice_points,
-                    _read_only, sample_velocity)
+from .grids import (MacVelocity, OccupancyGrid, ScalarGrid, _bilinear, _lattice_xy,
+                    sample_velocity)
 
 _MIN_PROBES = 4
 _BISECT_ITERS = 8
@@ -55,6 +56,39 @@ def _fluid_at_points(g: OccupancyGrid, x: np.ndarray, y: np.ndarray) -> np.ndarr
     return g.fluid_padded.ravel().take(j)
 
 
+def _trace(g: OccupancyGrid, x0: np.ndarray, y0: np.ndarray, dx: np.ndarray,
+           dy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Landing points (x0 + dx, y0 + dy), each clamped to the fluid side of
+    its first crossing; the start points broadcast against the displacements."""
+    # coarse scan for the first probe that left the fluid: k probes per
+    # trace at fractions i/k; a probe past the domain is never fluid, so no
+    # trace needs more than ``reach`` of them, however long it is
+    k = np.maximum(_MIN_PROBES, np.ceil(2.0 * np.sqrt(dx * dx + dy * dy) / g.dims.h))
+    reach = math.ceil(2.0 * math.hypot(g.dims.nx, g.dims.ny)) + 4
+    pdx, pdy = dx / k, dy / k
+    first = np.zeros(k.shape, dtype=np.int64)  # 0: every probe in fluid
+    for i in range(int(min(reach, k.max(initial=0.0))), 0, -1):
+        left = ~_fluid_at_points(g, x0 + i * pdx, y0 + i * pdy)
+        first[left & (i <= k)] = i
+    out_x, out_y = x0 + dx, y0 + dy
+    sel = np.nonzero(first)
+    if sel[0].size == 0:
+        return out_x, out_y
+
+    f, ks = first[sel], k[sel]
+    lo, hi = (f - 1) / ks, f / ks
+    sx, sy = np.broadcast_to(x0, k.shape)[sel], np.broadcast_to(y0, k.shape)[sel]
+    sdx, sdy = dx[sel], dy[sel]
+    for _ in range(_BISECT_ITERS):
+        mid = 0.5 * (lo + hi)
+        ok = _fluid_at_points(g, sx + mid * sdx, sy + mid * sdy)
+        lo = np.where(ok, mid, lo)
+        hi = np.where(ok, hi, mid)
+    out_x[sel] = sx + lo * sdx
+    out_y[sel] = sy + lo * sdy
+    return out_x, out_y
+
+
 def trace_back(pos: np.ndarray, u: MacVelocity, g: OccupancyGrid, dt: float) -> np.ndarray:
     """Landing points of backward Euler traces pos - dt * u(pos).
 
@@ -63,65 +97,28 @@ def trace_back(pos: np.ndarray, u: MacVelocity, g: OccupancyGrid, dt: float) -> 
     """
     pos = np.asarray(pos, dtype=np.float64)
     vel = sample_velocity(u, pos)
-    delta = -dt * vel
-    x0, y0 = pos[:, 0], pos[:, 1]
-    dx, dy = delta[:, 0], delta[:, 1]
-
-    # coarse scan for the first probe that left the fluid: k probes per
-    # trace at fractions i/k; a probe past the domain is never fluid, so no
-    # trace needs more than ``reach`` of them, however long it is
-    k = np.maximum(_MIN_PROBES, np.ceil(2.0 * np.sqrt(dx * dx + dy * dy) / g.dims.h))
-    reach = math.ceil(2.0 * math.hypot(g.dims.nx, g.dims.ny)) + 4
-    pdx, pdy = dx / k, dy / k
-    first = np.zeros(pos.shape[0], dtype=np.int64)  # 0: every probe in fluid
-    for i in range(int(min(reach, k.max(initial=0.0))), 0, -1):
-        left = ~_fluid_at_points(g, x0 + i * pdx, y0 + i * pdy)
-        first[left & (i <= k)] = i
-    sel = np.flatnonzero(first)
-    if sel.size == 0:
-        return pos + delta
-
-    f, ks = first[sel], k[sel]
-    lo, hi = (f - 1) / ks, f / ks
-    sx, sy = x0[sel], y0[sel]
-    sdx, sdy = dx[sel], dy[sel]
-    for _ in range(_BISECT_ITERS):
-        mid = 0.5 * (lo + hi)
-        ok = _fluid_at_points(g, sx + mid * sdx, sy + mid * sdy)
-        lo = np.where(ok, mid, lo)
-        hi = np.where(ok, hi, mid)
-
-    out = pos + delta
-    out[sel, 0] = sx + lo * sdx
-    out[sel, 1] = sy + lo * sdy
-    return out
-
-
-@lru_cache(maxsize=32)
-def _lattice_positions(shape: tuple[int, int], offx: float, offy: float,
-                       h: float) -> np.ndarray:
-    """Read-only world positions of a lattice's nodes, shape (nrows * ncols, 2)."""
-    return _read_only(_lattice_points(shape, offx, offy, h).reshape(-1, 2))
+    x, y = _trace(g, pos[:, 0], pos[:, 1], -dt * vel[:, 0], -dt * vel[:, 1])
+    return np.stack([x, y], axis=-1)
 
 
 def _advect_lattice(values: np.ndarray, offx: float, offy: float, u: MacVelocity,
                     g: OccupancyGrid, dt: float, scheme: str) -> np.ndarray:
     """Advect one sample lattice (cell centers or one face family)."""
     h = g.dims.h
-    shape = values.shape
-    pos = _lattice_positions(shape, offx, offy, h)
-    back = trace_back(pos, u, g, dt)
+    x, y = _lattice_xy(values.shape, offx, offy)
+    x, y = x * h, y * h
+    vx = _bilinear(u.ux, x, y, 0.0, 0.5, h)
+    vy = _bilinear(u.uy, x, y, 0.5, 0.0, h)
+    bx, by = _trace(g, x, y, -dt * vx, -dt * vy)
 
     if scheme == "sl":
-        out = _bilinear(values, back[:, 0], back[:, 1], offx, offy, h)
-        return out.reshape(shape)
+        return _bilinear(values, bx, by, offx, offy, h)
 
-    fwd, lo, hi = _bilinear(values, back[:, 0], back[:, 1], offx, offy, h, with_bounds=True)
-    fwd = fwd.reshape(shape)
-    again = trace_back(pos, u, g, -dt)
-    bwd = _bilinear(fwd, again[:, 0], again[:, 1], offx, offy, h).reshape(shape)
+    fwd, lo, hi = _bilinear(values, bx, by, offx, offy, h, with_bounds=True)
+    ax, ay = _trace(g, x, y, dt * vx, dt * vy)
+    bwd = _bilinear(fwd, ax, ay, offx, offy, h)
     corrected = fwd + 0.5 * (values - bwd)
-    inside = (corrected >= lo.reshape(shape)) & (corrected <= hi.reshape(shape))
+    inside = (corrected >= lo) & (corrected <= hi)
     return np.where(inside, corrected, fwd)
 
 

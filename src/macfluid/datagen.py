@@ -23,7 +23,7 @@ from scipy.ndimage import gaussian_filter
 
 from .forces import enforce_solid_velocities
 from .formats import read_frame, write_frame
-from .grids import (GridDims, MacVelocity, OccupancyGrid, ScalarGrid, _lattice_xy,
+from .grids import (GridDims, MacVelocity, OccupancyGrid, ScalarGrid, _cone, _lattice_xy,
                     box_mask, capsule_mask, disc_mask)
 from .pressure import PcgInfo
 from .sim import PcgProjection, SimConfig, SimState, step
@@ -206,10 +206,8 @@ def apply_emitters(u: MacVelocity, emitters, frame_index: int) -> MacVelocity:
     add_x = np.zeros(dims.shape_ux)
     add_y = np.zeros(dims.shape_uy)
     for e in active:
-        rx = np.hypot(fxx - e.center[0], fxy - e.center[1])
-        ry = np.hypot(fyx - e.center[0], fyy - e.center[1])
-        add_x += e.velocity[0] * np.maximum(0.0, 1.0 - rx / e.radius)
-        add_y += e.velocity[1] * np.maximum(0.0, 1.0 - ry / e.radius)
+        add_x += e.velocity[0] * _cone(fxx, fxy, e.center, e.radius)
+        add_y += e.velocity[1] * _cone(fyx, fyy, e.center, e.radius)
     return MacVelocity(dims, u.ux + add_x, u.uy + add_y)
 
 
@@ -271,8 +269,7 @@ def _seed_density(g: OccupancyGrid, rng: np.random.Generator) -> ScalarGrid:
         cy = rng.uniform(0.0, dims.ny)
         radius = rng.uniform(2.0, max(3.0, min(dims.nx, dims.ny) / 6.0))
         amp = rng.uniform(0.5, 1.0)
-        r = np.hypot(x - cx, y - cy)
-        rho += amp * np.maximum(0.0, 1.0 - r / radius)
+        rho += amp * _cone(x, y, (cx, cy), radius)
     rho[g.solid] = 0.0
     return ScalarGrid(dims, rho)
 
@@ -361,8 +358,8 @@ def generate_dataset(cfg: SceneConfig, scene_count: int, frames_per_scene: int =
     """
     if scene_count < 1:
         raise ValueError(f"scene count must be at least 1, got {scene_count}")
-    if frames_per_scene < 1 or stride < 1:
-        raise ValueError(f"frames and stride must be at least 1, "
+    if not 1 <= stride <= frames_per_scene:
+        raise ValueError(f"frames and stride must satisfy 1 <= stride <= frames, "
                          f"got {frames_per_scene} and {stride}")
     projection = projection if projection is not None else PcgProjection(tol=1e-6)
     out = Path(out_dir)

@@ -58,7 +58,8 @@ class GridDims:
 
     def cell_centers(self) -> np.ndarray:
         """Positions of all cell centers, shape (ny, nx, 2)."""
-        return _lattice_points(self.shape, 0.5, 0.5, self.h)
+        x, y = _lattice_xy(self.shape, 0.5, 0.5)
+        return np.stack(np.broadcast_arrays(x * self.h, y * self.h), axis=-1)
 
 
 def _check_shape(name: str, arr: np.ndarray, shape: tuple[int, int]) -> None:
@@ -381,18 +382,16 @@ def _lattice_xy(shape: tuple[int, int], offx: float, offy: float
     return (np.arange(ncols) + offx)[None, :], (np.arange(nrows) + offy)[:, None]
 
 
-def _lattice_points(shape: tuple[int, int], offx: float, offy: float, h: float) -> np.ndarray:
-    """World positions of the lattice nodes, shape (nrows, ncols, 2)."""
-    x, y = _lattice_xy(shape, offx, offy)
-    out = np.empty(shape + (2,))
-    out[..., 0], out[..., 1] = x * h, y * h
-    return out
-
-
 def _in_disc(x: np.ndarray, y: np.ndarray, center: tuple[float, float],
             radius: float) -> np.ndarray:
     """Points (x, y) inside the closed disc."""
     return (x - center[0]) ** 2 + (y - center[1]) ** 2 <= radius ** 2
+
+
+def _cone(x: np.ndarray, y: np.ndarray, center: tuple[float, float],
+          radius: float) -> np.ndarray:
+    """Linear falloff from 1 at the center to 0 at ``radius``, zero beyond."""
+    return np.maximum(0.0, 1.0 - np.hypot(x - center[0], y - center[1]) / radius)
 
 
 def disc_mask(dims: GridDims, center: tuple[float, float], radius: float) -> np.ndarray:

@@ -18,7 +18,8 @@ import numpy as np
 from .convnet import NetArch, NetParams, init_params, projection_backward
 from .fdops import adjoint_divergence, divergence
 from .forces import ForceConfig
-from .grids import DistanceField, MacVelocity, OccupancyGrid, ScalarGrid
+from .grids import (DistanceField, MacVelocity, OccupancyGrid, ScalarGrid, _cone,
+                    _lattice_xy)
 from .sim import ConvnetProjection, SimConfig, SimState, frame_metrics, step
 
 log = logging.getLogger(__name__)
@@ -140,15 +141,14 @@ def augment(state: SimState, rng: np.random.Generator, cfg: AugmentConfig
     out = state.copy()
     if rng.random() < cfg.p_density:
         dims = state.g.dims
-        centers = dims.cell_centers() / dims.h  # cell units
+        x, y = _lattice_xy(dims.shape, 0.5, 0.5)
         n_blobs = int(rng.integers(cfg.blob_count[0], cfg.blob_count[1] + 1))
         for _ in range(n_blobs):
             bx = rng.uniform(0.0, dims.nx)
             by = rng.uniform(0.0, dims.ny)
             radius = rng.uniform(*cfg.blob_radius)
             amp = rng.uniform(*cfg.blob_amplitude)
-            r = np.hypot(centers[..., 0] - bx, centers[..., 1] - by)
-            bump = amp * np.maximum(0.0, 1.0 - r / radius)
+            bump = amp * _cone(x, y, (bx, by), radius)
             out.density.values[state.g.fluid] += bump[state.g.fluid]
     return out, ForceConfig(gravity, buoyancy, confinement)
 
@@ -338,6 +338,10 @@ def gradient_check(params: NetParams, sample: SimState, eps: float = 1e-5,
     a constant pressure offset, for example, has a true gradient of zero
     because the masked gradient update annihilates it.
     """
+    if n_checked < 1:
+        raise ValueError(f"gradient check needs at least one parameter, got {n_checked}")
+    if not (np.isfinite(eps) and eps > 0):
+        raise ValueError(f"probe step eps must be positive and finite, got {eps}")
     params = params.astype(np.float64)
     cfg = LossConfig(unroll=((1, 1.0),))
     quiet = AugmentConfig(p_gravity=0.0, p_buoyancy=0.0, p_confinement=0.0,

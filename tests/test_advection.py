@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from macfluid.advection import (_fluid_at_points, _lattice_positions, advect_scalar,
+from macfluid import advection, grids
+from macfluid.advection import (_advect_lattice, _fluid_at_points, advect_scalar,
                                 self_advect, trace_back)
-from macfluid.grids import GridDims, MacVelocity, OccupancyGrid, ScalarGrid
+from macfluid.grids import (GridDims, MacVelocity, OccupancyGrid, ScalarGrid, _bilinear,
+                            sample_velocity)
 
 
 def _gaussian(dims, cx, cy, sigma):
@@ -200,8 +202,48 @@ def test_fluid_at_points_matches_bounds_checked_lookup(open_top):
     assert want.any() and not want.all()
 
 
-def test_lattice_positions_are_shared_and_read_only():
-    pos = _lattice_positions((5, 7), 0.0, 0.5, 0.25)
-    assert pos is _lattice_positions((5, 7), 0.0, 0.5, 0.25)
-    assert pos.shape == (35, 2) and not pos.flags.writeable
-    np.testing.assert_array_equal(pos[8], (0.25 * 1, 0.25 * 1.5))
+def _random_flow(seed, open_top, h=0.7):
+    rng = np.random.default_rng(seed)
+    dims = GridDims(11, 9, h=h)
+    g = OccupancyGrid(dims, rng.random(dims.shape) < 0.2, open_top)
+    u = MacVelocity(dims, rng.normal(scale=4.0, size=dims.shape_ux),
+                    rng.normal(scale=4.0, size=dims.shape_uy))
+    return rng, g, u
+
+
+@pytest.mark.parametrize("open_top", [False, True])
+@pytest.mark.parametrize("dt", [0.3, -0.3])
+@pytest.mark.parametrize("lattice", ["cells", "x_faces", "y_faces"])
+def test_sl_lattice_equals_bilinear_at_trace_back_landings(lattice, dt, open_top):
+    rng, g, u = _random_flow(48, open_top)
+    dims, h = g.dims, g.dims.h
+    shape, offx, offy = {"cells": (dims.shape, 0.5, 0.5),
+                         "x_faces": (dims.shape_ux, 0.0, 0.5),
+                         "y_faces": (dims.shape_uy, 0.5, 0.0)}[lattice]
+    values = rng.normal(size=shape)
+    x, y = np.meshgrid((np.arange(shape[1]) + offx) * h, (np.arange(shape[0]) + offy) * h)
+    pos = np.stack([x.ravel(), y.ravel()], axis=-1)
+    land = trace_back(pos, u, g, dt)
+    # some traces leave the fluid, so the clamp is exercised
+    assert not np.array_equal(land, pos - dt * sample_velocity(u, pos))
+    want = _bilinear(values, land[:, 0], land[:, 1], offx, offy, h).reshape(shape)
+    got = _advect_lattice(values, offx, offy, u, g, dt, "sl")
+    assert got.shape == shape
+    np.testing.assert_array_equal(got, want)
+
+
+def test_maccormack_samples_velocity_once_per_lattice(monkeypatch):
+    _, g, u = _random_flow(49, False)
+    q = ScalarGrid(g.dims, np.ones(g.dims.shape))
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return _bilinear(*args, **kwargs)
+
+    monkeypatch.setattr(advection, "_bilinear", counted)
+    monkeypatch.setattr(grids, "_bilinear", counted)
+    advect_scalar(q, u, g, 0.3, "maccormack")
+    self_advect(u, g, 0.3, "maccormack")
+    # per lattice: two velocity components, the forward and the backward value
+    assert len(calls) == 3 * 4

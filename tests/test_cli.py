@@ -137,6 +137,15 @@ def test_gen_data_reproducible(tmp_path):
             assert pa.read_bytes() == pb.read_bytes()
 
 
+def test_gen_data_stride_beyond_frames_exits_one(tmp_path, capsys):
+    out = tmp_path / "ds"
+    rc = cli(["gen-data", "--out", str(out), "--scenes", "1", "--frames", "2",
+              "--stride", "4", "--res", "16"])
+    assert rc == 1
+    assert "stride" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ====== train ======
 
 def test_train_reproducible_and_logged(dataset_dir, tmp_path):
@@ -282,6 +291,12 @@ def test_gradcheck_passes_and_prints(capsys):
               "--checks", "25", "--seed", "3"])
     assert rc == 0
     assert "max relative error" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flags", [["--checks", "0"], ["--eps", "0"]])
+def test_gradcheck_that_checks_nothing_exits_one(flags, capsys):
+    assert cli(["gradcheck", "--res", "8", "--features", "2"] + flags) == 1
+    assert "error:" in capsys.readouterr().err
 
 
 # ====== README ======

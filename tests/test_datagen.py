@@ -311,6 +311,13 @@ def test_generate_dataset_validation(tmp_path):
         generate_dataset(cfg, 1, 8, 0, tmp_path)
 
 
+def test_generate_dataset_rejects_stride_beyond_frames(tmp_path):
+    cfg = SceneConfig(dims=GridDims(16, 16))
+    with pytest.raises(ValueError, match="stride"):
+        generate_dataset(cfg, 1, 2, 4, tmp_path / "ds")
+    assert not (tmp_path / "ds").exists()
+
+
 def test_load_dataset_round_trip(tmp_path):
     cfg = SceneConfig(dims=GridDims(16, 16), seed=13, boundary="open-top")
     generate_dataset(cfg, 2, 8, 4, tmp_path)

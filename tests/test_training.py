@@ -408,6 +408,15 @@ def test_gradient_check_reduced_architecture():
     assert err <= 1e-4
 
 
+@pytest.mark.parametrize("kw", [dict(n_checked=0), dict(eps=0.0), dict(eps=-1e-5),
+                                dict(eps=float("nan")), dict(eps=float("inf"))])
+def test_gradient_check_rejects_settings_that_check_nothing(kw):
+    state = _random_state(32, nx=8, ny=8, n_solid=0)
+    params = init_params(NetArch(features=2), seed=11)
+    with pytest.raises(ValueError):
+        gradient_check(params, state, **kw)
+
+
 def test_gradient_check_in_relu_linear_region():
     # drive every relu into its linear region with large positive biases,
     # removing any kink-crossing risk; agreement is then limited only by
