@@ -12,8 +12,8 @@ command line.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -22,10 +22,10 @@ from .convnet import NetArch, init_params
 from .datagen import SceneConfig, build_scene, generate_dataset, load_dataset
 from .evaluate import (BenchRow, bench, eval_divergence_curves, match_divergence,
                        parse_backend, write_bench_csv)
-from .formats import csv_text, load_model, save_model
+from .formats import csv_text, load_model, save_model, write_frame
 from .grids import GridDims
 from .sim import (ConvnetProjection, CsvMetricsSink, FrameMetrics, PgmFrameSink,
-                  plume_scenario, run)
+                  SimulationError, plume_scenario, run)
 from .training import (EpochStats, LossConfig, TrainConfig, gradient_check,
                        train)
 
@@ -40,6 +40,8 @@ class _Parser(argparse.ArgumentParser):
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, allow_abbrev=False, **kwargs)
+        # argparse takes "-1e-5" for a flag; read it as a (rejected) value
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
     def error(self, message: str) -> None:  # type: ignore[override]
         sys.stderr.write(self.format_usage())
@@ -145,14 +147,14 @@ def _cmd_simulate(args) -> int:
                                 buoyancy=args.buoyancy,
                                 confinement=args.confinement,
                                 projection=projection, dt=args.dt)
-    cfg = replace(cfg, dump_path=str(out / "blowup.fnf"))
-    sinks = [CsvMetricsSink(out / "metrics.csv")]
-    if args.pgm:
-        sinks.append(PgmFrameSink(out / "frames"))
-    try:
-        state, metrics = run(state, cfg, args.frames, tuple(sinks))
-    finally:
-        sinks[0].close()
+    with CsvMetricsSink(out / "metrics.csv") as metrics_csv:
+        sinks = (metrics_csv, PgmFrameSink(out / "frames")) if args.pgm else (metrics_csv,)
+        try:
+            state, metrics = run(state, cfg, args.frames, sinks)
+        except SimulationError as e:  # the initial state is finite, so e.state is set
+            dump = out / "blowup.fnf"
+            write_frame(dump, e.state.g, e.state.u, e.state.density, cfg.dt)
+            raise SimulationError(f"{e}; frame dumped to {dump}", e.state) from None
     m = metrics[-1]
     print(f"simulated {args.frames} frames at {args.res}x{args.res}; "
           f"final mean divergence {m.mean_div_l2:.6g}, max speed {m.max_speed:.6g}; "
@@ -211,7 +213,8 @@ def _cmd_gradcheck(args) -> int:
                          np.random.SeedSequence(args.seed))
     err = gradient_check(params, state, eps=args.eps, n_checked=args.checks,
                          seed=args.seed)
-    print(f"max relative error: {err:.6e} ({args.checks} parameters checked)")
+    print(f"max relative error: {err:.6e} "
+          f"({min(args.checks, params.n_params)} parameters checked)")
     return 0 if err <= 1e-4 else 2
 
 

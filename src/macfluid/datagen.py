@@ -317,14 +317,12 @@ def _generate_scene(cfg: SceneConfig, frames: int, stride: int, scene_dir: Path,
     sim_cfg = SimConfig(dt=cfg.dt, projection=projection)
     written, recorded, flagged = [], [], []
     for _ in range(frames):
-        pushed = SimState(apply_emitters(state.u, emitters, state.frame),
-                          state.density, state.g, state.frame, state.time)
-        infos: list = []
-        state = step(pushed, sim_cfg, info_sink=infos)
-        if infos and isinstance(infos[0], PcgInfo) and not infos[0].converged:
+        state = step(replace(state, u=apply_emitters(state.u, emitters, state.frame)),
+                     sim_cfg)
+        if isinstance(state.report, PcgInfo) and not state.report.converged:
             log.warning("scene %s frame %d: projection did not converge "
                         "(relative residual %.3e)", scene_dir.name, state.frame,
-                        infos[0].relres)
+                        state.report.relres)
             flagged.append(state.frame)
         if state.frame % stride == 0:
             path = scene_dir / f"frame_{state.frame:06d}.fnf"

@@ -131,7 +131,8 @@ class OccupancyGrid:
     top cell row from solid wall to zero-pressure air.
 
     A grid is immutable and compares by identity.  It keeps a read-only copy
-    of ``solid``; the geometry operators derive from it is cached, read-only.
+    of ``solid``; its read-only geometry, and what :meth:`derived` builds,
+    are cached on the instance and live exactly as long as the grid.
     """
 
     dims: GridDims
@@ -183,6 +184,14 @@ class OccupancyGrid:
     @cached_property
     def distance(self) -> "DistanceField":
         return _read_only(distance_field(self))
+
+    def derived(self, build, *args):
+        """``build(self, *args)`` for hashable args, built once and kept on this grid."""
+        memo = self.__dict__.setdefault("_derived", {})
+        key = (build, *args)
+        if key not in memo:
+            memo[key] = build(self, *args)
+        return memo[key]
 
 
 @dataclass

@@ -9,7 +9,9 @@ the free constant by returning zero-mean pressure on such components.
 
 Three routes with very different cost/accuracy trade-offs.  Jacobi and
 PCG share one lattice per grid, the compressed active fluid cells, built
-on the grid's first solve by either and held weakly keyed by the grid:
+on the grid's first solve by either and kept on the grid itself through
+:meth:`~macfluid.grids.OccupancyGrid.derived`, so it lives exactly as
+long as the grid:
 
 * :func:`solve_jacobi`: fixed iteration count, cheap, smooth error decay.
   The update mirrors the pressure across solid faces and sees zero beyond
@@ -17,13 +19,8 @@ on the grid's first solve by either and held weakly keyed by the grid:
   h^2/4 and keeps the residual monotone.
 * :func:`solve_pcg`: conjugate gradients preconditioned with an
   incomplete Cholesky factor without fill-in, iterated to a residual
-  tolerance.  The factor is computed along anti-diagonal wavefronts on
-  the grid's first PCG solve, kept on its lattice, and applied with two
-  compiled sparse triangular solves; the matrix is a CSR product.  A
-  pivot that collapses, as on a chain-shaped closed component, is
-  replaced by the cell's diagonal, so the factor always exists and there
-  is no fallback preconditioner.  The preconditioned residual is centred
-  on closed components every iteration, the iterate once per solve.
+  tolerance; the factor is computed on the grid's first PCG solve and
+  kept on its lattice.
 * :func:`solve_dense_direct`: dense least-squares reference for small
   grids, minimum-norm on singular components.
 """
@@ -31,7 +28,7 @@ on the grid's first solve by either and held weakly keyed by the grid:
 from __future__ import annotations
 
 import logging
-import weakref
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -149,20 +146,6 @@ def _build_lattice(g: OccupancyGrid) -> _Lattice:
                     fronts, active, g.components.labels[active], g.components)
 
 
-# grid -> lattice; grids are immutable and hash by identity, and a lattice
-# holds no reference to its grid, so an entry lives as long as its grid
-# and is never stale
-_lattices: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def _lattice(g: OccupancyGrid) -> _Lattice:
-    """The lattice of g, built on its first solve by either solver."""
-    lat = _lattices.get(g)
-    if lat is None:
-        lat = _lattices[g] = _build_lattice(g)
-    return lat
-
-
 # ====== Jacobi ======
 
 def solve_jacobi(sys: PoissonSystem, iters: int = 34) -> ScalarGrid:
@@ -182,7 +165,7 @@ def solve_jacobi(sys: PoissonSystem, iters: int = 34) -> ScalarGrid:
     if iters < 0:
         raise ValueError(f"iteration count must be nonnegative, got {iters}")
     g = sys.g
-    lat = _lattice(g)
+    lat = g.derived(_build_lattice)
     b = sys.b.values
     if np.any(b[g.fluid & ~lat.active] != 0.0):
         raise ValueError("isolated fluid cell with nonzero right hand side")
@@ -299,17 +282,21 @@ def solve_pcg(sys: PoissonSystem, tol: float = 1e-4,
     iteration, which keeps every search direction in the range of A; the
     iterate only gathers roundoff along the null space, and its means are
     removed once, before it is returned.  There is no fallback: the
-    preconditioner is always IC(0).  Returns the pressure and a
-    :class:`PcgInfo`.
+    preconditioner is always IC(0).  A right-hand side with a non-finite
+    norm returns the zero iterate at once, unconverged, with relres NaN.
+    Returns the pressure and a :class:`PcgInfo`.
     """
     g = sys.g
-    lat = _lattice(g)
+    lat = g.derived(_build_lattice)
     out = np.zeros(g.dims.shape)
 
     bv = sys.b.values[lat.active]
     bnorm = float(np.linalg.norm(bv))
     if lat.n == 0 or bnorm == 0.0:
         return ScalarGrid(g.dims, out), PcgInfo(0, True, 0.0, "ic0")
+    if not math.isfinite(bnorm):
+        logger.warning("PCG not run: the right-hand side norm is %s", bnorm)
+        return ScalarGrid(g.dims, out), PcgInfo(0, False, math.nan, "ic0")
     precond = lat.precond
 
     x = np.zeros(lat.n)

@@ -2,19 +2,22 @@
 
 A step executes, in order: inflow overwrite (when configured), density
 advection through the previous velocity, velocity self-advection, body
-force, buoyancy, vorticity confinement, solid-face enforcement, pressure
-projection with the configured backend, and a final enforcement pass.
-The projection backend is pluggable: Jacobi, PCG, a dense direct solve,
-a learned network, or nothing at all for ablation baselines.
+force, buoyancy, vorticity confinement, solid-face enforcement, and the
+pressure projection with the configured backend.  No backend writes a
+solid face, so the enforced zeros survive the projection.  The backend is
+pluggable: Jacobi, PCG, a dense direct solve, a learned network, or
+nothing at all for ablation baselines.
+
+What the projection reports rides on the returned state as
+``SimState.report``.  A step writes no file; its inflow masks are kept on
+the grid (:meth:`~macfluid.grids.OccupancyGrid.derived`).
 """
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 import time
-import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -25,7 +28,7 @@ from .convnet import NetParams, learned_project
 from .fdops import divergence, subtract_pressure_gradient
 from .forces import (ForceConfig, add_body_force, add_buoyancy,
                      enforce_solid_velocities, vorticity_confinement)
-from .formats import format_row, write_frame, write_pgm
+from .formats import format_row, write_pgm
 from .grids import (GridDims, MacVelocity, OccupancyGrid, ScalarGrid, _in_disc,
                     _lattice_xy, box_mask, disc_mask)
 from .pressure import (PoissonSystem, make_compatible, solve_dense_direct,
@@ -35,7 +38,12 @@ log = logging.getLogger(__name__)
 
 
 class SimulationError(RuntimeError):
-    """The simulation produced non-finite fields and was aborted."""
+    """The simulation produced non-finite fields and was aborted; ``state``
+    is the non-finite state a step produced, None for a non-finite input."""
+
+    def __init__(self, message: str, state: "SimState | None" = None):
+        super().__init__(message)
+        self.state = state
 
 
 # ====== Projection backends ======
@@ -94,7 +102,6 @@ class SimConfig:
     forces: ForceConfig = field(default_factory=ForceConfig)
     projection: object = field(default_factory=PcgProjection)
     inflow: tuple[InflowRegion, ...] = ()
-    dump_path: str | None = None  # non-finite abort writes the frame here
 
     def __post_init__(self) -> None:
         if not (self.dt > 0 and math.isfinite(self.dt)):
@@ -103,14 +110,20 @@ class SimConfig:
 
 @dataclass
 class SimState:
+    """Fields at one frame.  ``report`` is what the projection that made them
+    reported: the PcgInfo of pcg, the ProjectionTape of convnet (training
+    differentiates through it), None for other backends or without a step."""
+
     u: MacVelocity
     density: ScalarGrid
     g: OccupancyGrid
     frame: int = 0
     time: float = 0.0
+    report: object = None
 
     def copy(self) -> "SimState":
-        return SimState(self.u.copy(), self.density.copy(), self.g, self.frame, self.time)
+        return SimState(self.u.copy(), self.density.copy(), self.g, self.frame,
+                        self.time, self.report)
 
 
 # ====== The step ======
@@ -120,23 +133,14 @@ def _all_finite(u: MacVelocity, density: ScalarGrid) -> bool:
                 and np.all(np.isfinite(density.values)))
 
 
-# grid -> {regions: per region, its fluid cell, x face and y face masks};
-# an entry lives as long as its grid
-_inflow_masks: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
 def _inflow_region_masks(g: OccupancyGrid, regions: tuple[InflowRegion, ...]) -> list:
-    by_regions = _inflow_masks.setdefault(g, {})
-    masks = by_regions.get(regions)
-    if masks is None:
-        dims = g.dims
-        faces_x = _lattice_xy(dims.shape_ux, 0.0, 0.5)
-        faces_y = _lattice_xy(dims.shape_uy, 0.5, 0.0)
-        masks = by_regions[regions] = [
-            (disc_mask(dims, r.center, r.radius) & g.fluid,
+    """Per region, its fluid cell, x face and y face masks."""
+    dims = g.dims
+    faces_x = _lattice_xy(dims.shape_ux, 0.0, 0.5)
+    faces_y = _lattice_xy(dims.shape_uy, 0.5, 0.0)
+    return [(disc_mask(dims, r.center, r.radius) & g.fluid,
              _in_disc(*faces_x, r.center, r.radius),
              _in_disc(*faces_y, r.center, r.radius)) for r in regions]
-    return masks
 
 
 def _apply_inflow(u: MacVelocity, density: ScalarGrid, g: OccupancyGrid,
@@ -144,54 +148,53 @@ def _apply_inflow(u: MacVelocity, density: ScalarGrid, g: OccupancyGrid,
     dims = g.dims
     ux, uy = u.ux.copy(), u.uy.copy()
     rho = density.values.copy()
-    for r, (cells, faces_x, faces_y) in zip(regions, _inflow_region_masks(g, regions)):
+    for r, (cells, faces_x, faces_y) in zip(regions, g.derived(_inflow_region_masks, regions)):
         rho[cells] = r.density
         ux[faces_x] = r.velocity[0]
         uy[faces_y] = r.velocity[1]
     return MacVelocity(dims, ux, uy), ScalarGrid(dims, rho)
 
 
-def project_velocity(u: MacVelocity, g: OccupancyGrid, backend,
-                     info_sink: list | None = None) -> MacVelocity:
-    """One pressure projection of a tentative velocity.
-
-    ``info_sink`` collects what the backend reports: the PcgInfo of a pcg
-    solve, or the backward tape of a learned projection, so a training
-    loop can differentiate through it.  Other backends append nothing.
-    """
+def _project(u: MacVelocity, g: OccupancyGrid, backend) -> tuple[MacVelocity, object]:
+    """The projected velocity and the backend's report, as in SimState.report."""
     if isinstance(backend, NoProjection):
-        return u
+        return u, None
     if isinstance(backend, ConvnetProjection):
-        if info_sink is not None:
-            u_new, _, tape = learned_project(backend.params, u, g, tape=True)
-            info_sink.append(tape)
-        else:
-            u_new, _ = learned_project(backend.params, u, g)
-        return u_new
+        # the tape holds the activations the forward pass computes anyway
+        u_new, _, tape = learned_project(backend.params, u, g, tape=True)
+        return u_new, tape
     # the system matrix is the negated Laplacian, so zero post-divergence
     # means solving A p = -div(u)
     d = divergence(u, g)
     sys = make_compatible(PoissonSystem(g, ScalarGrid(g.dims, -d.values)))
+    info = None
     if isinstance(backend, JacobiProjection):
         p = solve_jacobi(sys, backend.iters)
     elif isinstance(backend, PcgProjection):
         p, info = solve_pcg(sys, backend.tol, backend.max_iter)
-        if info_sink is not None:
-            info_sink.append(info)
     elif isinstance(backend, ExactProjection):
         p = solve_dense_direct(sys)
     else:
         raise TypeError(f"unknown projection backend {backend!r}")
-    return subtract_pressure_gradient(u, p, g)
+    return subtract_pressure_gradient(u, p, g), info
 
 
-def step(state: SimState, cfg: SimConfig,
-         info_sink: list | None = None) -> SimState:
+def project_velocity(u: MacVelocity, g: OccupancyGrid, backend,
+                     info_sink: list | None = None) -> MacVelocity:
+    """One pressure projection of a tentative velocity; solid faces keep
+    their values.  ``info_sink`` collects the backend's report, if it has
+    one, the object :func:`step` puts on ``SimState.report``."""
+    u, report = _project(u, g, backend)
+    if info_sink is not None and report is not None:
+        info_sink.append(report)
+    return u
+
+
+def step(state: SimState, cfg: SimConfig) -> SimState:
     """Advance one frame; the input state is left untouched.
 
-    ``info_sink`` collects what the projection reports; see
-    :func:`project_velocity`.
-    """
+    The returned state carries the projection's report (see
+    :class:`SimState`); non-finite output is raised as ``SimulationError.state``."""
     g = state.g
     u, density = state.u, state.density
     if not _all_finite(u, density):
@@ -205,16 +208,12 @@ def step(state: SimState, cfg: SimConfig,
     u = add_buoyancy(u, density, g, cfg.forces.buoyancy, cfg.forces.gravity, cfg.dt)
     u = vorticity_confinement(u, g, cfg.forces.confinement, cfg.dt)
     u = enforce_solid_velocities(u, g)
-    u = project_velocity(u, g, cfg.projection, info_sink)
-    u = enforce_solid_velocities(u, g)
+    u, report = _project(u, g, cfg.projection)
 
+    out = SimState(u, density, g, state.frame + 1, state.time + cfg.dt, report)
     if not _all_finite(u, density):
-        msg = f"non-finite fields after frame {state.frame + 1}"
-        if cfg.dump_path is not None:
-            write_frame(cfg.dump_path, g, u, density, cfg.dt)
-            msg += f"; frame dumped to {cfg.dump_path}"
-        raise SimulationError(msg)
-    return SimState(u, density, g, state.frame + 1, state.time + cfg.dt)
+        raise SimulationError(f"non-finite fields after frame {out.frame}", out)
+    return out
 
 
 # ====== Metrics and the driver ======
@@ -252,12 +251,11 @@ class CsvMetricsSink:
     """Appends one metrics row per frame to a CSV file."""
 
     def __init__(self, path):
-        self._f = open(path, "w", newline="")
-        self._w = csv.writer(self._f)
-        self._w.writerow(FrameMetrics.COLUMNS)
+        self._f = open(path, "w")
+        self._f.write(",".join(FrameMetrics.COLUMNS) + "\n")
 
     def __call__(self, metrics: FrameMetrics, state: SimState) -> None:
-        self._w.writerow(format_row(metrics.row()))
+        self._f.write(",".join(format_row(metrics.row())) + "\n")
 
     def close(self) -> None:
         self._f.close()

@@ -188,17 +188,15 @@ def unrolled_loss(params: NetParams, frame: SimState, cfg: LossConfig,
 
     total, grads, divs = 0.0, 0.0, []
     for s in range(1, last + 1):
-        taped = s in (1, last)
-        tapes = [] if taped else None
-        state = step(state, sim_cfg, info_sink=tapes)
+        state = step(state, sim_cfg)
         speed = state.u.max_speed()
         if speed > cfg.speed_limit:
             log.warning("sample skipped: speed %.3g beyond limit at step %d", speed, s)
             return None
-        if taped:
+        if s in (1, last):
             loss, cot = divergence_loss(state.u, w, state.g)
             total += loss
-            grads = grads + projection_backward(tapes[0], cot)
+            grads = grads + projection_backward(state.report, cot)
             divs.append(frame_metrics(state).mean_div_l2)
     return SampleStats(total, grads, n, divs[0], divs[-1])
 
@@ -336,7 +334,8 @@ def gradient_check(params: NetParams, sample: SimState, eps: float = 1e-5,
     difference quotient carries roundoff of order |loss| * ulp / eps, so
     directions where both values sit below that floor count as agreeing;
     a constant pressure offset, for example, has a true gradient of zero
-    because the masked gradient update annihilates it.
+    because the masked gradient update annihilates it.  Raises ValueError
+    when every sampled direction sits below the floor.
     """
     if n_checked < 1:
         raise ValueError(f"gradient check needs at least one parameter, got {n_checked}")
@@ -359,6 +358,7 @@ def gradient_check(params: NetParams, sample: SimState, eps: float = 1e-5,
 
     noise = abs(base.loss) * 1e-12 / eps
     worst = 0.0
+    compared = 0
     for i in idx:
         f = flat0.copy()
         f[i] = flat0[i] + eps
@@ -368,6 +368,10 @@ def gradient_check(params: NetParams, sample: SimState, eps: float = 1e-5,
         fd = (lp - lm) / (2.0 * eps)
         if abs(fd) < noise and abs(base.grads[i]) < noise:
             continue
+        compared += 1
         denom = max(abs(fd), abs(base.grads[i]), 1e-8)
         worst = max(worst, abs(fd - base.grads[i]) / denom)
+    if not compared:
+        raise ValueError(f"all {idx.size} sampled gradient directions fell below "
+                         f"the roundoff floor {noise:.3g}; nothing was compared")
     return worst

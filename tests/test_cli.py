@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from macfluid.cli import CliError, _build_parser, cli
-from macfluid.formats import load_model
+from macfluid.formats import load_model, read_frame
 
 
 @pytest.fixture(scope="module")
@@ -211,6 +211,21 @@ def test_simulate_reproducible_but_for_timing(tmp_path):
         assert pa.read_bytes() == pb.read_bytes()
 
 
+@pytest.mark.parametrize("solver", ["pcg:1e-4", "none"])
+def test_simulate_blowup_exits_two_and_dumps_the_frame(solver, tmp_path, capsys):
+    out = tmp_path / "sim"
+    rc = cli(["simulate", "--res", "16", "--frames", "3", "--buoyancy", "inf",
+              "--solver", solver, "--out", str(out)])
+    assert rc == 2
+    dump = out / "blowup.fnf"
+    assert capsys.readouterr().err.strip() == (
+        f"error: non-finite fields after frame 1; frame dumped to {dump}")
+    fd = read_frame(dump)
+    assert fd.g.dims.nx == 16
+    assert not (np.all(np.isfinite(fd.u.uy)) and np.all(np.isfinite(fd.density.values)))
+    assert len((out / "metrics.csv").read_text().splitlines()) == 1  # header only
+
+
 def test_simulate_bad_solver_spec_exits_one(tmp_path, capsys):
     rc = cli(["simulate", "--solver", "jacobi:many", "--out", str(tmp_path / "x")])
     assert rc == 1
@@ -297,6 +312,29 @@ def test_gradcheck_passes_and_prints(capsys):
 def test_gradcheck_that_checks_nothing_exits_one(flags, capsys):
     assert cli(["gradcheck", "--res", "8", "--features", "2"] + flags) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_gradcheck_counts_the_parameters_it_has(capsys):
+    # one feature with a 1x1 kernel: 19 parameters, all below the roundoff floor
+    assert cli(["gradcheck", "--res", "8", "--features", "1", "--kernel", "1",
+                "--checks", "100000"]) == 1
+    assert "nothing was compared" in capsys.readouterr().err
+    # a 1x1-kernel net of width 2 has 51; asking for more checks all of them
+    assert cli(["gradcheck", "--res", "8", "--features", "2", "--kernel", "1",
+                "--checks", "1000"]) == 0
+    assert "(51 parameters checked)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, what", [
+    (["gradcheck", "--eps", "-1e-5"], "eps must be positive"),
+    (["train", "--data", "nowhere", "--out", "m.fnm", "--lr", "-1e-3"],
+     "learning rate must be > 0"),
+])
+def test_negative_exponent_value_reaches_its_own_check(argv, what, capsys):
+    assert cli(argv) == 1
+    err = capsys.readouterr().err
+    assert what in err
+    assert "expected one argument" not in err
 
 
 # ====== README ======

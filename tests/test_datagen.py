@@ -332,6 +332,7 @@ def test_load_dataset_round_trip(tmp_path):
             assert state.g.open_top
             assert state.u.ux.dtype == np.float64
             assert state.time == pytest.approx(state.frame / 30.0)
+            assert state.report is None  # no step produced a loaded frame
     assert scenes[0].frames[0].g is not scenes[1].frames[0].g
 
 

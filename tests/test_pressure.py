@@ -315,7 +315,8 @@ def test_pcg_setup_is_not_shared_between_geometries():
     for solid in (solid_a, solid_b):
         sys = make_compatible(PoissonSystem(OccupancyGrid(dims, solid), b))
         p, info = solve_pcg(sys, tol=1e-8)
-        lat = pr._lattices[sys.g]
+        lat = sys.g.derived(_build_lattice)
+        assert "precond" in vars(lat)  # the lattice this solve factored and kept
         np.testing.assert_array_equal(lat.active, _build_lattice(sys.g).active)
         assert info.converged
         assert residual_norm(sys, p) <= 1e-8 * np.linalg.norm(sys.b.values) * (1 + 1e-12)
@@ -327,12 +328,13 @@ def test_pcg_setup_dies_with_its_grid():
     sys = random_system(rng, nx=16, ny=16, p_solid=0.2)
     solve_pcg(sys, tol=1e-6)
     grid = weakref.ref(sys.g)
-    assert grid() in pr._lattices
-    entries = len(pr._lattices)
-    del sys
+    lat = sys.g.derived(_build_lattice)
+    assert "precond" in vars(lat)  # factored on that solve, kept on the lattice
+    lattice = weakref.ref(lat)
+    del sys, lat
     gc.collect()
     assert grid() is None
-    assert len(pr._lattices) == entries - 1
+    assert lattice() is None
 
 
 def test_chain_component_keeps_ic0_with_safeguarded_pivot(caplog):
@@ -380,6 +382,23 @@ def test_pcg_reports_nonconvergence_and_still_returns(caplog):
     assert info.iterations == 2
     assert p.values.shape == sys.dims.shape
     assert any("stopped after" in r.message for r in caplog.records)
+
+
+def test_pcg_nonfinite_rhs_returns_the_zero_iterate_at_once(caplog):
+    rng = np.random.default_rng(77)
+    sys = random_system(rng, nx=16, ny=16, p_solid=0.15)
+    b = sys.b.values.copy()
+    fj, fi = np.nonzero(sys.g.fluid)
+    b[fj[5], fi[5]] = np.nan
+    with caplog.at_level(logging.WARNING, logger="macfluid.pressure"):
+        p, info = solve_pcg(PoissonSystem(sys.g, ScalarGrid(sys.dims, b)), tol=1e-6)
+    assert (info.iterations, info.converged, info.preconditioner) == (0, False, "ic0")
+    assert np.isnan(info.relres)
+    assert np.array_equal(p.values, np.zeros(sys.dims.shape))
+    # a solve that never ran factors nothing
+    assert "precond" not in vars(sys.g.derived(_build_lattice))
+    (record,) = caplog.records
+    assert "nan" in record.getMessage()
 
 
 def test_pcg_solution_has_zero_mean_on_closed_components():

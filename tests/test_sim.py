@@ -8,12 +8,12 @@ import numpy as np
 import pytest
 
 from macfluid import grids, sim
-from macfluid.convnet import NetArch, init_params
+from macfluid.convnet import NetArch, ProjectionTape, init_params, projection_backward
 from macfluid.fdops import divergence
 from macfluid.forces import ForceConfig
-from macfluid.formats import read_frame
+from macfluid.formats import format_row
 from macfluid.grids import GridDims, MacVelocity, OccupancyGrid, ScalarGrid
-from macfluid.pressure import PoissonSystem, make_compatible, solve_pcg
+from macfluid.pressure import PcgInfo, PoissonSystem, make_compatible, solve_pcg
 from macfluid.sim import (ConvnetProjection, CsvMetricsSink, ExactProjection,
                           FrameMetrics, InflowRegion, JacobiProjection,
                           NoProjection, PcgProjection, PgmFrameSink, SimConfig,
@@ -80,7 +80,7 @@ def test_step_ordering_trace(monkeypatch):
                        ("self_advect", "advect_velocity"), ("add_body_force", "body_force"),
                        ("add_buoyancy", "buoyancy"), ("vorticity_confinement", "confinement"),
                        ("enforce_solid_velocities", "enforce_solids"),
-                       ("project_velocity", "project")):
+                       ("_project", "project")):
         def noted(*args, _fn=getattr(sim, attr), _name=name, **kwargs):
             trace.append(_name)
             return _fn(*args, **kwargs)
@@ -92,13 +92,71 @@ def test_step_ordering_trace(monkeypatch):
     step(state, cfg)
     assert trace == ["inflow", "advect_density", "advect_velocity",
                      "body_force", "buoyancy", "confinement",
-                     "enforce_solids", "project", "enforce_solids"]
+                     "enforce_solids", "project"]
 
     trace.clear()
     step(state, dataclasses.replace(cfg, inflow=(), projection=NoProjection()))
     assert trace == ["advect_density", "advect_velocity", "body_force",
-                     "buoyancy", "confinement", "enforce_solids", "project",
-                     "enforce_solids"]
+                     "buoyancy", "confinement", "enforce_solids", "project"]
+
+
+_BACKENDS = {"jacobi": JacobiProjection(34), "pcg": PcgProjection(1e-6),
+             "none": NoProjection(), "exact": ExactProjection(),
+             "convnet": ConvnetProjection(init_params(NetArch(features=4), seed=3))}
+
+
+@pytest.mark.parametrize("open_top", [False, True])
+@pytest.mark.parametrize("backend", sorted(_BACKENDS))
+def test_step_leaves_plus_zero_on_every_solid_face(backend, open_top):
+    state = _random_state(12, nx=12, ny=12, n_solid=8)
+    state.g = OccupancyGrid(state.g.dims, state.g.solid, open_top)
+    cfg = SimConfig(projection=_BACKENDS[backend],
+                    forces=ForceConfig(buoyancy=0.5, confinement=0.3))
+    fm = state.g.faces
+    for _ in range(3):
+        state = step(state, cfg)
+        # +0.0 exactly: the bit pattern is all zeros, so -0.0 fails too
+        assert not state.u.ux[fm.solid_x].view(np.uint64).any()
+        assert not state.u.uy[fm.solid_y].view(np.uint64).any()
+
+
+@pytest.mark.parametrize("backend", sorted(_BACKENDS))
+def test_step_reports_what_its_projection_reported(backend):
+    state = _random_state(13)
+    cfg = SimConfig(projection=_BACKENDS[backend])
+    out = step(state, cfg)
+    if backend == "pcg":
+        assert isinstance(out.report, PcgInfo)
+        assert out.report.converged and out.report.iterations > 0
+    elif backend == "convnet":
+        assert isinstance(out.report, ProjectionTape)
+        assert out.report.cache is not None
+    else:
+        assert out.report is None
+    assert out.copy().report is out.report
+    assert plume_scenario(GridDims(16, 16))[0].report is None
+
+
+def test_convnet_report_is_the_tape_project_velocity_collects(monkeypatch):
+    seen = []
+
+    def noted(u, g, backend, _original=sim._project):
+        seen.append(u)
+        return _original(u, g, backend)
+    monkeypatch.setattr(sim, "_project", noted)
+    state = _random_state(14)
+    cfg = SimConfig(projection=_BACKENDS["convnet"])
+    out = step(state, cfg)
+    tapes = []
+    u = sim.project_velocity(seen[0], state.g, cfg.projection, info_sink=tapes)
+    np.testing.assert_array_equal(u.ux, out.u.ux)
+    np.testing.assert_array_equal(u.uy, out.u.uy)
+    rng = np.random.default_rng(15)
+    cot = MacVelocity(state.g.dims, rng.standard_normal(state.g.dims.shape_ux),
+                      rng.standard_normal(state.g.dims.shape_uy))
+    want = projection_backward(tapes[0], cot)
+    assert np.any(want != 0.0)
+    assert np.array_equal(projection_backward(out.report, cot), want)
 
 
 def test_inflow_masks_are_built_once_per_grid_and_regions(monkeypatch):
@@ -132,12 +190,13 @@ def test_inflow_masks_are_built_once_per_grid_and_regions(monkeypatch):
         np.testing.assert_array_equal(u.uy, uy)
     assert built == [a.center, a.center, b.center]
 
+    # the masks are kept on the grid and die with it
     grid = weakref.ref(g)
-    entries = len(sim._inflow_masks)
+    mask = weakref.ref(g.derived(sim._inflow_region_masks, (a, b))[1][0])
     del state, g
     gc.collect()
     assert grid() is None
-    assert len(sim._inflow_masks) == entries - 1
+    assert mask() is None
 
 
 def test_unknown_backend_rejected():
@@ -155,16 +214,15 @@ def test_no_projection_returns_velocity_unchanged():
     assert sink == []
 
 
-def test_convnet_backend_runs_and_collects_tapes():
+def test_convnet_backend_runs_and_reports_its_tape():
     state = _random_state(8)
     params = init_params(NetArch(features=4), seed=1)
     cfg = SimConfig(projection=ConvnetProjection(params))
-    tapes = []
-    out = step(state, cfg, info_sink=tapes)
-    assert len(tapes) == 1
-    assert tapes[0].cache is not None
+    out = step(state, cfg)
+    assert isinstance(out.report, ProjectionTape)
+    assert out.report.cache is not None
     assert out.frame == 1
-    out2 = step(state, cfg)  # no sink: same result
+    out2 = step(state, cfg)
     np.testing.assert_array_equal(out.u.ux, out2.u.ux)
 
 
@@ -176,15 +234,21 @@ def test_jacobi_backend_runs():
     assert div1 < div0
 
 
-def test_nonfinite_abort_dumps_frame(tmp_path):
+def test_nonfinite_abort_carries_the_state():
     state = _random_state(10)
-    dump = tmp_path / "blowup.fnf"
     cfg = SimConfig(forces=ForceConfig(gravity=(float("inf"), 0.0)),
-                    projection=NoProjection(), dump_path=str(dump))
-    with pytest.raises(SimulationError, match="non-finite"):
+                    projection=NoProjection())
+    with pytest.raises(SimulationError, match="after frame 1") as e:
         step(state, cfg)
-    fd = read_frame(dump)
-    assert fd.g.dims == state.g.dims
+    bad = e.value.state
+    assert (bad.g, bad.frame, bad.time) == (state.g, 1, cfg.dt)
+    assert not np.all(np.isfinite(bad.u.ux))
+    # the step's own input was finite, so it is left as it was
+    assert np.all(np.isfinite(state.u.ux))
+    # a non-finite input is refused before any work, with no state
+    with pytest.raises(SimulationError, match="input of frame 2") as e:
+        step(bad, cfg)
+    assert e.value.state is None
 
 
 def test_config_validation():
@@ -227,6 +291,12 @@ def test_run_metrics_and_sinks(tmp_path):
     lines = csv_path.read_text().strip().splitlines()
     assert lines[0] == ",".join(FrameMetrics.COLUMNS)
     assert len(lines) == 4
+    # one row writer for every CSV: plain newlines, format_row cells
+    raw = csv_path.read_bytes()
+    assert b"\r" not in raw
+    assert raw.decode() == "".join(
+        ",".join(row) + "\n"
+        for row in [FrameMetrics.COLUMNS, *(format_row(m.row()) for m in metrics)])
     assert sorted(p.name for p in frames_dir.iterdir()) == [
         "frame_000001.pgm", "frame_000002.pgm", "frame_000003.pgm"]
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from macfluid.convnet import NetArch, init_params, projection_backward
+from macfluid.datagen import SceneConfig, build_scene
 from macfluid.fdops import divergence, face_masks
 from macfluid.forces import ForceConfig
 from macfluid.grids import (DistanceField, GridDims, MacVelocity,
@@ -237,18 +238,16 @@ def test_unrolled_loss_replay_oracle_n4():
     cur, n, sim_cfg = _replay_start(state, params, cfg, 12, aug_cfg)
     assert n == 4
     w = loss_weights(distance_field(state.g), cfg.k)
-    tapes = []
-    cur = step(cur, sim_cfg, info_sink=tapes)
+    cur = step(cur, sim_cfg)
     want, cot = divergence_loss(cur.u, w, cur.g)
-    want_grads = projection_backward(tapes[0], cot)
+    want_grads = projection_backward(cur.report, cot)
     div1 = _mean_abs_fluid_div(cur)
     for _ in range(2):
         cur = step(cur, sim_cfg)
-    tapes = []
-    cur = step(cur, sim_cfg, info_sink=tapes)
+    cur = step(cur, sim_cfg)
     lossn, cot = divergence_loss(cur.u, w, cur.g)
     want += lossn
-    want_grads = want_grads + projection_backward(tapes[0], cot)
+    want_grads = want_grads + projection_backward(cur.report, cot)
     assert stats.loss == want
     assert np.array_equal(stats.grads, want_grads)
     assert stats.div_step1 == div1
@@ -415,6 +414,16 @@ def test_gradient_check_rejects_settings_that_check_nothing(kw):
     params = init_params(NetArch(features=2), seed=11)
     with pytest.raises(ValueError):
         gradient_check(params, state, **kw)
+
+
+def test_gradient_check_raises_when_nothing_is_compared():
+    # a 1x1-kernel, one-feature net has 19 parameters, and on this scene
+    # every one of their gradients sits below the roundoff floor
+    state, _ = build_scene(SceneConfig(dims=GridDims(8, 8), seed=0))
+    params = init_params(NetArch(features=1, kernel=1), np.random.SeedSequence(0))
+    assert params.n_params == 19
+    with pytest.raises(ValueError, match="nothing was compared"):
+        gradient_check(params, state, n_checked=100000)
 
 
 def test_gradient_check_in_relu_linear_region():
