@@ -247,3 +247,32 @@ def test_maccormack_samples_velocity_once_per_lattice(monkeypatch):
     self_advect(u, g, 0.3, "maccormack")
     # per lattice: two velocity components, the forward and the backward value
     assert len(calls) == 3 * 4
+
+
+# sha256 of (ux, uy, density) after 12 MacCormack plume frames, computed
+# before the open-fluid fast path and the flat corner gather existed; both
+# must leave every byte of advection as it was
+_GOLDEN_PLUMES = {
+    "disc64_jacobi": (
+        (64, dict(obstacle="disc")),
+        "23c3803470bbe3e50501c212ff47099586ce98a7ce4151d7f5b55686eedc8fb8"),
+    "box32_open_top": (
+        (32, dict(obstacle="box", open_top=True, inflow_speed=4.0, buoyancy=2.0, dt=0.5)),
+        "d5a5c1b7224c01d41ac1d7ece5fb91d763c229d2875ea1f1542eccdc460ac668"),
+}
+
+
+@pytest.mark.parametrize("scene", sorted(_GOLDEN_PLUMES))
+def test_plume_bytes_match_the_golden_digest(scene):
+    import hashlib
+
+    from macfluid import sim
+    (n, kwargs), want = _GOLDEN_PLUMES[scene]
+    state, cfg = sim.plume_scenario(GridDims(n, n), projection=sim.JacobiProjection(34),
+                                    advection="maccormack", **kwargs)
+    for _ in range(12):
+        state = sim.step(state, cfg)
+    digest = hashlib.sha256()
+    for arr in (state.u.ux, state.u.uy, state.density.values):
+        digest.update(np.ascontiguousarray(arr).tobytes())
+    assert digest.hexdigest() == want

@@ -161,6 +161,22 @@ def test_sample_clamps_to_border_band():
     assert sample_scalar(q, (40.0, 40.0)) == pytest.approx(q.values[-1, -1])
 
 
+@pytest.mark.parametrize("pos", [(np.nan, 1.0), (1.0, np.nan), (np.nan, np.nan)])
+def test_sample_at_a_nan_position_raises(pos):
+    # odd widths: a NaN cast to int64 is INT_MIN, and INT_MIN * ncols + INT_MIN
+    # wraps to flat index 0 when ncols is odd, i.e. to a silent values[0, 0]
+    dims = GridDims(7, 5, h=0.5)
+    rng = np.random.default_rng(10)
+    q = ScalarGrid(dims, rng.normal(size=dims.shape))
+    u = MacVelocity(dims, rng.normal(size=dims.shape_ux), rng.normal(size=dims.shape_uy))
+    pts = np.array([[1.0, 1.0], pos])
+    with np.errstate(invalid="ignore"):
+        with pytest.raises((IndexError, ValueError)):
+            sample_scalar(q, pts)
+        with pytest.raises((IndexError, ValueError)):
+            sample_velocity(u, pts)
+
+
 def test_sample_scalar_reproduces_linear_fields():
     dims = GridDims(8, 7, h=0.5)
     cc = dims.cell_centers()
