@@ -11,6 +11,17 @@ the crossing.  At that spacing no trace steps over a straight wall one
 cell thick, at any CFL number.  Each lattice (cell centers, x faces,
 y faces) is traced in its own (nrows, ncols) shape.
 
+Most traces of a lattice start in open fluid and are too short to reach
+any non-fluid cell, so they skip the scan.  Each lattice node gets a
+clearance once per grid: D - 1.5 cells, where D is the center-to-center
+distance from the node's cell to the nearest non-fluid cell of the padded
+fluid mask (border walls and the air above an open top included).  No
+non-fluid point lies nearer than D - sqrt(2); the extra slack absorbs
+roundoff in the probe positions.  A trace shorter than its clearance lands
+at x0 + dx, bit for bit what the scan would give.  ``g.distance`` cannot
+serve here: it measures distance to solid cells only, ignores the border
+and the open top, and is +inf on a grid without solid.
+
 The MacCormack scheme runs the plain trace forward and backward, both
 scaled from one velocity sample at the lattice nodes, applies half the
 round-trip defect as a correction, and keeps the corrected value
@@ -23,9 +34,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy import ndimage
 
 from .grids import (MacVelocity, OccupancyGrid, ScalarGrid, _bilinear, _lattice_xy,
-                    sample_velocity)
+                    _read_only, sample_velocity)
 
 _MIN_PROBES = 4
 _BISECT_ITERS = 8
@@ -35,13 +47,10 @@ def _check_scheme(scheme: str) -> None:
         raise ValueError(f"unknown advection scheme {scheme!r}")
 
 
-def _fluid_at_points(g: OccupancyGrid, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """True where the point lies inside a fluid cell.
-
-    One lookup into the padded fluid mask: a cell index shifted by one and
-    clamped to the ring of False cells stands for every point outside the
-    grid.
-    """
+def _padded_cell(g: OccupancyGrid, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Flat index into ``g.fluid_padded`` of the cell holding each point: a
+    cell index shifted by one and clamped to the ring of False cells stands
+    for every point outside the grid."""
     nx, ny = g.dims.nx, g.dims.ny
     i = np.floor(x / g.dims.h).astype(np.int64)
     j = np.floor(y / g.dims.h).astype(np.int64)
@@ -53,10 +62,38 @@ def _fluid_at_points(g: OccupancyGrid, x: np.ndarray, y: np.ndarray) -> np.ndarr
     np.minimum(j, ny + 1, out=j)
     j *= nx + 2
     j += i
-    return g.fluid_padded.ravel().take(j)
+    return j
 
 
-def _trace(g: OccupancyGrid, x0: np.ndarray, y0: np.ndarray, dx: np.ndarray,
+def _fluid_at_points(g: OccupancyGrid, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """True where the point lies inside a fluid cell (one padded-mask lookup)."""
+    return g.fluid_padded.ravel().take(_padded_cell(g, x, y))
+
+
+def _clearance2(g: OccupancyGrid, shape: tuple[int, int], offx: float,
+                offy: float) -> np.ndarray:
+    """Squared clearance of each node of a lattice, in world units: the
+    length a trace from the node may have and still meet no non-fluid point.
+    Built once per lattice with ``g.derived``.
+
+    A node lies in the cell ``_fluid_at_points`` assigns it, so within
+    sqrt(2)/2 of that cell's center, and every point of a non-fluid cell
+    lies within sqrt(2)/2 of its center; points outside the padded mask
+    lie behind its ring of non-fluid cells.  So no non-fluid point is
+    nearer to the node than D - sqrt(2) cells, where D is the
+    center-to-center distance from the node's cell to the nearest non-fluid
+    cell of ``g.fluid_padded``.  The clearance is D - 1.5, at least 0, so
+    that roundoff in the probe positions x0 + i * (dx / k) cannot reach past
+    the bound.
+    """
+    h = g.dims.h
+    x, y = _lattice_xy(shape, offx, offy)
+    x, y = np.broadcast_arrays(x * h, y * h)
+    d = ndimage.distance_transform_edt(g.fluid_padded).ravel().take(_padded_cell(g, x, y))
+    return _read_only((np.maximum(d - 1.5, 0.0) * h) ** 2)
+
+
+def _clamp(g: OccupancyGrid, x0: np.ndarray, y0: np.ndarray, dx: np.ndarray,
            dy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Landing points (x0 + dx, y0 + dy), each clamped to the fluid side of
     its first crossing; the start points broadcast against the displacements."""
@@ -89,6 +126,21 @@ def _trace(g: OccupancyGrid, x0: np.ndarray, y0: np.ndarray, dx: np.ndarray,
     return out_x, out_y
 
 
+def _trace(g: OccupancyGrid, x0: np.ndarray, y0: np.ndarray, dx: np.ndarray,
+           dy: np.ndarray, clear2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_clamp`` for the nodes of a lattice, with ``clear2`` from
+    ``_clearance2``: a trace shorter than its node's clearance meets no
+    non-fluid point and lands at x0 + dx unscanned; only the rest (NaN and
+    inf displacements among them, which fail the comparison) are scanned."""
+    out_x, out_y = x0 + dx, y0 + dy
+    far = np.nonzero(~(dx * dx + dy * dy < clear2))
+    if far[0].size:
+        out_x[far], out_y[far] = _clamp(
+            g, np.broadcast_to(x0, dx.shape)[far], np.broadcast_to(y0, dx.shape)[far],
+            dx[far], dy[far])
+    return out_x, out_y
+
+
 def trace_back(pos: np.ndarray, u: MacVelocity, g: OccupancyGrid, dt: float) -> np.ndarray:
     """Landing points of backward Euler traces pos - dt * u(pos).
 
@@ -97,7 +149,7 @@ def trace_back(pos: np.ndarray, u: MacVelocity, g: OccupancyGrid, dt: float) -> 
     """
     pos = np.asarray(pos, dtype=np.float64)
     vel = sample_velocity(u, pos)
-    x, y = _trace(g, pos[:, 0], pos[:, 1], -dt * vel[:, 0], -dt * vel[:, 1])
+    x, y = _clamp(g, pos[:, 0], pos[:, 1], -dt * vel[:, 0], -dt * vel[:, 1])
     return np.stack([x, y], axis=-1)
 
 
@@ -109,13 +161,14 @@ def _advect_lattice(values: np.ndarray, offx: float, offy: float, u: MacVelocity
     x, y = x * h, y * h
     vx = _bilinear(u.ux, x, y, 0.0, 0.5, h)
     vy = _bilinear(u.uy, x, y, 0.5, 0.0, h)
-    bx, by = _trace(g, x, y, -dt * vx, -dt * vy)
+    clear2 = g.derived(_clearance2, values.shape, offx, offy)
+    bx, by = _trace(g, x, y, -dt * vx, -dt * vy, clear2)
 
     if scheme == "sl":
         return _bilinear(values, bx, by, offx, offy, h)
 
     fwd, lo, hi = _bilinear(values, bx, by, offx, offy, h, with_bounds=True)
-    ax, ay = _trace(g, x, y, dt * vx, dt * vy)
+    ax, ay = _trace(g, x, y, dt * vx, dt * vy, clear2)
     bwd = _bilinear(fwd, ax, ay, offx, offy, h)
     corrected = fwd + 0.5 * (values - bwd)
     inside = (corrected >= lo) & (corrected <= hi)

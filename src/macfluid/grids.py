@@ -215,6 +215,10 @@ def _bilinear(values: np.ndarray, x: np.ndarray, y: np.ndarray, offx: float,
 
     Positions outside the lattice are clamped to the border sample band
     first, so no value outside the convex hull of samples is ever produced.
+    The four corners are gathered from the flattened lattice at k, k + 1,
+    k + ncols and k + ncols + 1, where k = j0 * ncols + i0.  A NaN position
+    raises ValueError: its int64 cast is INT_MIN, which that flat index
+    would wrap back into range (to 0 when ncols is odd).
     Returns the interpolated values, plus the min and max over the four
     support samples when ``with_bounds`` is set.
     """
@@ -223,12 +227,23 @@ def _bilinear(values: np.ndarray, x: np.ndarray, y: np.ndarray, offx: float,
     fy = np.clip(y / h - offy, 0.0, nrows - 1.0)
     i0 = np.minimum(fx.astype(np.int64), ncols - 2)
     j0 = np.minimum(fy.astype(np.int64), nrows - 2)
+    if min(i0.min(initial=0), j0.min(initial=0)) < 0:
+        # the clip keeps only NaN below zero
+        bx, by = np.broadcast_arrays(x, y)
+        at = np.flatnonzero(np.isnan(bx) | np.isnan(by))[0]
+        raise ValueError(f"cannot sample at the non-finite position "
+                         f"({bx.flat[at]}, {by.flat[at]})")
     tx = fx - i0
     ty = fy - j0
-    v00 = values[j0, i0]
-    v01 = values[j0, i0 + 1]
-    v10 = values[j0 + 1, i0]
-    v11 = values[j0 + 1, i0 + 1]
+    flat = values.ravel()
+    k = j0 * ncols + i0
+    v00 = flat.take(k)
+    k += 1
+    v01 = flat.take(k)
+    k += ncols
+    v11 = flat.take(k)
+    k -= 1
+    v10 = flat.take(k)
     top = v00 + tx * (v01 - v00)
     bot = v10 + tx * (v11 - v10)
     out = top + ty * (bot - top)

@@ -276,3 +276,44 @@ def test_plume_bytes_match_the_golden_digest(scene):
     for arr in (state.u.ux, state.u.uy, state.density.values):
         digest.update(np.ascontiguousarray(arr).tobytes())
     assert digest.hexdigest() == want
+
+
+def _clearance_scene(geometry, open_top, h):
+    dims = GridDims(64, 64, h=h)
+    if geometry == "disc":
+        solid = grids.disc_mask(dims, (30.0, 34.0), 9.0)
+    elif geometry == "box":
+        solid = grids.box_mask(dims, (34.0, 28.0), (8.0, 5.0), angle=0.4)
+    elif geometry == "capsule":
+        solid = grids.capsule_mask(dims, (20.0, 20.0), (44.0, 40.0), 3.5)
+    else:
+        solid = np.random.default_rng(50).random(dims.shape) < 0.01
+    return OccupancyGrid(dims, solid, open_top)
+
+
+@pytest.mark.parametrize("open_top", [False, True])
+@pytest.mark.parametrize("geometry", ["disc", "box", "capsule", "random"])
+def test_clearance_skip_lands_where_the_full_scan_does(geometry, open_top):
+    rng = np.random.default_rng(51)
+    for h in (1.0, 0.37, 2.5):
+        g = _clearance_scene(geometry, open_top, h)
+        for shape, offx, offy in ((g.dims.shape, 0.5, 0.5), (g.dims.shape_ux, 0.0, 0.5),
+                                  (g.dims.shape_uy, 0.5, 0.0)):
+            x, y = grids._lattice_xy(shape, offx, offy)
+            x, y = x * h, y * h
+            clear2 = g.derived(advection._clearance2, shape, offx, offy)
+            clamped = 0
+            for cfl in (0.05, 0.7, 3.0, 20.0):
+                d = rng.normal(size=(2, *shape))
+                d *= cfl * h / np.abs(d).max()
+                skipped = d[0] * d[0] + d[1] * d[1] < clear2
+                if cfl == 0.05:
+                    assert skipped.mean() >= 0.8
+                for sign in (1.0, -1.0):
+                    dx, dy = sign * d[0], sign * d[1]
+                    got = advection._trace(g, x, y, dx, dy, clear2)
+                    want = advection._clamp(g, x, y, dx, dy)
+                    np.testing.assert_array_equal(got[0], want[0])
+                    np.testing.assert_array_equal(got[1], want[1])
+                    clamped += np.count_nonzero((want[0] != x + dx) | (want[1] != y + dy))
+            assert clamped > 0
