@@ -11,16 +11,13 @@ the crossing.  At that spacing no trace steps over a straight wall one
 cell thick, at any CFL number.  Each lattice (cell centers, x faces,
 y faces) is traced in its own (nrows, ncols) shape.
 
-Most traces of a lattice start in open fluid and are too short to reach
-any non-fluid cell, so they skip the scan.  Each lattice node gets a
-clearance once per grid: D - 1.5 cells, where D is the center-to-center
-distance from the node's cell to the nearest non-fluid cell of the padded
-fluid mask (border walls and the air above an open top included).  No
-non-fluid point lies nearer than D - sqrt(2); the extra slack absorbs
-roundoff in the probe positions.  A trace shorter than its clearance lands
-at x0 + dx, bit for bit what the scan would give.  ``g.distance`` cannot
-serve here: it measures distance to solid cells only, ignores the border
-and the open top, and is +inf on a grid without solid.
+Most traces start in open fluid and are too short to reach a non-fluid
+cell; they skip the scan and land at x0 + dx, bit for bit what the scan
+gives.  The test is a clearance per lattice node, built once per grid
+(``_clearance2``): D - 1.5 cells, D being the distance to the nearest
+non-fluid cell of the padded fluid mask, so border walls and the air above
+an open top count too.  ``g.distance`` would not do: it sees only solid
+cells and is +inf on a grid without solid.
 
 The MacCormack scheme runs the plain trace forward and backward, both
 scaled from one velocity sample at the lattice nodes, applies half the
@@ -89,8 +86,14 @@ def _clearance2(g: OccupancyGrid, shape: tuple[int, int], offx: float,
     h = g.dims.h
     x, y = _lattice_xy(shape, offx, offy)
     x, y = np.broadcast_arrays(x * h, y * h)
-    d = ndimage.distance_transform_edt(g.fluid_padded).ravel().take(_padded_cell(g, x, y))
+    d = g.derived(_padded_distance).take(_padded_cell(g, x, y))
     return _read_only((np.maximum(d - 1.5, 0.0) * h) ** 2)
+
+
+def _padded_distance(g: OccupancyGrid) -> np.ndarray:
+    """D for every cell of ``g.fluid_padded``, flattened: the center-to-center
+    distance to the nearest non-fluid cell, in cells; 0 on non-fluid cells."""
+    return _read_only(ndimage.distance_transform_edt(g.fluid_padded).ravel())
 
 
 def _clamp(g: OccupancyGrid, x0: np.ndarray, y0: np.ndarray, dx: np.ndarray,

@@ -309,10 +309,14 @@ def test_clearance_skip_lands_where_the_full_scan_does(geometry, open_top):
                 skipped = d[0] * d[0] + d[1] * d[1] < clear2
                 if cfl == 0.05:
                     assert skipped.mean() >= 0.8
+                    if h == 1.0:  # these fail the comparison and take the scan
+                        r, c = np.unravel_index(np.argmax(clear2), shape)
+                        d[0, r, c], d[1, r, c + 1] = np.nan, np.inf
                 for sign in (1.0, -1.0):
                     dx, dy = sign * d[0], sign * d[1]
-                    got = advection._trace(g, x, y, dx, dy, clear2)
-                    want = advection._clamp(g, x, y, dx, dy)
+                    with np.errstate(invalid="ignore"):
+                        got = advection._trace(g, x, y, dx, dy, clear2)
+                        want = advection._clamp(g, x, y, dx, dy)
                     np.testing.assert_array_equal(got[0], want[0])
                     np.testing.assert_array_equal(got[1], want[1])
                     clamped += np.count_nonzero((want[0] != x + dx) | (want[1] != y + dy))
