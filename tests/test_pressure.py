@@ -22,7 +22,7 @@ from macfluid.pressure import (
     solve_jacobi,
     solve_pcg,
 )
-from macfluid.sim import plume_scenario
+from macfluid.sim import JacobiProjection, plume_scenario, step
 
 
 def random_system(rng, nx=8, ny=8, p_solid=0.2, open_top=False, compatible=True):
@@ -217,7 +217,7 @@ def test_pcg_matches_dense_solution():
         ref = solve_dense_direct(sys)
         got, info = solve_pcg(sys, tol=1e-10)
         assert info.converged
-        assert info.preconditioner == "ic0"
+        assert info.preconditioner == "mic0"
         np.testing.assert_allclose(got.values, ref.values, atol=1e-7)
 
 
@@ -349,11 +349,18 @@ def test_chain_component_keeps_ic0_with_safeguarded_pivot(caplog):
     sys = make_compatible(PoissonSystem(g, b))
     with caplog.at_level(logging.WARNING, logger="macfluid.pressure"):
         p, info = solve_pcg(sys, tol=1e-10)
-    assert info.preconditioner == "ic0"
+    assert info.preconditioner == "mic0"
     assert info.converged
     assert not caplog.records
     ref = solve_dense_direct(sys)
     np.testing.assert_allclose(p.values, ref.values, atol=1e-8)
+    # a chain has no fill for MIC(0) to take back: the factor the solve
+    # converged with is IC(0)'s, safeguarded last pivot included
+    lat = g.derived(_build_lattice)
+    ldiag, lw, ls = _ic0_factor(lat)
+    assert ldiag[-1] ** 2 == lat.adiag[-1] and lw[-1] != 0
+    for got, want in zip((ldiag, lw, ls), _ic0_factor_reference(lat)):
+        assert got.tobytes() == want.tobytes()
 
     # a chain elsewhere in the domain must not weaken the whole solve: a
     # closed box around a disc and a solid bar, which with ``channel`` is
@@ -368,7 +375,7 @@ def test_chain_component_keeps_ic0_with_safeguarded_pivot(caplog):
         rng = np.random.default_rng(79)
         b = ScalarGrid(g.dims, rng.normal(size=g.dims.shape) * g.fluid)
         _, info = solve_pcg(make_compatible(PoissonSystem(g, b)), tol=1e-6)
-        assert info.converged and info.preconditioner == "ic0"
+        assert info.converged and info.preconditioner == "mic0"
         iterations[channel] = info.iterations
     assert iterations[True] <= iterations[False] + 5, iterations
 
@@ -392,7 +399,7 @@ def test_pcg_nonfinite_rhs_returns_the_zero_iterate_at_once(caplog):
     b[fj[5], fi[5]] = np.nan
     with caplog.at_level(logging.WARNING, logger="macfluid.pressure"):
         p, info = solve_pcg(PoissonSystem(sys.g, ScalarGrid(sys.dims, b)), tol=1e-6)
-    assert (info.iterations, info.converged, info.preconditioner) == (0, False, "ic0")
+    assert (info.iterations, info.converged, info.preconditioner) == (0, False, "mic0")
     assert np.isnan(info.relres)
     assert np.array_equal(p.values, np.zeros(sys.dims.shape))
     # a solve that never ran factors nothing
@@ -477,8 +484,9 @@ def _wavefront_ic0_apply(lat, fac, r):
     return z
 
 
-def test_ic0_triangular_solves_match_wavefront_sweeps():
-    rng = np.random.default_rng(132)
+def _factor_grids(rng):
+    """(chain, grid) for random solids, open and closed top, h 1 and 0.37,
+    one with a closed one-cell channel; drawn from ``rng`` as iterated."""
     for open_top in (False, True):
         for nx, ny, h, p_solid, chain in ((12, 10, 1.0, 0.2, False),
                                           (17, 13, 0.37, 0.3, False),
@@ -491,32 +499,103 @@ def test_ic0_triangular_solves_match_wavefront_sweeps():
                 # a closed one-cell channel, whose last pivot collapses
                 solid[5:8, 1:nx - 1] = True
                 solid[6, 2:nx - 2] = False
-            g = OccupancyGrid(GridDims(nx, ny, h), solid, open_top)
-            lat = _build_lattice(g)
-            assert not lat.active[2, 2]
-            fac = _ic0_factor(lat)
-            ldiag, lw, ls = fac
-            # a safeguarded pivot is the cell's diagonal although it has links
-            safeguarded = (ldiag ** 2 == lat.adiag) & ((lw != 0) | (ls != 0))
-            assert safeguarded.any() == chain, (open_top, nx, ny)
-            lu = _ic0_lu(lat, fac)
-            # SuperLU keeps L as the unit triangle L D^-1 and U as D: no fill-in
-            nnz_L = lat.n + np.count_nonzero(lat.w >= 0) + np.count_nonzero(lat.s >= 0)
-            assert lu.L.nnz + lu.U.nnz == nnz_L + lat.n
-            np.testing.assert_array_equal(lu.perm_r, np.arange(lat.n))
-            np.testing.assert_array_equal(lu.perm_c, np.arange(lat.n))
-            precond = _ic0_preconditioner(lat, fac)
-            for _ in range(3):
-                r = rng.normal(size=lat.n)
-                got = precond(r)
-                want = _wavefront_ic0_apply(lat, fac, r)
-                assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
-            # the CSR matrix is the matrix-free operator on the active cells
-            x = np.zeros(g.dims.shape)
-            x[lat.active] = rng.normal(size=lat.n)
-            np.testing.assert_allclose(lat.A @ x[lat.active],
-                                       apply_poisson(g, ScalarGrid(g.dims, x)).values[lat.active],
-                                       rtol=1e-13, atol=1e-13 / h ** 2)
+            yield chain, OccupancyGrid(GridDims(nx, ny, h), solid, open_top)
+
+
+def _ic0_factor_reference(lat):
+    """IC(0): the wavefront sweep of ``_ic0_factor`` without MIC(0)'s term."""
+    ldiag = np.zeros(lat.n + 1)
+    lw = np.zeros(lat.n)
+    ls = np.zeros(lat.n)
+    for front in lat.fronts:
+        wi = lat.w[front]
+        si = lat.s[front]
+        gw = ldiag[wi]
+        gs = ldiag[si]
+        fw = np.where(wi >= 0, lat.off / np.where(gw > 0, gw, 1.0), 0.0)
+        fs = np.where(si >= 0, lat.off / np.where(gs > 0, gs, 1.0), 0.0)
+        ad = lat.adiag[front]
+        pivot = ad - fw * fw - fs * fs
+        ldiag[front] = np.sqrt(np.where(pivot > 1e-12 * ad, pivot, ad))
+        lw[front] = fw
+        ls[front] = fs
+    return ldiag[:-1], lw, ls
+
+
+def _mic0_oracle(lat, tau):
+    """MIC(0) one cell at a time in row-major order, as Bridson's loop
+    writes it with precon = 1 / Ldiag, under the same 1e-12 pivot guard."""
+    a = lat.active
+    ny, nx = a.shape
+
+    def fluid(j, i):
+        return 0 <= j < ny and 0 <= i < nx and a[j, i]
+
+    precon = np.zeros(a.shape)
+    out = []
+    for j in range(ny):
+        for i in range(nx):
+            if not a[j, i]:
+                continue
+            adiag = lat.adiag[len(out)]
+            # A's coefficient between two active cells is off, else 0
+            ax = lat.off if fluid(j, i - 1) else 0.0      # west link
+            ay = lat.off if fluid(j - 1, i) else 0.0      # south link
+            ax_n = lat.off if fluid(j + 1, i - 1) else 0.0  # west cell's north link
+            ay_e = lat.off if fluid(j - 1, i + 1) else 0.0  # south cell's east link
+            pw = precon[j, i - 1] if i > 0 else 0.0
+            ps = precon[j - 1, i] if j > 0 else 0.0
+            e = (adiag - (ax * pw) ** 2 - (ay * ps) ** 2
+                 - tau * (ax * ax_n * pw ** 2 + ay * ay_e * ps ** 2))
+            if e <= 1e-12 * adiag:
+                e = adiag
+            precon[j, i] = 1.0 / np.sqrt(e)
+            out.append((1.0 / precon[j, i], ax * pw, ay * ps))
+    return tuple(np.array(c) for c in zip(*out))
+
+
+def test_mic0_factor_matches_ic0_at_tau_zero_and_the_scalar_oracle(monkeypatch):
+    for chain, g in _factor_grids(np.random.default_rng(133)):
+        lat = _build_lattice(g)
+        mic = _ic0_factor(lat)
+        for got, want in zip(mic, _mic0_oracle(lat, pr.MIC_TAU)):
+            np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+        assert not np.array_equal(mic[0], _ic0_factor_reference(lat)[0])
+        with monkeypatch.context() as m:
+            m.setattr(pr, "MIC_TAU", 0.0)
+            ic = _ic0_factor(lat)
+        for got, want in zip(ic, _ic0_factor_reference(lat)):
+            assert got.tobytes() == want.tobytes(), (chain, g.open_top, g.dims.h)
+
+
+def test_ic0_triangular_solves_match_wavefront_sweeps():
+    rng = np.random.default_rng(132)
+    for chain, g in _factor_grids(rng):
+        lat = _build_lattice(g)
+        assert not lat.active[2, 2]
+        fac = _ic0_factor(lat)
+        ldiag, lw, ls = fac
+        # a safeguarded pivot is the cell's diagonal although it has links
+        safeguarded = (ldiag ** 2 == lat.adiag) & ((lw != 0) | (ls != 0))
+        assert safeguarded.any() == chain, (g.open_top, g.dims)
+        lu = _ic0_lu(lat, fac)
+        # SuperLU keeps L as the unit triangle L D^-1 and U as D: no fill-in
+        nnz_L = lat.n + np.count_nonzero(lat.w >= 0) + np.count_nonzero(lat.s >= 0)
+        assert lu.L.nnz + lu.U.nnz == nnz_L + lat.n
+        np.testing.assert_array_equal(lu.perm_r, np.arange(lat.n))
+        np.testing.assert_array_equal(lu.perm_c, np.arange(lat.n))
+        precond = _ic0_preconditioner(lat, fac)
+        for _ in range(3):
+            r = rng.normal(size=lat.n)
+            got = precond(r)
+            want = _wavefront_ic0_apply(lat, fac, r)
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        # the CSR matrix is the matrix-free operator on the active cells
+        x = np.zeros(g.dims.shape)
+        x[lat.active] = rng.normal(size=lat.n)
+        np.testing.assert_allclose(lat.A @ x[lat.active],
+                                   apply_poisson(g, ScalarGrid(g.dims, x)).values[lat.active],
+                                   rtol=1e-13, atol=1e-13 / g.dims.h ** 2)
 
 
 def _disc_plume_system(res, seed):
@@ -540,6 +619,23 @@ def test_pcg_iterations_match_wavefront_preconditioner(monkeypatch):
                       lambda lat, fac: lambda r: _wavefront_ic0_apply(lat, fac, r))
             _, ref_info = solve_pcg(_same_geometry(sys), tol=1e-6)
         assert info.converged and ref_info.converged
-        assert info.preconditioner == ref_info.preconditioner == "ic0"
+        assert info.preconditioner == ref_info.preconditioner == "mic0"
         assert abs(info.iterations - ref_info.iterations) <= 1, \
             (res, info.iterations, ref_info.iterations)
+
+
+def test_mic0_cuts_pcg_iterations_on_the_settled_plume(monkeypatch):
+    # the 64^2 disc plume after 8 Jacobi(34) frames: MIC(0) converges to
+    # 1e-4 in 37 iterations, IC(0) (tau 0) in 66
+    state, cfg = plume_scenario(GridDims(64, 64), obstacle="disc",
+                                projection=JacobiProjection(34))
+    for _ in range(8):
+        state = step(state, cfg)
+    d = divergence(state.u, state.g)
+    sys = make_compatible(PoissonSystem(state.g, ScalarGrid(state.g.dims, -d.values)))
+    _, info = solve_pcg(sys, tol=1e-4)
+    assert info.converged and info.iterations <= 42, info
+    with monkeypatch.context() as m:
+        m.setattr(pr, "MIC_TAU", 0.0)
+        _, ic0 = solve_pcg(_same_geometry(sys), tol=1e-4)
+    assert ic0.converged and ic0.iterations > 60, ic0
