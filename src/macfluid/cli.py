@@ -20,8 +20,8 @@ import numpy as np
 
 from .convnet import NetArch, init_params
 from .datagen import SceneConfig, build_scene, generate_dataset, load_dataset
-from .evaluate import (BenchRow, bench, eval_divergence_curves, match_divergence,
-                       parse_backend, write_bench_csv)
+from .evaluate import (WARMUP_FRAMES, BenchRow, bench, eval_divergence_curves,
+                       match_divergence, parse_backend, write_bench_csv)
 from .formats import csv_text, load_model, save_model, write_frame
 from .grids import GridDims
 from .sim import (ConvnetProjection, CsvMetricsSink, FrameMetrics, PgmFrameSink,
@@ -197,7 +197,7 @@ def _cmd_bench(args) -> int:
     if not sizes:
         raise CliError("--res must list at least one size")
     rows = bench(projection, [GridDims(n, n) for n in sizes],
-                 repetitions=args.reps, seed=args.seed, name=name)
+                 repetitions=args.reps, name=name)
     if args.out is not None:
         write_bench_csv(rows, args.out)
         print(f"timings written to {args.out}")
@@ -305,14 +305,16 @@ def _build_parser() -> _Parser:
     _add_common(p)
     p.set_defaults(_run=_cmd_eval, _sub=p)
 
-    p = subs.add_parser("bench", help="time the projection phase",
-                        description="Time divergence + solve + velocity update "
-                                    "on synthetic states; CSV columns "
+    p = subs.add_parser("bench", help="time plume frames per backend",
+                        description="Median ms per sim.step frame of the closed "
+                                    f"disc plume after {WARMUP_FRAMES} warm-up frames, "
+                                    "checked bit for bit against an untimed rerun; "
+                                    "--seed does not change the scene.  CSV columns "
                                     + ",".join(BenchRow.COLUMNS) + ".")
     p.add_argument("--backend", type=str, default=None, help="backend spec")
     p.add_argument("--res", type=str, default="32,64,128",
-                   help="comma-separated grid side lengths")
-    p.add_argument("--reps", type=int, default=5, help="timed repetitions")
+                   help="comma-separated grid side lengths, each divisible by 4")
+    p.add_argument("--reps", type=int, default=5, help="timed frames")
     p.add_argument("--out", type=str, default=None, help="CSV to write (else stdout)")
     _add_common(p)
     p.set_defaults(_run=_cmd_bench, _sub=p)

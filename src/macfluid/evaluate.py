@@ -3,27 +3,25 @@
 These drive the simulation with interchangeable projection backends and
 reduce the results to CSV-friendly numbers: per-frame divergence curves
 over a test set, the Jacobi iteration count that matches a reference
-backend's divergence, and wall-clock timings of the projection phase.
+backend's divergence, and the wall time per ``sim.step`` frame of the
+closed disc plume (:func:`~macfluid.sim.plume_scenario`, sides divisible
+by 4).  The timed scene is fixed: no seed changes it.
 """
 
 from __future__ import annotations
 
 import logging
 import statistics
-import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .datagen import GeometryConfig, load_dataset, random_geometry
 from .fdops import divergence
-from .forces import enforce_solid_velocities
 from .formats import csv_text, load_model
-from .grids import GridDims, MacVelocity, OccupancyGrid
 from .sim import (ConvnetProjection, ExactProjection, JacobiProjection,
                   NoProjection, PcgProjection, SimConfig, SimState,
-                  SimulationError, project_velocity, run, step)
+                  SimulationError, plume_scenario, run, step)
 from .training import loss_weights
 
 log = logging.getLogger(__name__)
@@ -57,8 +55,8 @@ def parse_backend(spec: str) -> tuple[str, object]:
             tol = float(arg)
         except ValueError:
             raise ValueError(f"bad pcg tolerance {arg!r}") from None
-        if not tol > 0:
-            raise ValueError(f"pcg tolerance must be positive, got {tol}")
+        if not (tol > 0 and np.isfinite(tol)):
+            raise ValueError(f"pcg tolerance must be positive and finite, got {tol}")
         return f"pcg_{arg}", PcgProjection(tol=tol)
     if kind == "convnet":
         if not sep or not arg:
@@ -80,10 +78,8 @@ def parse_backend(spec: str) -> tuple[str, object]:
                      "pcg:<tol>, convnet:<model-path>, exact, or none")
 
 
-def _initial_frames(dataset) -> list[tuple[SimState, float]]:
-    """Each scene's first recorded frame with the scene's dt; ``dataset``
-    is a dataset directory or a list of loaded scenes."""
-    scenes = load_dataset(dataset) if isinstance(dataset, (str, Path)) else dataset
+def _initial_frames(scenes) -> list[tuple[SimState, float]]:
+    """Each loaded scene's first recorded frame with the scene's dt."""
     samples = []
     for scene in scenes:
         if not scene.frames:
@@ -146,10 +142,11 @@ def _unique_names(backends) -> list[str]:
     return names
 
 
-def eval_divergence_curves(dataset, backends, frames: int,
+def eval_divergence_curves(scenes, backends, frames: int,
                            out_csv=None) -> DivergenceCurves:
     """Roll every scene's initial frame forward under each backend.
 
+    ``scenes`` is a list of loaded scenes (:func:`~macfluid.datagen.load_dataset`);
     ``backends`` is a list of (name, projection) pairs or spec strings.
     Writes per-frame mean and std of the fluid-cell divergence norm across
     the sample set, one column pair per backend.  Samples that blow up
@@ -162,7 +159,7 @@ def eval_divergence_curves(dataset, backends, frames: int,
     if not backends:
         raise ValueError("need at least one backend")
     names = _unique_names(backends)
-    samples = _initial_frames(dataset)
+    samples = _initial_frames(scenes)
 
     curves = DivergenceCurves(frames, names, {}, {}, {})
     for name, (_, projection) in zip(names, backends):
@@ -212,16 +209,17 @@ def _mean_rollout_div(samples, projection, frames: int) -> float:
     return float(np.mean([np.mean(norms) for norms in rows]))
 
 
-def match_divergence(dataset, target_projection, frames: int = 16,
+def match_divergence(scenes, target_projection, frames: int = 16,
                      max_iters: int = 4096) -> MatchResult:
     """Binary-search the Jacobi iteration count matching a target backend.
 
+    ``scenes`` is a list of loaded scenes (:func:`~macfluid.datagen.load_dataset`).
     The statistic is the mean fluid divergence norm over the rollout of
     every scene's initial frame.  Returns the smallest iteration count
     whose statistic is at or below the target's; when even ``max_iters``
     does not reach it, the result carries ``matched=False``.
     """
-    samples = _initial_frames(dataset)
+    samples = _initial_frames(scenes)
     target = _mean_rollout_div(samples, target_projection, frames)
 
     def jacobi_div(iters: int) -> float:
@@ -245,7 +243,7 @@ def match_divergence(dataset, target_projection, frames: int = 16,
     return MatchResult(hi, hi_div, target, matched=True)
 
 
-# ====== Projection timing ======
+# ====== Plume frame timing ======
 
 @dataclass(frozen=True)
 class BenchRow:
@@ -262,39 +260,37 @@ class BenchRow:
         return [getattr(self, c) for c in self.COLUMNS]
 
 
-def _bench_state(dims: GridDims, seed: int) -> tuple[MacVelocity, OccupancyGrid]:
-    rng = np.random.default_rng(seed)
-    g = random_geometry(dims, rng, cfg=GeometryConfig(count_range=(1, 2)))
-    u = MacVelocity(dims, rng.standard_normal(dims.shape_ux),
-                    rng.standard_normal(dims.shape_uy))
-    return enforce_solid_velocities(u, g), g
+WARMUP_FRAMES = 24  # the warm-up of perfbench's plume128_jacobi
 
 
-def bench(projection, dims_list, repetitions: int = 5, seed: int = 0,
+def bench(projection, dims_list, repetitions: int = 5,
           name: str = "backend") -> list[BenchRow]:
-    """Median wall time of the projection phase on synthetic states.
+    """Median wall time of a ``sim.step`` frame of the closed disc plume.
 
-    Times exactly divergence + solve + velocity update.  One untimed
-    warmup run per resolution provides the reference output; every timed
-    repetition must reproduce it bitwise.
+    Per resolution, ``plume_scenario(dims, obstacle="disc")`` runs
+    ``WARMUP_FRAMES`` untimed frames.  From the warmed state an untimed
+    reference run and then the timed run each step ``repetitions`` frames
+    through :func:`~macfluid.sim.run`; the timed run must reproduce the
+    reference bit for bit, in its final fields and in every frame metric
+    but ``wall_ms``.
     """
     if repetitions < 1:
         raise ValueError(f"need at least one repetition, got {repetitions}")
     rows = []
     for dims in dims_list:
-        u, g = _bench_state(dims, seed)
-        reference = project_velocity(u, g, projection)
-        times = []
-        for _ in range(repetitions):
-            t0 = time.perf_counter()
-            out = project_velocity(u, g, projection)
-            times.append((time.perf_counter() - t0) * 1e3)
-            if not (np.array_equal(reference.ux, out.ux)
-                    and np.array_equal(reference.uy, out.uy)):
-                raise RuntimeError(f"projection backend {name} is not "
-                                   "deterministic across repetitions")
-        rows.append(BenchRow(name, dims.nx, dims.ny, dims.n_cells,
-                             repetitions, float(statistics.median(times))))
+        start, cfg = plume_scenario(dims, obstacle="disc", projection=projection)
+        start, _ = run(start, cfg, WARMUP_FRAMES)
+        reference, ref_metrics = run(start, cfg, repetitions)
+        out, metrics = run(start, cfg, repetitions)
+        untimed = [replace(m, wall_ms=0.0) for m in ref_metrics + metrics]
+        if not (np.array_equal(reference.u.ux, out.u.ux)
+                and np.array_equal(reference.u.uy, out.u.uy)
+                and np.array_equal(reference.density.values, out.density.values)
+                and untimed[:repetitions] == untimed[repetitions:]):
+            raise RuntimeError(f"projection backend {name} is not "
+                               "deterministic across repetitions")
+        rows.append(BenchRow(name, dims.nx, dims.ny, dims.n_cells, repetitions,
+                             float(statistics.median(m.wall_ms for m in metrics))))
     return rows
 
 

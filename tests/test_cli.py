@@ -292,6 +292,11 @@ def test_bench_stdout_and_bad_backend(capsys):
     assert cli(["bench", "--backend", "sorcery", "--res", "16"]) == 1
 
 
+def test_bench_rejects_a_side_not_divisible_by_four(capsys):
+    assert cli(["bench", "--backend", "jacobi:5", "--res", "10", "--reps", "1"]) == 1
+    assert "divisible by 4" in capsys.readouterr().err
+
+
 def test_bench_no_projection(capsys):
     assert cli(["bench", "--backend", "none", "--res", "8", "--reps", "1"]) == 0
     lines = capsys.readouterr().out.splitlines()

@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
+from macfluid import sim
 from macfluid.convnet import NetArch, init_params
 from macfluid.datagen import LoadedScene, SceneConfig, build_scene, generate_dataset, load_dataset
-from macfluid.evaluate import (BenchRow, bench, eval_divergence_curves,
-                               match_divergence, one_step_loss, parse_backend,
-                               write_bench_csv)
+from macfluid.evaluate import (WARMUP_FRAMES, BenchRow, bench,
+                               eval_divergence_curves, match_divergence,
+                               one_step_loss, parse_backend, write_bench_csv)
 from macfluid.formats import save_model
-from macfluid.grids import GridDims, MacVelocity
+from macfluid.grids import GridDims, MacVelocity, ScalarGrid
 from macfluid.sim import (ExactProjection, JacobiProjection, NoProjection,
                           PcgProjection, SimState, plume_scenario, run)
 
@@ -52,7 +53,7 @@ def test_parse_backend_convnet(tmp_path):
 
 @pytest.mark.parametrize("spec", [
     "jacobi", "jacobi:", "jacobi:x", "jacobi:0",
-    "pcg", "pcg:zero", "pcg:-1", "pcg:0",
+    "pcg", "pcg:zero", "pcg:-1", "pcg:0", "pcg:inf", "pcg:1e400",
     "convnet", "convnet:/no/such/model.fnm",
     "exact:1", "none:1", "frobnicate",
 ])
@@ -179,10 +180,48 @@ def test_match_divergence_rejects_zero_frames(small_dataset):
 def test_bench_row_per_resolution():
     _, proj = parse_backend("pcg:1e-04")
     rows = bench(proj, [GridDims(16, 16), GridDims(32, 32)], repetitions=1,
-                 seed=3, name="pcg_1e-04")
+                 name="pcg_1e-04")
     assert [(r.nx, r.cells, r.repetitions) for r in rows] \
         == [(16, 256, 1), (32, 1024, 1)]
     assert all(r.median_ms > 0 for r in rows)
+
+
+def test_bench_steps_the_warmed_disc_plume(monkeypatch):
+    seen = []
+    real_step = sim.step
+
+    def counting_step(state, cfg):
+        seen.append(state.g)
+        return real_step(state, cfg)
+
+    monkeypatch.setattr(sim, "step", counting_step)
+    dims_list = [GridDims(8, 8), GridDims(16, 16)]
+    bench(JacobiProjection(4), dims_list, repetitions=2)
+    # warm-up, reference run and timed run, per resolution
+    assert [g.dims for g in seen] == [d for d in dims_list
+                                      for _ in range(WARMUP_FRAMES + 2 * 2)]
+    for g in seen:
+        disc = plume_scenario(g.dims, obstacle="disc")[0].g
+        assert not g.open_top
+        np.testing.assert_array_equal(g.solid, disc.solid)
+
+
+def test_bench_rejects_a_timed_run_that_differs_from_its_reference(monkeypatch):
+    calls = []
+    real_step = sim.step
+
+    def flaky_step(state, cfg):
+        out = real_step(state, cfg)
+        calls.append(None)
+        if len(calls) % 2:
+            out.density = ScalarGrid(out.g.dims, out.density.values + 1e-9)
+        return out
+
+    monkeypatch.setattr(sim, "step", flaky_step)
+    # an odd count of timed frames, so the reference and the timed run
+    # are perturbed on different frames
+    with pytest.raises(RuntimeError, match="not deterministic"):
+        bench(JacobiProjection(4), [GridDims(8, 8)], repetitions=3)
 
 
 def test_bench_csv(tmp_path):
@@ -200,7 +239,7 @@ def test_bench_jacobi_scaling_not_superlinear():
     # three times the linear prediction
     _, proj = parse_backend("jacobi:34")
     rows = bench(proj, [GridDims(32, 32), GridDims(128, 128)],
-                 repetitions=5, seed=0, name="jacobi_34")
+                 repetitions=5, name="jacobi_34")
     t32, t128 = rows[0].median_ms, rows[1].median_ms
     assert t128 > t32
     assert t128 <= 3.0 * (rows[1].cells / rows[0].cells) * t32

@@ -1,14 +1,20 @@
 """The names the benchmark in ``perfbench/`` traces still exist.
 
-``perfbench/layers.py`` wraps ``macfluid`` functions by dotted name and
-reads fields of the ``PcgInfo`` that ``solve_pcg`` returns; a rename in
-the package would otherwise surface only when the benchmark runs.
+``perfbench/layers.py`` wraps ``macfluid`` functions by dotted name,
+reads some of their arguments by name and reads fields of the ``PcgInfo``
+that ``solve_pcg`` returns; ``perfbench/workloads.py`` passes keyword
+arguments.  A rename in the package would otherwise surface only when the
+benchmark runs.
 """
 
 import dataclasses
 import importlib
+import inspect
 from pathlib import Path
 
+import pytest
+
+from macfluid import convnet, datagen, formats, pressure, sim
 from macfluid.pressure import PcgInfo
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -28,3 +34,21 @@ def test_every_traced_name_is_a_callable_in_its_module(monkeypatch):
 def test_pcg_info_keeps_the_fields_perfbench_reads():
     names = {f.name for f in dataclasses.fields(PcgInfo)}
     assert {"iterations", "converged", "preconditioner"} <= names
+
+
+BOUND_NAMES = [
+    # argument names layers._extract reads
+    (pressure.solve_jacobi, ("sys", "iters")),
+    (convnet.net_forward, ("params", "g")),
+    (formats.write_frame, ("path",)),
+    # keywords workloads.py passes
+    (sim.plume_scenario, ("obstacle", "inflow_speed", "buoyancy", "projection",
+                          "advection")),
+    (datagen.generate_dataset, ("frames_per_scene", "stride", "out_dir")),
+]
+
+
+@pytest.mark.parametrize("fn, names", BOUND_NAMES,
+                         ids=[fn.__name__ for fn, _ in BOUND_NAMES])
+def test_argument_names_perfbench_uses_bind(fn, names):
+    inspect.signature(fn).bind_partial(**dict.fromkeys(names))
