@@ -8,215 +8,3 @@ solvers (``pressure``), the learned projection network and its training
 (``sim``), procedural scene generation (``datagen``), evaluation utilities
 (``evaluate``), and the command line front end (``cli``).
 """
-
-from .advection import advect_scalar, self_advect, trace_back
-from .convnet import (
-    NetArch,
-    NetParams,
-    ProjectionTape,
-    init_params,
-    learned_project,
-    net_backward,
-    net_forward,
-    projection_backward,
-)
-from .datagen import (
-    EmitterConfig,
-    EmitterParams,
-    GeometryConfig,
-    LoadedScene,
-    NoiseConfig,
-    SceneConfig,
-    apply_emitters,
-    build_scene,
-    curl_noise_velocity,
-    generate_dataset,
-    load_dataset,
-    random_geometry,
-    scene_seed,
-)
-from .evaluate import (
-    BenchRow,
-    DivergenceCurves,
-    MatchResult,
-    bench,
-    eval_divergence_curves,
-    match_divergence,
-    one_step_loss,
-    parse_backend,
-    write_bench_csv,
-)
-from .fdops import (
-    PoissonSystem,
-    adjoint_divergence,
-    apply_poisson,
-    divergence,
-    subtract_pressure_gradient,
-    vorticity,
-)
-from .forces import (
-    ForceConfig,
-    add_body_force,
-    add_buoyancy,
-    enforce_solid_velocities,
-    vorticity_confinement,
-)
-from .formats import (
-    FormatError,
-    FrameData,
-    load_model,
-    read_frame,
-    save_model,
-    write_frame,
-    write_pgm,
-)
-from .grids import (
-    DistanceField,
-    FaceMasks,
-    GridDims,
-    MacVelocity,
-    OccupancyGrid,
-    ScalarGrid,
-    connected_components,
-    distance_field,
-    face_masks,
-    sample_scalar,
-    sample_velocity,
-)
-from .pressure import (
-    PcgInfo,
-    make_compatible,
-    residual_norm,
-    solve_dense_direct,
-    solve_jacobi,
-    solve_pcg,
-)
-from .sim import (
-    ConvnetProjection,
-    CsvMetricsSink,
-    ExactProjection,
-    FrameMetrics,
-    InflowRegion,
-    JacobiProjection,
-    NoProjection,
-    PcgProjection,
-    PgmFrameSink,
-    SimConfig,
-    SimState,
-    SimulationError,
-    frame_metrics,
-    plume_scenario,
-    project_velocity,
-    run,
-    step,
-)
-from .training import (
-    AugmentConfig,
-    EpochStats,
-    LossConfig,
-    TrainConfig,
-    TrainingError,
-    divergence_loss,
-    gradient_check,
-    loss_weights,
-    train,
-    unrolled_loss,
-)
-
-__all__ = [
-    "AugmentConfig",
-    "BenchRow",
-    "ConvnetProjection",
-    "CsvMetricsSink",
-    "DistanceField",
-    "DivergenceCurves",
-    "EmitterConfig",
-    "EmitterParams",
-    "EpochStats",
-    "ExactProjection",
-    "FaceMasks",
-    "ForceConfig",
-    "FormatError",
-    "FrameData",
-    "FrameMetrics",
-    "GeometryConfig",
-    "GridDims",
-    "InflowRegion",
-    "JacobiProjection",
-    "LoadedScene",
-    "LossConfig",
-    "MacVelocity",
-    "MatchResult",
-    "NetArch",
-    "NetParams",
-    "NoProjection",
-    "NoiseConfig",
-    "OccupancyGrid",
-    "PcgInfo",
-    "PcgProjection",
-    "PgmFrameSink",
-    "PoissonSystem",
-    "ProjectionTape",
-    "ScalarGrid",
-    "SceneConfig",
-    "SimConfig",
-    "SimState",
-    "SimulationError",
-    "TrainConfig",
-    "TrainingError",
-    "add_body_force",
-    "add_buoyancy",
-    "adjoint_divergence",
-    "advect_scalar",
-    "apply_emitters",
-    "apply_poisson",
-    "bench",
-    "build_scene",
-    "connected_components",
-    "curl_noise_velocity",
-    "distance_field",
-    "divergence",
-    "divergence_loss",
-    "enforce_solid_velocities",
-    "eval_divergence_curves",
-    "face_masks",
-    "frame_metrics",
-    "generate_dataset",
-    "gradient_check",
-    "init_params",
-    "learned_project",
-    "load_dataset",
-    "load_model",
-    "loss_weights",
-    "make_compatible",
-    "match_divergence",
-    "net_backward",
-    "net_forward",
-    "one_step_loss",
-    "parse_backend",
-    "plume_scenario",
-    "project_velocity",
-    "projection_backward",
-    "random_geometry",
-    "read_frame",
-    "residual_norm",
-    "run",
-    "sample_scalar",
-    "sample_velocity",
-    "save_model",
-    "scene_seed",
-    "self_advect",
-    "solve_dense_direct",
-    "solve_jacobi",
-    "solve_pcg",
-    "step",
-    "subtract_pressure_gradient",
-    "train",
-    "trace_back",
-    "unrolled_loss",
-    "vorticity",
-    "vorticity_confinement",
-    "write_bench_csv",
-    "write_frame",
-    "write_pgm",
-]

@@ -21,12 +21,18 @@ class ForceConfig:
     ``gravity`` is a constant acceleration applied to every free face.
     ``buoyancy`` scales an acceleration opposite to gravity proportional
     to the local density.  ``confinement`` is the vorticity confinement
-    strength (zero disables it).
+    strength (zero disables it).  Every parameter must be finite.
     """
 
     gravity: tuple[float, float] = (0.0, 0.0)
     buoyancy: float = 0.0
     confinement: float = 0.0
+
+    def __post_init__(self) -> None:
+        for name, value in (("gravity", self.gravity), ("buoyancy", self.buoyancy),
+                            ("confinement", self.confinement)):
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"{name} must be finite, got {value}")
 
 
 def _add_on_free_faces(u: MacVelocity, g: OccupancyGrid, ax, ay) -> MacVelocity:

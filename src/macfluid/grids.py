@@ -317,7 +317,6 @@ class CellStencil:
     neighbors, which is the diagonal of the pressure system.
     """
 
-    fluid: np.ndarray
     fluid_w: np.ndarray
     fluid_e: np.ndarray
     fluid_s: np.ndarray
@@ -334,7 +333,7 @@ def cell_stencil(g: OccupancyGrid) -> CellStencil:
     fn = pfluid[2:, 1:-1]
     sc = (psolid[1:-1, :-2].astype(np.int64) + psolid[1:-1, 2:]
           + psolid[:-2, 1:-1] + psolid[2:, 1:-1])
-    return CellStencil(g.fluid, fw, fe, fs, fn, sc, 4 - sc)
+    return CellStencil(fw, fe, fs, fn, sc, 4 - sc)
 
 
 @dataclass(frozen=True)

@@ -83,7 +83,7 @@ class InflowRegion:
 
     ``center`` and ``radius`` are in cell units.  Density is overwritten
     on cells whose center lies inside the disc, velocity on faces whose
-    midpoint does.
+    midpoint does.  ``velocity`` and ``density`` must be finite.
     """
 
     center: tuple[float, float]
@@ -94,6 +94,9 @@ class InflowRegion:
     def __post_init__(self) -> None:
         if self.radius <= 0:
             raise ValueError(f"inflow radius must be positive, got {self.radius}")
+        for name, value in (("velocity", self.velocity), ("density", self.density)):
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"inflow {name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)

@@ -276,6 +276,8 @@ def train(dataset, cfg: TrainConfig, epochs: int, seed
     """
     if len(dataset) == 0:
         raise ValueError("training needs a nonempty dataset")
+    if epochs < 0:
+        raise ValueError(f"epochs must be nonnegative, got {epochs}")
     init_seed, loop_seed = np.random.SeedSequence(seed).spawn(2)
     params = init_params(cfg.arch, init_seed)
     adam = AdamState.init(params, lr=cfg.lr)

@@ -1,7 +1,10 @@
-"""Command-line interface tests; every invocation runs in process."""
+"""Command-line interface tests; every command runs in process."""
 
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +28,20 @@ def _strip_wall_ms(csv_text: str) -> list[str]:
             if not line.startswith("#")]
     drop = rows[0].index("wall_ms")
     return [",".join(c for i, c in enumerate(r) if i != drop) for r in rows]
+
+
+# ====== The package ======
+
+def test_importing_the_package_loads_no_module():
+    # each name is imported from its module; the package re-exports nothing
+    code = ("import importlib, sys, macfluid\n"
+            "loaded = sorted(m for m in sys.modules if m.startswith('macfluid.'))\n"
+            "assert not loaded, loaded\n"
+            "assert callable(importlib.import_module('macfluid.cli').main)\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert done.returncode == 0, done.stderr
 
 
 # ====== Exit codes and usage ======
@@ -73,11 +90,20 @@ def test_validation_error_exits_one(tmp_path):
     assert cli(["gen-data", "--out", str(tmp_path / "x"), "--res", "18"]) == 1
 
 
-def test_nonfinite_dt_exits_one(tmp_path, capsys):
+@pytest.mark.parametrize("flag, value, message", [
+    ("--dt", "inf", "dt must be positive and finite"),
+    ("--buoyancy", "inf", "buoyancy must be finite"),
+    ("--buoyancy", "nan", "buoyancy must be finite"),
+    ("--confinement", "inf", "confinement must be finite"),
+    ("--inflow-speed", "inf", "inflow velocity must be finite"),
+], ids=["dt-inf", "buoyancy-inf", "buoyancy-nan", "confinement-inf", "inflow-speed-inf"])
+def test_nonfinite_input_exits_one(flag, value, message, tmp_path, capsys):
+    out = tmp_path / "sim"
     rc = cli(["simulate", "--res", "16", "--frames", "2", "--solver", "none",
-              "--out", str(tmp_path / "sim"), "--dt", "inf"])
+              "--out", str(out), flag, value])
     assert rc == 1
-    assert "dt must be positive and finite" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
+    assert not (out / "metrics.csv").exists()  # rejected before any frame runs
 
 
 def test_os_failure_exits_two(tmp_path):
@@ -214,8 +240,8 @@ def test_simulate_reproducible_but_for_timing(tmp_path):
 @pytest.mark.parametrize("solver", ["pcg:1e-4", "none"])
 def test_simulate_blowup_exits_two_and_dumps_the_frame(solver, tmp_path, capsys):
     out = tmp_path / "sim"
-    rc = cli(["simulate", "--res", "16", "--frames", "3", "--buoyancy", "inf",
-              "--solver", solver, "--out", str(out)])
+    rc = cli(["simulate", "--res", "16", "--frames", "3", "--buoyancy", "1e308",
+              "--dt", "1e10", "--solver", solver, "--out", str(out)])
     assert rc == 2
     dump = out / "blowup.fnf"
     assert capsys.readouterr().err.strip() == (

@@ -236,7 +236,7 @@ def test_jacobi_backend_runs():
 
 def test_nonfinite_abort_carries_the_state():
     state = _random_state(10)
-    cfg = SimConfig(forces=ForceConfig(gravity=(float("inf"), 0.0)),
+    cfg = SimConfig(dt=1e10, forces=ForceConfig(gravity=(1e308, 0.0)),
                     projection=NoProjection())
     with pytest.raises(SimulationError, match="after frame 1") as e:
         step(state, cfg)
@@ -256,6 +256,13 @@ def test_config_validation():
         SimConfig(dt=0.0)
     with pytest.raises(ValueError):
         InflowRegion(center=(1.0, 1.0), radius=0.0, velocity=(0.0, 0.0))
+    with pytest.raises(ValueError, match="inflow velocity must be finite"):
+        InflowRegion(center=(1.0, 1.0), radius=1.0, velocity=(float("nan"), 0.0))
+    with pytest.raises(ValueError, match="inflow density must be finite"):
+        InflowRegion(center=(1.0, 1.0), radius=1.0, velocity=(0.0, 1.0),
+                     density=float("inf"))
+    with pytest.raises(ValueError, match="gravity must be finite"):
+        ForceConfig(gravity=(0.0, float("-inf")))
     with pytest.raises(ValueError):
         run(_random_state(0), SimConfig(), frames=0)
 

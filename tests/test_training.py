@@ -363,6 +363,11 @@ def test_train_zero_epochs_returns_initial_params():
     assert rows == []
 
 
+def test_train_rejects_a_negative_epoch_count():
+    with pytest.raises(ValueError, match="epochs must be nonnegative, got -1"):
+        train(_tiny_dataset(), _fast_cfg(), epochs=-1, seed=3)
+
+
 def test_train_deterministic_under_fixed_seed():
     data = _tiny_dataset()
     p1, r1 = train(data, _fast_cfg(), epochs=2, seed=5)
