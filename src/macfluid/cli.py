@@ -150,7 +150,10 @@ def _cmd_simulate(args) -> int:
     with CsvMetricsSink(out / "metrics.csv") as metrics_csv:
         sinks = (metrics_csv, PgmFrameSink(out / "frames")) if args.pgm else (metrics_csv,)
         try:
-            state, metrics = run(state, cfg, args.frames, sinks)
+            # a blow-up is reported by step's SimulationError below, not by
+            # numpy's warnings on the overflowing arithmetic that led to it
+            with np.errstate(all="ignore"):
+                state, metrics = run(state, cfg, args.frames, sinks)
         except SimulationError as e:  # the initial state is finite, so e.state is set
             dump = out / "blowup.fnf"
             write_frame(dump, e.state.g, e.state.u, e.state.density, cfg.dt)

@@ -316,11 +316,7 @@ def net_backward(params: NetParams, cache: tuple, g: OccupancyGrid,
     cy = np.where(g.solid, 0.0, cot_p * scale)
     cot_y = cy[None].astype(params.dtype)
     dw, db, _ = _backward_raw(params, cache, cot_y)
-    parts = []
-    for w_, b_ in zip(dw, db):
-        parts.append(w_.ravel())
-        parts.append(b_.ravel())
-    return np.concatenate(parts).astype(np.float64)
+    return NetParams(params.arch, dw, db).pack().astype(np.float64)
 
 
 SCALE_BYPASS = 1e-6

@@ -44,31 +44,16 @@ def scene_seed(master: int, pool: str, index: int) -> int:
 
 # ====== Divergence-free initial velocity ======
 
-@dataclass(frozen=True)
-class NoiseConfig:
-    """Multi-octave smoothed-noise potential for the initial velocity.
-
-    ``scale_range`` is the smoothing length of the coarsest octave in cell
-    units; the sampled velocity is rescaled so its largest face sample
-    equals ``amplitude``.
-    """
-
-    octaves: int = 3
-    amplitude: float = 1.0
-    scale_range: tuple[float, float] = (2.0, 6.0)
-
-    def __post_init__(self) -> None:
-        if self.octaves < 1:
-            raise ValueError(f"octaves must be at least 1, got {self.octaves}")
-        if self.amplitude < 0:
-            raise ValueError(f"amplitude must be nonnegative, got {self.amplitude}")
-        lo, hi = self.scale_range
-        if not 0 < lo <= hi:
-            raise ValueError(f"scale range must satisfy 0 < lo <= hi, got {self.scale_range}")
+# The initial velocity sums NOISE_OCTAVES octaves of smoothed noise; the
+# coarsest octave's smoothing length is drawn from NOISE_SCALE_RANGE (cells),
+# and the sampled field is rescaled so its largest face sample is
+# NOISE_AMPLITUDE.
+NOISE_OCTAVES = 3
+NOISE_AMPLITUDE = 1.0
+NOISE_SCALE_RANGE = (2.0, 6.0)
 
 
-def curl_noise_velocity(dims: GridDims, cfg: NoiseConfig | None = None,
-                        seed: int = 0) -> MacVelocity:
+def curl_noise_velocity(dims: GridDims, seed: int = 0) -> MacVelocity:
     """Pseudo-random velocity whose MAC divergence vanishes identically.
 
     A smoothed multi-octave random potential is sampled on cell centers,
@@ -77,13 +62,10 @@ def curl_noise_velocity(dims: GridDims, cfg: NoiseConfig | None = None,
     field telescopes to zero exactly, so no projection is needed before
     the field is usable.
     """
-    cfg = cfg or NoiseConfig()
-    if cfg.amplitude == 0.0:
-        return MacVelocity.zeros(dims)
     rng = np.random.default_rng(seed)
-    scale = rng.uniform(*cfg.scale_range)
+    scale = rng.uniform(*NOISE_SCALE_RANGE)
     psi = np.zeros(dims.shape)
-    for octave in range(cfg.octaves):
+    for octave in range(NOISE_OCTAVES):
         sigma = max(scale / 2.0 ** octave, 0.5)
         psi += 0.5 ** octave * gaussian_filter(rng.standard_normal(dims.shape), sigma)
     padded = np.pad(psi, 1, mode="edge")
@@ -94,14 +76,15 @@ def curl_noise_velocity(dims: GridDims, cfg: NoiseConfig | None = None,
     top = max(np.max(np.abs(ux)), np.max(np.abs(uy)))
     if top > 0.0:
         # uniform rescaling keeps the telescoping cancellation exact
-        ux *= cfg.amplitude / top
-        uy *= cfg.amplitude / top
+        ux *= NOISE_AMPLITUDE / top
+        uy *= NOISE_AMPLITUDE / top
     return MacVelocity(dims, ux, uy)
 
 
 # ====== Random solid geometry ======
 
-_SHAPE_KINDS = ("disc", "box", "capsule")
+# each shape picks one kind uniformly and one angle in [0, 2 pi)
+SHAPE_KINDS = ("disc", "box", "capsule")
 
 
 @dataclass(frozen=True)
@@ -109,25 +92,15 @@ class GeometryConfig:
     """Shape sampling ranges; sizes are fractions of the shorter grid side."""
 
     count_range: tuple[int, int] = (1, 3)
-    kinds: tuple[str, ...] = _SHAPE_KINDS
     size_range: tuple[float, float] = (0.06, 0.18)
-    rotation_range: tuple[float, float] = (0.0, 2.0 * math.pi)
 
     def __post_init__(self) -> None:
         lo, hi = self.count_range
         if not 0 <= lo <= hi:
             raise ValueError(f"count range must satisfy 0 <= lo <= hi, got {self.count_range}")
-        if not self.kinds:
-            raise ValueError("at least one shape kind is required")
-        for kind in self.kinds:
-            if kind not in _SHAPE_KINDS:
-                raise ValueError(f"unknown shape kind {kind!r}, expected one of {_SHAPE_KINDS}")
         lo, hi = self.size_range
         if not 0 < lo <= hi:
             raise ValueError(f"size range must satisfy 0 < lo <= hi, got {self.size_range}")
-        lo, hi = self.rotation_range
-        if lo > hi:
-            raise ValueError(f"rotation range must be ordered, got {self.rotation_range}")
 
 
 def random_geometry(dims: GridDims, rng: np.random.Generator, pool: str = "train",
@@ -147,11 +120,11 @@ def random_geometry(dims: GridDims, rng: np.random.Generator, pool: str = "train
         solid = np.zeros(dims.shape, dtype=bool)
         count = int(shapes.integers(cfg.count_range[0], cfg.count_range[1] + 1))
         for _ in range(count):
-            kind = cfg.kinds[int(shapes.integers(len(cfg.kinds)))]
+            kind = SHAPE_KINDS[int(shapes.integers(len(SHAPE_KINDS)))]
             cx = shapes.uniform(0.0, dims.nx)
             cy = shapes.uniform(0.0, dims.ny)
             size = shapes.uniform(*cfg.size_range) * size_scale
-            angle = shapes.uniform(*cfg.rotation_range)
+            angle = shapes.uniform(0.0, 2.0 * math.pi)
             if kind == "disc":
                 solid |= disc_mask(dims, (cx, cy), size)
             elif kind == "box":
@@ -213,27 +186,14 @@ def apply_emitters(u: MacVelocity, emitters, frame_index: int) -> MacVelocity:
 
 # ====== Scene assembly ======
 
-@dataclass(frozen=True)
-class EmitterConfig:
-    """Sampling ranges for the emitter schedule of a scene."""
-
-    count_range: tuple[int, int] = (1, 3)
-    radius_range: tuple[float, float] = (1.5, 4.0)
-    speed_range: tuple[float, float] = (0.5, 2.0)
-    start_range: tuple[int, int] = (0, 4)
-    duration_range: tuple[int, int] = (4, 16)
-
-    def __post_init__(self) -> None:
-        for name in ("count_range", "start_range", "duration_range"):
-            lo, hi = getattr(self, name)
-            if not 0 <= lo <= hi:
-                raise ValueError(f"{name} must satisfy 0 <= lo <= hi, got {(lo, hi)}")
-        if self.duration_range[0] < 1:
-            raise ValueError(f"durations start at 1, got {self.duration_range}")
-        for name in ("radius_range", "speed_range"):
-            lo, hi = getattr(self, name)
-            if not 0 < lo <= hi:
-                raise ValueError(f"{name} must satisfy 0 < lo <= hi, got {(lo, hi)}")
+# A scene draws its emitter count, and per emitter the radius (cells), speed,
+# start frame and duration, uniformly from these ranges, ends included for
+# the integers.
+EMITTER_COUNT_RANGE = (1, 3)
+EMITTER_RADIUS_RANGE = (1.5, 4.0)
+EMITTER_SPEED_RANGE = (0.5, 2.0)
+EMITTER_START_RANGE = (0, 4)
+EMITTER_DURATION_RANGE = (4, 16)
 
 
 @dataclass(frozen=True)
@@ -243,9 +203,6 @@ class SceneConfig:
     dims: GridDims = field(default_factory=lambda: GridDims(32, 32))
     seed: int = 0
     pool: str = "train"
-    noise: NoiseConfig = field(default_factory=NoiseConfig)
-    geometry: GeometryConfig = field(default_factory=GeometryConfig)
-    emitters: EmitterConfig = field(default_factory=EmitterConfig)
     boundary: str = "closed"
     dt: float = 1.0 / 30.0
 
@@ -274,16 +231,15 @@ def _seed_density(g: OccupancyGrid, rng: np.random.Generator) -> ScalarGrid:
     return ScalarGrid(dims, rho)
 
 
-def _draw_emitters(dims: GridDims, rng: np.random.Generator,
-                   cfg: EmitterConfig) -> tuple[EmitterParams, ...]:
+def _draw_emitters(dims: GridDims, rng: np.random.Generator) -> tuple[EmitterParams, ...]:
     out = []
-    for _ in range(int(rng.integers(cfg.count_range[0], cfg.count_range[1] + 1))):
+    for _ in range(int(rng.integers(EMITTER_COUNT_RANGE[0], EMITTER_COUNT_RANGE[1] + 1))):
         center = (rng.uniform(2.0, dims.nx - 2.0), rng.uniform(2.0, dims.ny - 2.0))
-        radius = rng.uniform(*cfg.radius_range)
+        radius = rng.uniform(*EMITTER_RADIUS_RANGE)
         angle = rng.uniform(0.0, 2.0 * math.pi)
-        speed = rng.uniform(*cfg.speed_range)
-        start = int(rng.integers(cfg.start_range[0], cfg.start_range[1] + 1))
-        duration = int(rng.integers(cfg.duration_range[0], cfg.duration_range[1] + 1))
+        speed = rng.uniform(*EMITTER_SPEED_RANGE)
+        start = int(rng.integers(EMITTER_START_RANGE[0], EMITTER_START_RANGE[1] + 1))
+        duration = int(rng.integers(EMITTER_DURATION_RANGE[0], EMITTER_DURATION_RANGE[1] + 1))
         out.append(EmitterParams(center, radius,
                                  (speed * math.cos(angle), speed * math.sin(angle)),
                                  start, duration))
@@ -299,13 +255,13 @@ def build_scene(cfg: SceneConfig) -> tuple[SimState, tuple[EmitterParams, ...]]:
     """
     dims = cfg.dims
     geo_rng = np.random.default_rng(_hash_seed("scene", cfg.seed, "geometry"))
-    raw = random_geometry(dims, geo_rng, cfg.pool, cfg.geometry)
+    raw = random_geometry(dims, geo_rng, cfg.pool)
     g = OccupancyGrid(dims, raw.solid, open_top=cfg.boundary == "open-top")
-    u = curl_noise_velocity(dims, cfg.noise, seed=_hash_seed("scene", cfg.seed, "noise"))
+    u = curl_noise_velocity(dims, seed=_hash_seed("scene", cfg.seed, "noise"))
     u = enforce_solid_velocities(u, g)
     rng = np.random.default_rng(_hash_seed("scene", cfg.seed, "fields"))
     density = _seed_density(g, rng)
-    emitters = _draw_emitters(dims, rng, cfg.emitters)
+    emitters = _draw_emitters(dims, rng)
     return SimState(u, density, g), emitters
 
 

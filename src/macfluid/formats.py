@@ -168,9 +168,10 @@ def load_model(path) -> NetParams:
     return NetParams(arch, ws, bs)
 
 
-def write_pgm(path, values: np.ndarray, vmax: float = 1.0) -> None:
-    """8-bit grayscale dump of a cell field, top row first."""
-    scaled = np.clip(values / vmax if vmax > 0 else values, 0.0, 1.0)
+def write_pgm(path, values: np.ndarray) -> None:
+    """8-bit grayscale dump of a cell field, top row first; values are
+    clipped to [0, 1], so 1 is white."""
+    scaled = np.clip(values, 0.0, 1.0)
     img = (scaled[::-1, :] * 255.0 + 0.5).astype(np.uint8)
     h, w = img.shape
     Path(path).write_bytes(b"P5\n%d %d\n255\n" % (w, h) + img.tobytes())

@@ -55,8 +55,9 @@ class JacobiProjection:
 
 @dataclass(frozen=True)
 class PcgProjection:
+    """PCG to relative residual ``tol`` within solve_pcg's default iteration cap."""
+
     tol: float = 1e-4
-    max_iter: int = 2000
 
 
 @dataclass(frozen=True)
@@ -83,7 +84,8 @@ class InflowRegion:
 
     ``center`` and ``radius`` are in cell units.  Density is overwritten
     on cells whose center lies inside the disc, velocity on faces whose
-    midpoint does.  ``velocity`` and ``density`` must be finite.
+    midpoint does.  ``center``, ``velocity`` and ``density`` must be
+    finite and ``radius`` positive.
     """
 
     center: tuple[float, float]
@@ -92,9 +94,10 @@ class InflowRegion:
     density: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.radius <= 0:
+        if not self.radius > 0:
             raise ValueError(f"inflow radius must be positive, got {self.radius}")
-        for name, value in (("velocity", self.velocity), ("density", self.density)):
+        for name, value in (("center", self.center), ("velocity", self.velocity),
+                            ("density", self.density)):
             if not np.all(np.isfinite(value)):
                 raise ValueError(f"inflow {name} must be finite, got {value}")
 
@@ -175,7 +178,7 @@ def _project(u: MacVelocity, g: OccupancyGrid, backend) -> tuple[MacVelocity, ob
     if isinstance(backend, JacobiProjection):
         p = solve_jacobi(sys, backend.iters)
     elif isinstance(backend, PcgProjection):
-        p, info = solve_pcg(sys, backend.tol, backend.max_iter)
+        p, info = solve_pcg(sys, backend.tol)
     elif isinstance(backend, ExactProjection):
         p = solve_dense_direct(sys)
     else:
@@ -274,14 +277,12 @@ class CsvMetricsSink:
 class PgmFrameSink:
     """Dumps the density field of every frame as frame_%06d.pgm."""
 
-    def __init__(self, out_dir, vmax: float = 1.0):
+    def __init__(self, out_dir):
         self.out_dir = Path(out_dir)
         self.out_dir.mkdir(parents=True, exist_ok=True)
-        self.vmax = vmax
 
     def __call__(self, metrics: FrameMetrics, state: SimState) -> None:
-        write_pgm(self.out_dir / f"frame_{state.frame:06d}.pgm",
-                  state.density.values, self.vmax)
+        write_pgm(self.out_dir / f"frame_{state.frame:06d}.pgm", state.density.values)
 
 
 def run(state: SimState, cfg: SimConfig, frames: int,

@@ -58,18 +58,20 @@ def divergence_loss(u_hat: MacVelocity, w: ScalarGrid, g: OccupancyGrid
 
 # ====== Random draws ======
 
-def sample_timestep(rng: np.random.Generator, dt_base: float = 1.0 / 30.0) -> float:
-    """dt_base * (0.203 + |N(0,1)|); always positive, never degenerate."""
-    return dt_base * (0.203 + abs(rng.standard_normal()))
+DT_BASE = 1.0 / 30.0
+SPEED_LIMIT = 1e6  # a rollout faster than this is skipped, not trained on
+
+
+def sample_timestep(rng: np.random.Generator) -> float:
+    """DT_BASE * (0.203 + |N(0,1)|); always positive, never degenerate."""
+    return DT_BASE * (0.203 + abs(rng.standard_normal()))
 
 
 @dataclass(frozen=True)
 class LossConfig:
     k: float = 3.0
     unroll: tuple[tuple[int, float], ...] = ((4, 0.9), (25, 0.1))
-    dt_base: float = 1.0 / 30.0
     single_frame: bool = False  # ablation: drop the unrolled loss term
-    speed_limit: float = 1e6
 
     def __post_init__(self) -> None:
         if self.k < 1:
@@ -89,65 +91,49 @@ def sample_unroll(rng: np.random.Generator, cfg: LossConfig) -> int:
 
 # ====== Augmentation ======
 
-@dataclass(frozen=True)
-class AugmentConfig:
-    """Per-rollout random perturbations applied to training samples.
-
-    Each group is applied with its own probability.  Gravity gets a
-    uniformly random direction, the other draws are uniform in their
-    ranges.  Density blobs use the same 1 - r/R falloff as inflow
-    emitters.
-    """
-
-    p_gravity: float = 0.5
-    gravity_range: tuple[float, float] = (0.0, 0.2)
-    p_buoyancy: float = 0.5
-    buoyancy_range: tuple[float, float] = (0.0, 1.0)
-    p_confinement: float = 0.5
-    confinement_range: tuple[float, float] = (0.0, 0.5)
-    p_density: float = 0.5
-    blob_count: tuple[int, int] = (1, 3)
-    blob_radius: tuple[float, float] = (1.0, 4.0)
-    blob_amplitude: tuple[float, float] = (0.2, 1.0)
-
-    def __post_init__(self) -> None:
-        for lo, hi in (self.gravity_range, self.buoyancy_range,
-                       self.confinement_range, self.blob_radius,
-                       self.blob_amplitude):
-            if lo < 0 or hi < lo:
-                raise ValueError("augmentation ranges must be nonnegative and ordered")
+# Each of the four groups (gravity, buoyancy, confinement, density blobs) is
+# applied with probability AUGMENT_P; the other draws are uniform in these
+# ranges, ends included for the blob count.
+AUGMENT_P = 0.5
+GRAVITY_RANGE = (0.0, 0.2)
+BUOYANCY_RANGE = (0.0, 1.0)
+CONFINEMENT_RANGE = (0.0, 0.5)
+BLOB_COUNT = (1, 3)
+BLOB_RADIUS = (1.0, 4.0)
+BLOB_AMPLITUDE = (0.2, 1.0)
 
 
-def augment(state: SimState, rng: np.random.Generator, cfg: AugmentConfig
-            ) -> tuple[SimState, ForceConfig]:
+def augment(state: SimState, rng: np.random.Generator) -> tuple[SimState, ForceConfig]:
     """Randomized per-rollout forces and density blobs.
 
-    Draw order is fixed: gravity gate, angle, magnitude; buoyancy gate,
-    coefficient; confinement gate, strength; density gate, blob count,
-    then per blob x, y, radius, amplitude.  The input state is untouched.
+    Gravity gets a uniformly random direction.  Density blobs use the same
+    1 - r/R falloff as inflow emitters.  Draw order is fixed: gravity gate,
+    angle, magnitude; buoyancy gate, coefficient; confinement gate,
+    strength; density gate, blob count, then per blob x, y, radius,
+    amplitude.  The input state is untouched.
     """
     gravity = (0.0, 0.0)
-    if rng.random() < cfg.p_gravity:
+    if rng.random() < AUGMENT_P:
         angle = rng.uniform(0.0, 2.0 * np.pi)
-        mag = rng.uniform(*cfg.gravity_range)
+        mag = rng.uniform(*GRAVITY_RANGE)
         gravity = (mag * np.cos(angle), mag * np.sin(angle))
     buoyancy = 0.0
-    if rng.random() < cfg.p_buoyancy:
-        buoyancy = rng.uniform(*cfg.buoyancy_range)
+    if rng.random() < AUGMENT_P:
+        buoyancy = rng.uniform(*BUOYANCY_RANGE)
     confinement = 0.0
-    if rng.random() < cfg.p_confinement:
-        confinement = rng.uniform(*cfg.confinement_range)
+    if rng.random() < AUGMENT_P:
+        confinement = rng.uniform(*CONFINEMENT_RANGE)
 
     out = state.copy()
-    if rng.random() < cfg.p_density:
+    if rng.random() < AUGMENT_P:
         dims = state.g.dims
         x, y = _lattice_xy(dims.shape, 0.5, 0.5)
-        n_blobs = int(rng.integers(cfg.blob_count[0], cfg.blob_count[1] + 1))
+        n_blobs = int(rng.integers(BLOB_COUNT[0], BLOB_COUNT[1] + 1))
         for _ in range(n_blobs):
             bx = rng.uniform(0.0, dims.nx)
             by = rng.uniform(0.0, dims.ny)
-            radius = rng.uniform(*cfg.blob_radius)
-            amp = rng.uniform(*cfg.blob_amplitude)
+            radius = rng.uniform(*BLOB_RADIUS)
+            amp = rng.uniform(*BLOB_AMPLITUDE)
             bump = amp * _cone(x, y, (bx, by), radius)
             out.density.values[state.g.fluid] += bump[state.g.fluid]
     return out, ForceConfig(gravity, buoyancy, confinement)
@@ -167,19 +153,19 @@ class SampleStats:
 
 
 def unrolled_loss(params: NetParams, frame: SimState, cfg: LossConfig,
-                  rng: np.random.Generator,
-                  aug: AugmentConfig | None = None) -> SampleStats | None:
+                  rng: np.random.Generator, aug: bool = True) -> SampleStats | None:
     """Loss and parameter gradient for one training sample.
 
     Runs the full simulation step ``n`` times with the learned projection
     and evaluates the weighted divergence objective after step 1 and step
-    n.  Returns None (sample skipped) when the rollout exceeds the speed
-    limit.  Consumes draws in the order: timestep, unroll length, then
-    the augmentation draws.
+    n.  Returns None (sample skipped) when the rollout exceeds
+    SPEED_LIMIT.  Consumes draws in the order: timestep, unroll length,
+    then, if ``aug`` is set, the augmentation draws; without ``aug`` the
+    frame is stepped as it is, with no forces.
     """
-    dt = sample_timestep(rng, cfg.dt_base)
+    dt = sample_timestep(rng)
     n = sample_unroll(rng, cfg)
-    state, forces = augment(frame, rng, aug if aug is not None else AugmentConfig())
+    state, forces = augment(frame, rng) if aug else (frame, ForceConfig())
 
     sim_cfg = SimConfig(dt=dt, forces=forces,
                         projection=ConvnetProjection(params))
@@ -190,7 +176,7 @@ def unrolled_loss(params: NetParams, frame: SimState, cfg: LossConfig,
     for s in range(1, last + 1):
         state = step(state, sim_cfg)
         speed = state.u.max_speed()
-        if speed > cfg.speed_limit:
+        if speed > SPEED_LIMIT:
             log.warning("sample skipped: speed %.3g beyond limit at step %d", speed, s)
             return None
         if s in (1, last):
@@ -237,7 +223,6 @@ def adam_step(params: NetParams, grads: np.ndarray, st: AdamState
 class TrainConfig:
     arch: NetArch = field(default_factory=NetArch)
     loss: LossConfig = field(default_factory=LossConfig)
-    augment: AugmentConfig = field(default_factory=AugmentConfig)
     batch_size: int = 8
     lr: float = 1e-4
     grad_clip: float = 1.0  # global l2 norm; 0 disables
@@ -293,7 +278,7 @@ def train(dataset, cfg: TrainConfig, epochs: int, seed
             acc = np.zeros(params.n_params)
             used = 0
             for idx in batch:
-                stats = unrolled_loss(params, dataset[idx], cfg.loss, rng, cfg.augment)
+                stats = unrolled_loss(params, dataset[idx], cfg.loss, rng, aug=True)
                 if stats is None:
                     continue
                 if not np.isfinite(stats.loss) or not np.all(np.isfinite(stats.grads)):
@@ -328,7 +313,8 @@ def train(dataset, cfg: TrainConfig, epochs: int, seed
 def gradient_check(params: NetParams, sample: SimState, eps: float = 1e-5,
                    n_checked: int = 100, seed: int = 0) -> float:
     """Max relative error between analytic and central-difference
-    gradients of the single-step loss, over randomly chosen parameters.
+    gradients of the single-step loss of the unaugmented sample, over
+    randomly chosen parameters.
 
     The loss closure reseeds its random draws identically on every call,
     so the finite differences see a deterministic function.  Run this on
@@ -345,11 +331,9 @@ def gradient_check(params: NetParams, sample: SimState, eps: float = 1e-5,
         raise ValueError(f"probe step eps must be positive and finite, got {eps}")
     params = params.astype(np.float64)
     cfg = LossConfig(unroll=((1, 1.0),))
-    quiet = AugmentConfig(p_gravity=0.0, p_buoyancy=0.0, p_confinement=0.0,
-                          p_density=0.0)
 
     def run_loss(p: NetParams) -> SampleStats:
-        return unrolled_loss(p, sample, cfg, np.random.default_rng(1234), quiet)
+        return unrolled_loss(p, sample, cfg, np.random.default_rng(1234), aug=False)
 
     base = run_loss(params)
     if base is None:

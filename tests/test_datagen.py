@@ -5,8 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from macfluid.datagen import (EmitterConfig, EmitterParams, GeometryConfig,
-                              LoadedScene, NoiseConfig, SceneConfig,
+from macfluid.datagen import (EMITTER_COUNT_RANGE, NOISE_AMPLITUDE, EmitterParams,
+                              GeometryConfig, LoadedScene, SceneConfig,
                               apply_emitters, box_mask, build_scene,
                               capsule_mask, curl_noise_velocity, disc_mask,
                               generate_dataset, load_dataset, random_geometry,
@@ -24,15 +24,9 @@ def test_curl_noise_divergence_free_everywhere():
     for seed in range(20):
         dims = GridDims(24, 16) if seed % 2 else GridDims(16, 24, h=0.25)
         g = OccupancyGrid.empty(dims)
-        u = curl_noise_velocity(dims, NoiseConfig(amplitude=2.0), seed=seed)
+        u = curl_noise_velocity(dims, seed=seed)
         d = divergence(u, g)
         assert np.max(np.abs(d.values)) <= 1e-10
-
-
-def test_curl_noise_zero_amplitude():
-    u = curl_noise_velocity(GridDims(16, 16), NoiseConfig(amplitude=0.0), seed=3)
-    assert not np.any(u.ux)
-    assert not np.any(u.uy)
 
 
 def test_curl_noise_reproducible():
@@ -46,19 +40,8 @@ def test_curl_noise_reproducible():
 
 
 def test_curl_noise_amplitude_normalized():
-    u = curl_noise_velocity(GridDims(16, 16), NoiseConfig(amplitude=0.7), seed=1)
-    assert u.max_speed() == pytest.approx(0.7, rel=1e-12)
-
-
-def test_noise_config_validation():
-    with pytest.raises(ValueError):
-        NoiseConfig(octaves=0)
-    with pytest.raises(ValueError):
-        NoiseConfig(amplitude=-1.0)
-    with pytest.raises(ValueError):
-        NoiseConfig(scale_range=(3.0, 2.0))
-    with pytest.raises(ValueError):
-        NoiseConfig(scale_range=(0.0, 2.0))
+    u = curl_noise_velocity(GridDims(16, 16), seed=1)
+    assert u.max_speed() == pytest.approx(NOISE_AMPLITUDE, rel=1e-12)
 
 
 # ====== Shape rasterization ======
@@ -139,10 +122,6 @@ def test_geometry_config_validation():
     with pytest.raises(ValueError):
         GeometryConfig(count_range=(3, 1))
     with pytest.raises(ValueError):
-        GeometryConfig(kinds=())
-    with pytest.raises(ValueError, match="unknown shape kind"):
-        GeometryConfig(kinds=("disc", "pyramid"))
-    with pytest.raises(ValueError):
         GeometryConfig(size_range=(0.0, 0.1))
 
 
@@ -198,10 +177,6 @@ def test_emitter_validation():
         EmitterParams((1.0, 1.0), 0.0, (1.0, 0.0))
     with pytest.raises(ValueError):
         EmitterParams((1.0, 1.0), 1.0, (1.0, 0.0), duration=0)
-    with pytest.raises(ValueError):
-        EmitterConfig(radius_range=(2.0, 1.0))
-    with pytest.raises(ValueError):
-        EmitterConfig(duration_range=(0, 4))
 
 
 # ====== Scene assembly ======
@@ -233,7 +208,7 @@ def test_build_scene_initial_state_consistent():
     assert not np.any(state.u.ux[fm.solid_x])
     assert not np.any(state.u.uy[fm.solid_y])
     assert not np.any(state.density.values[state.g.solid])
-    lo, hi = cfg.emitters.count_range
+    lo, hi = EMITTER_COUNT_RANGE
     assert lo <= len(emitters) <= hi
     # cells with four free faces keep the raw curl-noise samples, so the
     # initial divergence there is exactly zero
@@ -294,7 +269,7 @@ def test_generate_dataset_frames_are_projected(tmp_path):
 
 def test_generate_dataset_flags_non_convergence(tmp_path, caplog):
     cfg = SceneConfig(dims=GridDims(16, 16), seed=2)
-    stubborn = PcgProjection(tol=1e-30, max_iter=1)
+    stubborn = PcgProjection(tol=1e-30)
     with caplog.at_level("WARNING", logger="macfluid.datagen"):
         generate_dataset(cfg, 1, 4, 4, tmp_path, projection=stubborn)
     meta = json.loads((tmp_path / "scene_0000" / "meta.json").read_text())

@@ -138,7 +138,7 @@ def test_model_validation_errors(tmp_path):
 def test_pgm_layout_flip_and_clamp(tmp_path):
     values = np.array([[0.0, 0.5], [1.0, 2.0]])
     path = tmp_path / "img.pgm"
-    write_pgm(path, values, vmax=1.0)
+    write_pgm(path, values)
     raw = path.read_bytes()
     assert raw.startswith(b"P5\n2 2\n255\n")
     payload = raw[len(b"P5\n2 2\n255\n"):]
@@ -148,5 +148,5 @@ def test_pgm_layout_flip_and_clamp(tmp_path):
 
 def test_pgm_negative_values_clamp_to_black(tmp_path):
     path = tmp_path / "img.pgm"
-    write_pgm(path, np.full((4, 4), -3.0), vmax=1.0)
+    write_pgm(path, np.full((4, 4), -3.0))
     assert set(path.read_bytes()[-16:]) == {0}

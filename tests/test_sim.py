@@ -256,6 +256,10 @@ def test_config_validation():
         SimConfig(dt=0.0)
     with pytest.raises(ValueError):
         InflowRegion(center=(1.0, 1.0), radius=0.0, velocity=(0.0, 0.0))
+    with pytest.raises(ValueError, match="inflow radius must be positive"):
+        InflowRegion(center=(1.0, 1.0), radius=float("nan"), velocity=(0.0, 0.0))
+    with pytest.raises(ValueError, match="inflow center must be finite"):
+        InflowRegion(center=(float("nan"), 1.0), radius=1.0, velocity=(0.0, 0.0))
     with pytest.raises(ValueError, match="inflow velocity must be finite"):
         InflowRegion(center=(1.0, 1.0), radius=1.0, velocity=(float("nan"), 0.0))
     with pytest.raises(ValueError, match="inflow density must be finite"):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from macfluid import training
 from macfluid.convnet import NetArch, init_params, projection_backward
 from macfluid.datagen import SceneConfig, build_scene
 from macfluid.fdops import divergence, face_masks
@@ -10,9 +11,8 @@ from macfluid.forces import ForceConfig
 from macfluid.grids import (DistanceField, GridDims, MacVelocity,
                             OccupancyGrid, ScalarGrid, distance_field)
 from macfluid.sim import ConvnetProjection, SimConfig, SimState, step
-from macfluid.training import (AdamState, AugmentConfig, EpochStats,
-                               LossConfig, SampleStats, TrainConfig,
-                               TrainingError, adam_step, augment,
+from macfluid.training import (AdamState, EpochStats, LossConfig, SampleStats,
+                               TrainConfig, TrainingError, adam_step, augment,
                                divergence_loss, gradient_check, loss_weights,
                                sample_timestep, sample_unroll, train,
                                unrolled_loss)
@@ -151,43 +151,37 @@ def test_loss_config_validation():
 
 # ====== augmentation ======
 
-def test_augment_identity_when_all_probabilities_zero():
+def test_augment_identity_when_all_probabilities_zero(monkeypatch):
+    monkeypatch.setattr(training, "AUGMENT_P", 0.0)
     state = _random_state(4)
-    cfg = AugmentConfig(p_gravity=0.0, p_buoyancy=0.0, p_confinement=0.0, p_density=0.0)
-    out, forces = augment(state, np.random.default_rng(0), cfg)
+    out, forces = augment(state, np.random.default_rng(0))
     assert forces == ForceConfig()
     np.testing.assert_array_equal(out.u.ux, state.u.ux)
     np.testing.assert_array_equal(out.density.values, state.density.values)
     assert out.density.values is not state.density.values
 
 
-def test_augment_deterministic_and_pure():
+def test_augment_deterministic_and_pure(monkeypatch):
+    monkeypatch.setattr(training, "AUGMENT_P", 1.0)
     state = _random_state(5)
-    cfg = AugmentConfig(p_gravity=1.0, p_buoyancy=1.0, p_confinement=1.0, p_density=1.0)
     rho0 = state.density.values.copy()
-    a1, f1 = augment(state, np.random.default_rng(9), cfg)
-    a2, f2 = augment(state, np.random.default_rng(9), cfg)
+    a1, f1 = augment(state, np.random.default_rng(9))
+    a2, f2 = augment(state, np.random.default_rng(9))
     assert f1 == f2
     np.testing.assert_array_equal(a1.density.values, a2.density.values)
     np.testing.assert_array_equal(state.density.values, rho0)
     assert np.any(a1.density.values != rho0)  # blobs landed somewhere
 
 
-def test_augment_gravity_magnitude_in_range():
+def test_augment_gravity_magnitude_in_range(monkeypatch):
+    monkeypatch.setattr(training, "AUGMENT_P", 1.0)
+    monkeypatch.setattr(training, "GRAVITY_RANGE", (0.05, 0.2))
     state = _random_state(6)
-    cfg = AugmentConfig(p_gravity=1.0, gravity_range=(0.05, 0.2))
     rng = np.random.default_rng(10)
     for _ in range(200):
-        _, forces = augment(state, rng, cfg)
+        _, forces = augment(state, rng)
         mag = np.hypot(*forces.gravity)
         assert 0.05 - 1e-12 <= mag <= 0.2 + 1e-12
-
-
-def test_augment_range_validation():
-    with pytest.raises(ValueError):
-        AugmentConfig(gravity_range=(-1.0, 1.0))
-    with pytest.raises(ValueError):
-        AugmentConfig(blob_radius=(3.0, 1.0))
 
 
 # ====== unrolled loss ======
@@ -196,17 +190,15 @@ def test_unrolled_loss_n1_equals_single_step_loss():
     state = _random_state(7)
     params = init_params(NetArch(features=4), seed=0)
     cfg = LossConfig(unroll=((1, 1.0),))
-    quiet = AugmentConfig(p_gravity=0.0, p_buoyancy=0.0, p_confinement=0.0, p_density=0.0)
 
-    stats = unrolled_loss(params, state, cfg, np.random.default_rng(11), quiet)
+    stats = unrolled_loss(params, state, cfg, np.random.default_rng(11), aug=False)
 
     rng = np.random.default_rng(11)
-    dt = sample_timestep(rng, cfg.dt_base)
+    dt = sample_timestep(rng)
     n = sample_unroll(rng, cfg)
     assert n == 1
-    aug_state, forces = augment(state, rng, quiet)
-    sim_cfg = SimConfig(dt=dt, forces=forces, projection=ConvnetProjection(params))
-    out = step(aug_state, sim_cfg)
+    sim_cfg = SimConfig(dt=dt, projection=ConvnetProjection(params))
+    out = step(state, sim_cfg)
     w = loss_weights(distance_field(state.g), cfg.k)
     want, _ = divergence_loss(out.u, w, out.g)
     assert stats.loss == want
@@ -214,12 +206,12 @@ def test_unrolled_loss_n1_equals_single_step_loss():
     assert stats.div_step1 == stats.div_stepn
 
 
-def _replay_start(state, params, cfg, seed, aug_cfg):
+def _replay_start(state, params, cfg, seed):
     """The augmented start state and step config that unrolled_loss draws."""
     rng = np.random.default_rng(seed)
-    dt = sample_timestep(rng, cfg.dt_base)
+    dt = sample_timestep(rng)
     n = sample_unroll(rng, cfg)
-    cur, forces = augment(state, rng, aug_cfg)
+    cur, forces = augment(state, rng)
     return cur, n, SimConfig(dt=dt, forces=forces, projection=ConvnetProjection(params))
 
 
@@ -231,11 +223,10 @@ def test_unrolled_loss_replay_oracle_n4():
     state = _random_state(8, nx=8, ny=8)
     params = init_params(NetArch(features=4), seed=1)
     cfg = LossConfig(unroll=((4, 1.0),))
-    aug_cfg = AugmentConfig()
 
-    stats = unrolled_loss(params, state, cfg, np.random.default_rng(12), aug_cfg)
+    stats = unrolled_loss(params, state, cfg, np.random.default_rng(12), aug=True)
 
-    cur, n, sim_cfg = _replay_start(state, params, cfg, 12, aug_cfg)
+    cur, n, sim_cfg = _replay_start(state, params, cfg, 12)
     assert n == 4
     w = loss_weights(distance_field(state.g), cfg.k)
     cur = step(cur, sim_cfg)
@@ -259,10 +250,10 @@ def test_unrolled_loss_single_frame_flag_drops_future_term():
     state = _random_state(9)
     params = init_params(NetArch(features=4), seed=2)
     full = unrolled_loss(params, state, LossConfig(unroll=((4, 1.0),)),
-                         np.random.default_rng(13), AugmentConfig())
+                         np.random.default_rng(13))
     only1 = unrolled_loss(params, state,
                           LossConfig(unroll=((4, 1.0),), single_frame=True),
-                          np.random.default_rng(13), AugmentConfig())
+                          np.random.default_rng(13))
     assert only1.loss < full.loss
     assert only1.div_step1 == full.div_step1
     assert only1.n == 4
@@ -271,21 +262,22 @@ def test_unrolled_loss_single_frame_flag_drops_future_term():
 def test_unrolled_loss_speed_limit_skips():
     state = _random_state(10, speed=1e7)
     params = init_params(NetArch(features=4), seed=3)
-    cfg = LossConfig(unroll=((1, 1.0),), speed_limit=1e6)
-    quiet = AugmentConfig(p_gravity=0.0, p_buoyancy=0.0, p_confinement=0.0, p_density=0.0)
-    assert unrolled_loss(params, state, cfg, np.random.default_rng(14), quiet) is None
+    cfg = LossConfig(unroll=((1, 1.0),))
+    assert unrolled_loss(params, state, cfg, np.random.default_rng(14), aug=False) is None
 
 
 @pytest.mark.parametrize("skip_at", [2, 4])
-def test_unrolled_loss_speed_limit_skips_mid_and_last_step(skip_at, caplog):
+def test_unrolled_loss_speed_limit_skips_mid_and_last_step(skip_at, caplog, monkeypatch):
     # steady gravity speeds the flow up every step; a limit between the
     # speeds after steps skip_at - 1 and skip_at trips first at skip_at
+    monkeypatch.setattr(training, "AUGMENT_P", 1.0)
+    monkeypatch.setattr(training, "GRAVITY_RANGE", (50.0, 50.0))
+    monkeypatch.setattr(training, "BUOYANCY_RANGE", (0.0, 0.0))
+    monkeypatch.setattr(training, "CONFINEMENT_RANGE", (0.0, 0.0))
     state = _random_state(11, speed=0.1)
     params = init_params(NetArch(features=4), seed=4)
-    falling = AugmentConfig(p_gravity=1.0, gravity_range=(50.0, 50.0),
-                            p_buoyancy=0.0, p_confinement=0.0, p_density=0.0)
     cfg = LossConfig(unroll=((4, 1.0),))
-    cur, _, sim_cfg = _replay_start(state, params, cfg, 15, falling)
+    cur, _, sim_cfg = _replay_start(state, params, cfg, 15)
     speeds = []
     for _ in range(4):
         cur = step(cur, sim_cfg)
@@ -293,15 +285,13 @@ def test_unrolled_loss_speed_limit_skips_mid_and_last_step(skip_at, caplog):
     assert speeds == sorted(speeds) and len(set(speeds)) == 4
 
     limit = 0.5 * (speeds[skip_at - 2] + speeds[skip_at - 1])
-    limited = LossConfig(unroll=((4, 1.0),), speed_limit=limit)
+    monkeypatch.setattr(training, "SPEED_LIMIT", limit)
     with caplog.at_level("WARNING", logger="macfluid.training"):
-        assert unrolled_loss(params, state, limited, np.random.default_rng(15),
-                             falling) is None
+        assert unrolled_loss(params, state, cfg, np.random.default_rng(15)) is None
     assert any(f"at step {skip_at}" in r.message for r in caplog.records)
 
-    above = LossConfig(unroll=((4, 1.0),), speed_limit=speeds[-1])
-    assert unrolled_loss(params, state, above, np.random.default_rng(15),
-                         falling) is not None
+    monkeypatch.setattr(training, "SPEED_LIMIT", speeds[-1])
+    assert unrolled_loss(params, state, cfg, np.random.default_rng(15)) is not None
 
 
 # ====== ADAM ======
@@ -352,7 +342,6 @@ def _tiny_dataset(n=4, seed=20):
 def _fast_cfg(**kw):
     return TrainConfig(arch=NetArch(features=4),
                        loss=LossConfig(unroll=((1, 1.0),)),
-                       augment=AugmentConfig(p_density=0.5),
                        batch_size=2, **kw)
 
 
