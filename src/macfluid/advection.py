@@ -8,22 +8,25 @@ clamped to the fluid side of the first crossing: a coarse scan at
 evenly spaced parameters along the trace, at least four and at most half
 a cell apart, finds the first non-fluid sample, then bisection refines
 the crossing.  At that spacing no trace steps over a straight wall one
-cell thick, at any CFL number.  Each lattice (cell centers, x faces,
-y faces) is traced in its own (nrows, ncols) shape.
+cell thick, at any CFL number.
 
-Most traces start in open fluid and are too short to reach a non-fluid
-cell; they skip the scan and land at x0 + dx, bit for bit what the scan
-gives.  The test is a clearance per lattice node, built once per grid
-(``_clearance2``): D - 1.5 cells, D being the distance to the nearest
-non-fluid cell of the padded fluid mask, so border walls and the air above
-an open top count too.  ``g.distance`` would not do: it sees only solid
-cells and is +inf on a grid without solid.
+Only a trace that can reach a non-fluid point is scanned; every other one
+lands at x0 + dx, bit for bit what the scan gives.  A trace is skipped
+when it is shorter than its node's clearance (``_clearance2``, built once
+per lattice and grid): the exact distance from the node to the nearest
+non-fluid cell square of the padded fluid mask, so border walls and the
+air above an open top count too, less a roundoff margin.  ``g.distance``
+would not do: it sees only solid cells and is +inf on a grid without
+solid.  A trace of zero displacement is skipped whatever its clearance;
+the face nodes on the right and top borders sit on the padded mask's ring.
 
 The MacCormack scheme runs the plain trace forward and backward, both
-scaled from one velocity sample at the lattice nodes, applies half the
-round-trip defect as a correction, and keeps the corrected value
-only while it stays inside the min/max of the four interpolation samples
-of the forward trace; otherwise it falls back to the plain value.
+scaled from one velocity sample at the lattice nodes and scanned together
+on a leading axis of 2 over the lattice's (nrows, ncols) shape, so each
+lattice takes one scan.  It applies half the round-trip defect as a
+correction, and keeps the corrected value only while it stays inside the
+min/max of the four interpolation samples of the forward trace; otherwise
+it falls back to the plain value.
 """
 
 from __future__ import annotations
@@ -38,6 +41,9 @@ from .grids import (MacVelocity, OccupancyGrid, ScalarGrid, _bilinear, _lattice_
 
 _MIN_PROBES = 4
 _BISECT_ITERS = 8
+# cells taken off the exact clearance for roundoff in the probe positions
+_CLEARANCE_MARGIN = 1e-6
+
 
 def _check_scheme(scheme: str) -> None:
     if scheme not in ("sl", "maccormack"):
@@ -73,27 +79,34 @@ def _clearance2(g: OccupancyGrid, shape: tuple[int, int], offx: float,
     length a trace from the node may have and still meet no non-fluid point.
     Built once per lattice with ``g.derived``.
 
-    A node lies in the cell ``_fluid_at_points`` assigns it, so within
-    sqrt(2)/2 of that cell's center, and every point of a non-fluid cell
-    lies within sqrt(2)/2 of its center; points outside the padded mask
-    lie behind its ring of non-fluid cells.  So no non-fluid point is
-    nearer to the node than D - sqrt(2) cells, where D is the
-    center-to-center distance from the node's cell to the nearest non-fluid
-    cell of ``g.fluid_padded``.  The clearance is D - 1.5, at least 0, so
-    that roundoff in the probe positions x0 + i * (dx / k) cannot reach past
-    the bound.
+    The clearance is the distance from the node to the nearest closed cell
+    square that is non-fluid in ``g.fluid_padded`` (``_half_cell_distance``),
+    less ``_CLEARANCE_MARGIN``.  Every non-fluid point lies in such a
+    square, points outside the padded mask lie behind its ring, and the
+    margin covers the roundoff of the probe positions x0 + i * (dx / k) and
+    of ``_padded_cell``'s x / h.  So a cell-center node beside a wall has a
+    clearance of just under half a cell.
     """
-    h = g.dims.h
-    x, y = _lattice_xy(shape, offx, offy)
-    x, y = np.broadcast_arrays(x * h, y * h)
-    d = g.derived(_padded_distance).take(_padded_cell(g, x, y))
-    return _read_only((np.maximum(d - 1.5, 0.0) * h) ** 2)
+    nrows, ncols = shape
+    a, b = round(2 * offx) + 2, round(2 * offy) + 2
+    d = g.derived(_half_cell_distance)[b:b + 2 * nrows:2, a:a + 2 * ncols:2]
+    return _read_only((np.maximum(d - _CLEARANCE_MARGIN, 0.0) * g.dims.h) ** 2)
 
 
-def _padded_distance(g: OccupancyGrid) -> np.ndarray:
-    """D for every cell of ``g.fluid_padded``, flattened: the center-to-center
-    distance to the nearest non-fluid cell, in cells; 0 on non-fluid cells."""
-    return _read_only(ndimage.distance_transform_edt(g.fluid_padded).ravel())
+def _half_cell_distance(g: OccupancyGrid) -> np.ndarray:
+    """Distance in cells from each point of the half-cell lattice over
+    ``g.fluid_padded`` (point (a, b) at cell coordinates (a / 2 - 1, b / 2 - 1))
+    to the nearest closed square of a non-fluid padded cell.
+
+    A lattice node has half-cell coordinates, and so has the point of any
+    cell square nearest to it (the node clamped into the square), so the
+    distance to the nearest marked half-cell point, marked being every
+    corner, edge midpoint and center of a non-fluid cell, is exact."""
+    ny2, nx2 = g.fluid_padded.shape
+    marked = np.zeros((2 * ny2 + 1, 2 * nx2 + 1), dtype=bool)
+    marked[1::2, 1::2] = ~g.fluid_padded
+    marked = ndimage.binary_dilation(marked, np.ones((3, 3), dtype=bool))
+    return _read_only(0.5 * ndimage.distance_transform_edt(~marked))
 
 
 def _clamp(g: OccupancyGrid, x0: np.ndarray, y0: np.ndarray, dx: np.ndarray,
@@ -133,10 +146,12 @@ def _trace(g: OccupancyGrid, x0: np.ndarray, y0: np.ndarray, dx: np.ndarray,
            dy: np.ndarray, clear2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``_clamp`` for the nodes of a lattice, with ``clear2`` from
     ``_clearance2``: a trace shorter than its node's clearance meets no
-    non-fluid point and lands at x0 + dx unscanned; only the rest (NaN and
-    inf displacements among them, which fail the comparison) are scanned."""
+    non-fluid point, and a trace of zero displacement goes nowhere, so both
+    land at x0 + dx unscanned; only the rest (NaN and inf displacements
+    among them, which fail the comparison) are scanned.  The displacements
+    may carry leading axes of their own."""
     out_x, out_y = x0 + dx, y0 + dy
-    far = np.nonzero(~(dx * dx + dy * dy < clear2))
+    far = np.nonzero(~(dx * dx + dy * dy < clear2) & ((dx != 0.0) | (dy != 0.0)))
     if far[0].size:
         out_x[far], out_y[far] = _clamp(
             g, np.broadcast_to(x0, dx.shape)[far], np.broadcast_to(y0, dx.shape)[far],
@@ -164,15 +179,17 @@ def _advect_lattice(values: np.ndarray, offx: float, offy: float, u: MacVelocity
     x, y = x * h, y * h
     vx = _bilinear(u.ux, x, y, 0.0, 0.5, h)
     vy = _bilinear(u.uy, x, y, 0.5, 0.0, h)
+    # the backward trace, and for MacCormack the forward one beside it on a
+    # leading axis, so that one scan serves both
+    steps = np.array([-dt] if scheme == "sl" else [-dt, dt])[:, None, None]
     clear2 = g.derived(_clearance2, values.shape, offx, offy)
-    bx, by = _trace(g, x, y, -dt * vx, -dt * vy, clear2)
+    tx, ty = _trace(g, x, y, steps * vx, steps * vy, clear2)
 
     if scheme == "sl":
-        return _bilinear(values, bx, by, offx, offy, h)
+        return _bilinear(values, tx[0], ty[0], offx, offy, h)
 
-    fwd, lo, hi = _bilinear(values, bx, by, offx, offy, h, with_bounds=True)
-    ax, ay = _trace(g, x, y, dt * vx, dt * vy, clear2)
-    bwd = _bilinear(fwd, ax, ay, offx, offy, h)
+    fwd, lo, hi = _bilinear(values, tx[0], ty[0], offx, offy, h, with_bounds=True)
+    bwd = _bilinear(fwd, tx[1], ty[1], offx, offy, h)
     corrected = fwd + 0.5 * (values - bwd)
     inside = (corrected >= lo) & (corrected <= hi)
     return np.where(inside, corrected, fwd)

@@ -19,6 +19,7 @@ import numpy as np
 
 from .fdops import divergence
 from .formats import csv_text, load_model
+from .pressure import DENSE_CELL_LIMIT
 from .sim import (ConvnetProjection, ExactProjection, JacobiProjection,
                   NoProjection, PcgProjection, SimConfig, SimState,
                   SimulationError, plume_scenario, run, step)
@@ -211,36 +212,33 @@ def _mean_rollout_div(samples, projection, frames: int) -> float:
 
 def match_divergence(scenes, target_projection, frames: int = 16,
                      max_iters: int = 4096) -> MatchResult:
-    """Binary-search the Jacobi iteration count matching a target backend.
+    """Find the smallest Jacobi iteration count matching a target backend.
 
     ``scenes`` is a list of loaded scenes (:func:`~macfluid.datagen.load_dataset`).
     The statistic is the mean fluid divergence norm over the rollout of
     every scene's initial frame.  Returns the smallest iteration count
     whose statistic is at or below the target's; when even ``max_iters``
-    does not reach it, the result carries ``matched=False``.
+    does not reach it, the result carries ``matched=False``.  The statistic
+    does not fall monotonically with the count (an odd count can beat the
+    even count after it), so doubling only brackets the match, and the
+    counts from 1 up to the bracket are scanned in turn.
     """
     samples = _initial_frames(scenes)
     target = _mean_rollout_div(samples, target_projection, frames)
+    divs: dict[int, float] = {}
 
     def jacobi_div(iters: int) -> float:
-        return _mean_rollout_div(samples, JacobiProjection(iters), frames)
+        if iters not in divs:
+            divs[iters] = _mean_rollout_div(samples, JacobiProjection(iters), frames)
+        return divs[iters]
 
     hi = 1
-    hi_div = jacobi_div(hi)
-    while hi_div > target:
+    while jacobi_div(hi) > target:
         if hi >= max_iters:
-            return MatchResult(hi, hi_div, target, matched=False)
+            return MatchResult(hi, divs[hi], target, matched=False)
         hi = min(2 * hi, max_iters)
-        hi_div = jacobi_div(hi)
-    lo = hi // 2  # jacobi(lo) known insufficient (or lo == 0)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        mid_div = jacobi_div(mid)
-        if mid_div <= target:
-            hi, hi_div = mid, mid_div
-        else:
-            lo = mid
-    return MatchResult(hi, hi_div, target, matched=True)
+    best = next(k for k in range(1, hi + 1) if jacobi_div(k) <= target)
+    return MatchResult(best, divs[best], target, matched=True)
 
 
 # ====== Plume frame timing ======
@@ -272,13 +270,23 @@ def bench(projection, dims_list, repetitions: int = 5,
     reference run and then the timed run each step ``repetitions`` frames
     through :func:`~macfluid.sim.run`; the timed run must reproduce the
     reference bit for bit, in its final fields and in every frame metric
-    but ``wall_ms``.
+    but ``wall_ms``.  With the dense ``exact`` backend every resolution's
+    fluid-cell count is checked against ``pressure.DENSE_CELL_LIMIT``
+    before any frame runs.
     """
     if repetitions < 1:
         raise ValueError(f"need at least one repetition, got {repetitions}")
+    scenes = [plume_scenario(dims, obstacle="disc", projection=projection)
+              for dims in dims_list]
+    if isinstance(projection, ExactProjection):
+        for start, _ in scenes:
+            if start.g.n_fluid > DENSE_CELL_LIMIT:
+                raise ValueError(
+                    f"exact backend capped at {DENSE_CELL_LIMIT} fluid cells; the "
+                    f"{start.g.dims.nx}x{start.g.dims.ny} plume has {start.g.n_fluid}")
     rows = []
-    for dims in dims_list:
-        start, cfg = plume_scenario(dims, obstacle="disc", projection=projection)
+    for start, cfg in scenes:
+        dims = start.g.dims
         start, _ = run(start, cfg, WARMUP_FRAMES)
         reference, ref_metrics = run(start, cfg, repetitions)
         out, metrics = run(start, cfg, repetitions)

@@ -306,7 +306,6 @@ def solve_pcg(sys: PoissonSystem, tol: float = 1e-4,
     if lat.n == 0 or bnorm == 0.0:
         return ScalarGrid(g.dims, out), PcgInfo(0, True, 0.0, "mic0")
     if not math.isfinite(bnorm):
-        logger.warning("PCG not run: the right-hand side norm is %s", bnorm)
         return ScalarGrid(g.dims, out), PcgInfo(0, False, math.nan, "mic0")
     precond = lat.precond
 

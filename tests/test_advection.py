@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from macfluid import advection, grids, sim
 from macfluid.advection import (_advect_lattice, _fluid_at_points, advect_scalar,
                                 self_advect, trace_back)
+from macfluid.datagen import SceneConfig, apply_emitters, build_scene
 from macfluid.grids import (GridDims, MacVelocity, OccupancyGrid, ScalarGrid, _bilinear,
                             sample_velocity)
 
@@ -277,6 +279,29 @@ def test_plume_bytes_match_the_golden_digest(scene):
     assert digest.hexdigest() == want
 
 
+# sha256 of (ux, uy, density) of datagen scenes 0-3 at 32x32, each after 8
+# Jacobi(34) frames with its emitters applied: random obstacles make more
+# traces clamp than the plumes above do
+_GOLDEN_DATAGEN = {
+    "closed": "4a78cf70593adc4f5e9a825d7f88246b39c64007e2777c929c543f180ec7cda3",
+    "open-top": "0cc8ad863dab2c292b7867716b016673d9f921de7938157f39c2c38769bc74e1",
+}
+
+
+@pytest.mark.parametrize("boundary", sorted(_GOLDEN_DATAGEN))
+def test_datagen_bytes_match_the_golden_digest(boundary):
+    cfg = sim.SimConfig(projection=sim.JacobiProjection(34))
+    digest = hashlib.sha256()
+    for seed in range(4):
+        state, emitters = build_scene(SceneConfig(seed=seed, boundary=boundary))
+        for _ in range(8):
+            state = sim.step(replace(state, u=apply_emitters(state.u, emitters, state.frame)),
+                             cfg)
+        for arr in (state.u.ux, state.u.uy, state.density.values):
+            digest.update(np.ascontiguousarray(arr).tobytes())
+    assert digest.hexdigest() == _GOLDEN_DATAGEN[boundary]
+
+
 def _clearance_scene(geometry, open_top, h):
     dims = GridDims(64, 64, h=h)
     if geometry == "disc":
@@ -319,4 +344,92 @@ def test_clearance_skip_lands_where_the_full_scan_does(geometry, h, open_top):
                 np.testing.assert_array_equal(got[0], want[0])
                 np.testing.assert_array_equal(got[1], want[1])
                 clamped += np.count_nonzero((want[0] != x + dx) | (want[1] != y + dy))
+        # traces within 1e-9 of each node's clearance, along both axes both ways
+        for eps in (-1e-9, 0.0, 1e-9):
+            length = np.sqrt(clear2) + eps
+            for ux, uy in ((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)):
+                dx, dy = ux * length, uy * length
+                got = advection._trace(g, x, y, dx, dy, clear2)
+                want = advection._clamp(g, x, y, dx, dy)
+                np.testing.assert_array_equal(got[0], want[0])
+                np.testing.assert_array_equal(got[1], want[1])
         assert clamped > 0
+
+
+def _clearance_reference(g, shape, offx, offy):
+    """Squared clearance from every node to every non-fluid padded cell square."""
+    pj, pi = np.nonzero(~g.fluid_padded)
+    x, y = grids._lattice_xy(shape, offx, offy)
+    x, y = np.broadcast_arrays(x, y)
+    x, y = x[..., None], y[..., None]
+    # padded cell (pj, pi) is the square [pi - 1, pi] x [pj - 1, pj] in cells
+    gap_x = np.maximum(np.maximum(pi - 1 - x, x - pi), 0.0)
+    gap_y = np.maximum(np.maximum(pj - 1 - y, y - pj), 0.0)
+    d = np.hypot(gap_x, gap_y).min(axis=-1)
+    return (np.maximum(d - advection._CLEARANCE_MARGIN, 0.0) * g.dims.h) ** 2
+
+
+@pytest.mark.parametrize("open_top", [False, True])
+@pytest.mark.parametrize("h", [0.37, 1.0, 2.5])
+def test_clearance_is_the_distance_to_the_nearest_non_fluid_square(h, open_top):
+    dims = GridDims(13, 9, h=h)
+    solid = np.random.default_rng(52).random(dims.shape) < 0.1
+    g = OccupancyGrid(dims, solid, open_top)
+    for shape, offx, offy in ((dims.shape, 0.5, 0.5), (dims.shape_ux, 0.0, 0.5),
+                              (dims.shape_uy, 0.5, 0.0)):
+        got = g.derived(advection._clearance2, shape, offx, offy)
+        np.testing.assert_allclose(got, _clearance_reference(g, shape, offx, offy),
+                                   rtol=1e-12, atol=0.0)
+    # a cell center beside a wall is half a cell clear of it
+    got = g.derived(advection._clearance2, dims.shape, 0.5, 0.5)
+    assert np.sqrt(got[0, 1]) == pytest.approx((0.5 - advection._CLEARANCE_MARGIN) * h)
+
+
+def _spy_clamp(monkeypatch):
+    """Record the displacements of every trace that reaches ``_clamp``."""
+    seen = []
+    clamp = advection._clamp
+
+    def spy(g, x0, y0, dx, dy):
+        seen.append((dx.copy(), dy.copy()))
+        return clamp(g, x0, y0, dx, dy)
+
+    monkeypatch.setattr(advection, "_clamp", spy)
+    return seen
+
+
+@pytest.mark.parametrize("open_top", [False, True])
+def test_still_nodes_are_not_scanned(monkeypatch, open_top):
+    _, g, u = _random_flow(53, open_top)
+    # still on the right half, border faces included
+    u.ux[:, 5:] = 0.0
+    u.uy[:, 5:] = 0.0
+    q = ScalarGrid(g.dims, np.ones(g.dims.shape))
+    seen = _spy_clamp(monkeypatch)
+    for _ in range(2):  # the second pass reuses the grid's clearances
+        for scheme in ("sl", "maccormack"):
+            advect_scalar(q, u, g, 0.3, scheme)
+            self_advect(u, g, 0.3, scheme)
+    assert seen
+    for dx, dy in seen:
+        assert np.all((dx != 0.0) | (dy != 0.0))
+
+
+def test_maccormack_scans_each_lattice_once(monkeypatch):
+    _, g, u = _random_flow(49, False)
+    q = ScalarGrid(g.dims, np.ones(g.dims.shape))
+    seen = _spy_clamp(monkeypatch)
+    per_lattice = []
+    advect_lattice = advection._advect_lattice
+
+    def lattice(*args):
+        before = len(seen)
+        out = advect_lattice(*args)
+        per_lattice.append(len(seen) - before)
+        return out
+
+    monkeypatch.setattr(advection, "_advect_lattice", lattice)
+    advect_scalar(q, u, g, 0.3, "maccormack")
+    self_advect(u, g, 0.3, "maccormack")
+    # strong flow among solid cells: every lattice has traces to clamp
+    assert per_lattice == [1, 1, 1]

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from macfluid import evaluate
 from macfluid.cli import CliError, _build_parser, cli
 from macfluid.formats import load_model, read_frame
 
@@ -252,6 +253,20 @@ def test_simulate_blowup_exits_two_and_dumps_the_frame(solver, tmp_path, capsys)
     assert len((out / "metrics.csv").read_text().splitlines()) == 1  # header only
 
 
+def test_simulate_pcg_blowup_prints_only_the_error_line(tmp_path):
+    # in a fresh process, where no logging handler is configured
+    out = tmp_path / "sim"
+    code = "import sys; from macfluid.cli import cli; sys.exit(cli(sys.argv[1:]))"
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", code, "simulate", "--res", "16", "--frames", "3",
+         "--buoyancy", "1e308", "--dt", "1e10", "--out", str(out)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert done.returncode == 2
+    assert done.stderr == (f"error: non-finite fields after frame 1; "
+                           f"frame dumped to {out / 'blowup.fnf'}\n")
+
+
 def test_simulate_bad_solver_spec_exits_one(tmp_path, capsys):
     rc = cli(["simulate", "--solver", "jacobi:many", "--out", str(tmp_path / "x")])
     assert rc == 1
@@ -321,6 +336,14 @@ def test_bench_stdout_and_bad_backend(capsys):
 def test_bench_rejects_a_side_not_divisible_by_four(capsys):
     assert cli(["bench", "--backend", "jacobi:5", "--res", "10", "--reps", "1"]) == 1
     assert "divisible by 4" in capsys.readouterr().err
+
+
+def test_bench_exact_over_the_dense_cap_exits_one_untimed(monkeypatch, capsys):
+    runs = []
+    monkeypatch.setattr(evaluate, "run", lambda *args: runs.append(args))
+    assert cli(["bench", "--backend", "exact"]) == 1  # default --res 32,64,128
+    assert "capped at 4096 fluid cells" in capsys.readouterr().err
+    assert runs == []
 
 
 def test_bench_no_projection(capsys):

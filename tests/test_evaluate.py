@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from macfluid import sim
+from macfluid import evaluate, sim
 from macfluid.convnet import NetArch, init_params
 from macfluid.datagen import LoadedScene, SceneConfig, build_scene, generate_dataset, load_dataset
 from macfluid.evaluate import (WARMUP_FRAMES, BenchRow, bench,
@@ -168,6 +168,21 @@ def test_match_divergence_unreachable_target(small_dataset):
     assert not result.matched
     assert result.iterations == 4
     assert result.jacobi_div > result.target_div
+
+
+def test_match_divergence_finds_the_smallest_count_of_a_non_monotone_statistic(
+        small_dataset, monkeypatch):
+    # each odd count beats the even count after it, as Jacobi's statistic does
+    def statistic(samples, projection, frames):
+        if isinstance(projection, JacobiProjection):
+            k = projection.iters
+            return (0.4 if k % 2 else 0.7) / k
+        return 0.05
+
+    monkeypatch.setattr(evaluate, "_mean_rollout_div", statistic)
+    result = match_divergence(small_dataset[:1], PcgProjection(), frames=1)
+    # doubling brackets 8..16, where bisection would settle on 13
+    assert result == evaluate.MatchResult(9, 0.4 / 9, 0.05, matched=True)
 
 
 def test_match_divergence_rejects_zero_frames(small_dataset):

@@ -404,8 +404,8 @@ def test_pcg_nonfinite_rhs_returns_the_zero_iterate_at_once(caplog):
     assert np.array_equal(p.values, np.zeros(sys.dims.shape))
     # a solve that never ran factors nothing
     assert "precond" not in vars(sys.g.derived(_build_lattice))
-    (record,) = caplog.records
-    assert "nan" in record.getMessage()
+    # the returned info reports it; the caller decides whether to raise
+    assert not caplog.records
 
 
 def test_pcg_solution_has_zero_mean_on_closed_components():
