@@ -37,7 +37,7 @@ import numpy as np
 from scipy import ndimage
 
 from .grids import (MacVelocity, OccupancyGrid, ScalarGrid, _bilinear, _lattice_xy,
-                    _read_only, sample_velocity)
+                    _read_only)
 
 _MIN_PROBES = 4
 _BISECT_ITERS = 8
@@ -157,18 +157,6 @@ def _trace(g: OccupancyGrid, x0: np.ndarray, y0: np.ndarray, dx: np.ndarray,
             g, np.broadcast_to(x0, dx.shape)[far], np.broadcast_to(y0, dx.shape)[far],
             dx[far], dy[far])
     return out_x, out_y
-
-
-def trace_back(pos: np.ndarray, u: MacVelocity, g: OccupancyGrid, dt: float) -> np.ndarray:
-    """Landing points of backward Euler traces pos - dt * u(pos).
-
-    Traces that would exit the fluid are clamped to the fluid side of the
-    first crossing.  ``pos`` has shape (n, 2); the result matches.
-    """
-    pos = np.asarray(pos, dtype=np.float64)
-    vel = sample_velocity(u, pos)
-    x, y = _clamp(g, pos[:, 0], pos[:, 1], -dt * vel[:, 0], -dt * vel[:, 1])
-    return np.stack([x, y], axis=-1)
 
 
 def _advect_lattice(values: np.ndarray, offx: float, offy: float, u: MacVelocity,

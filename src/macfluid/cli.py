@@ -271,7 +271,9 @@ def _build_parser() -> _Parser:
 
     p = subs.add_parser("simulate", help="run the plume benchmark scene",
                         description="Simulate and write metrics.csv with columns "
-                                    + ",".join(FrameMetrics.COLUMNS) + ".")
+                                    + ",".join(FrameMetrics.COLUMNS) + "; the pcg_* "
+                                    "columns report each frame's PCG solve and are "
+                                    "empty for other solvers.")
     p.add_argument("--res", type=int, default=64, help="grid side length")
     p.add_argument("--frames", type=int, default=64)
     p.add_argument("--solver", type=str, default="pcg:1e-4",

@@ -56,11 +56,6 @@ class GridDims:
     def n_cells(self) -> int:
         return self.nx * self.ny
 
-    def cell_centers(self) -> np.ndarray:
-        """Positions of all cell centers, shape (ny, nx, 2)."""
-        x, y = _lattice_xy(self.shape, 0.5, 0.5)
-        return np.stack(np.broadcast_arrays(x * self.h, y * self.h), axis=-1)
-
 
 def _check_shape(name: str, arr: np.ndarray, shape: tuple[int, int]) -> None:
     if arr.shape != shape:
@@ -252,38 +247,6 @@ def _bilinear(values: np.ndarray, x: np.ndarray, y: np.ndarray, offx: float,
     lo = np.minimum(np.minimum(v00, v01), np.minimum(v10, v11))
     hi = np.maximum(np.maximum(v00, v01), np.maximum(v10, v11))
     return out, lo, hi
-
-
-def _split_pos(pos) -> tuple[np.ndarray, np.ndarray, bool]:
-    p = np.asarray(pos, dtype=np.float64)
-    if p.shape[-1] != 2:
-        raise ValueError(f"positions must have a trailing axis of size 2, got shape {p.shape}")
-    single = p.ndim == 1
-    return p[..., 0], p[..., 1], single
-
-
-def sample_scalar(grid: ScalarGrid, pos) -> np.ndarray | float:
-    """Bilinear sample of a cell-centered field at world positions.
-
-    ``pos`` is one position of shape (2,) or an array of positions with a
-    trailing axis of size 2.
-    """
-    x, y, single = _split_pos(pos)
-    out = _bilinear(grid.values, x, y, 0.5, 0.5, grid.dims.h)
-    return float(out) if single else out
-
-
-def sample_velocity(u: MacVelocity, pos) -> np.ndarray:
-    """Bilinear sample of a face-sampled velocity at world positions.
-
-    Each component is interpolated on its own face lattice.  Returns an
-    array with a trailing axis of size 2.
-    """
-    x, y, _ = _split_pos(pos)
-    h = u.dims.h
-    vx = _bilinear(u.ux, x, y, 0.0, 0.5, h)
-    vy = _bilinear(u.uy, x, y, 0.5, 0.0, h)
-    return np.stack([vx, vy], axis=-1)
 
 
 # ====== Geometry queries ======

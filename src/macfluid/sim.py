@@ -31,7 +31,7 @@ from .forces import (ForceConfig, add_body_force, add_buoyancy,
 from .formats import format_row, write_pgm
 from .grids import (GridDims, MacVelocity, OccupancyGrid, ScalarGrid, _in_disc,
                     _lattice_xy, box_mask, disc_mask)
-from .pressure import (PoissonSystem, make_compatible, solve_dense_direct,
+from .pressure import (PcgInfo, PoissonSystem, make_compatible, solve_dense_direct,
                        solve_jacobi, solve_pcg)
 
 log = logging.getLogger(__name__)
@@ -227,7 +227,12 @@ def step(state: SimState, cfg: SimConfig) -> SimState:
 
 @dataclass(frozen=True)
 class FrameMetrics:
-    """Per-frame health numbers; divergence stats are over fluid cells."""
+    """Per-frame health numbers; divergence stats are over fluid cells.
+
+    The ``pcg_*`` fields are what the frame's PCG solve reported (its
+    iterations, true relative residual and whether it converged), None
+    for other backends; a CSV row leaves them empty.
+    """
 
     frame: int
     mean_div_l2: float
@@ -235,13 +240,16 @@ class FrameMetrics:
     max_div: float
     max_speed: float
     residual: float  # l2 norm of the post-step divergence, not a solver residual
+    pcg_iterations: int | None
+    pcg_relres: float | None
+    pcg_converged: bool | None
     wall_ms: float
 
-    COLUMNS = ("frame", "mean_div_l2", "std_div_l2", "max_div",
-               "max_speed", "residual", "wall_ms")
+    COLUMNS = ("frame", "mean_div_l2", "std_div_l2", "max_div", "max_speed", "residual",
+               "pcg_iterations", "pcg_relres", "pcg_converged", "wall_ms")
 
     def row(self) -> list:
-        return [getattr(self, c) for c in self.COLUMNS]
+        return ["" if v is None else v for v in (getattr(self, c) for c in self.COLUMNS)]
 
 
 def frame_metrics(state: SimState, wall_ms: float = 0.0) -> FrameMetrics:
@@ -251,7 +259,9 @@ def frame_metrics(state: SimState, wall_ms: float = 0.0) -> FrameMetrics:
     else:
         mean, std = float(d.mean()), float(d.std())
         mx, l2 = float(d.max()), float(np.linalg.norm(d))
-    return FrameMetrics(state.frame, mean, std, mx, state.u.max_speed(), l2, wall_ms)
+    pcg = state.report if isinstance(state.report, PcgInfo) else None
+    solve = (pcg.iterations, pcg.relres, pcg.converged) if pcg else (None, None, None)
+    return FrameMetrics(state.frame, mean, std, mx, state.u.max_speed(), l2, *solve, wall_ms)
 
 
 class CsvMetricsSink:

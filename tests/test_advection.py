@@ -5,15 +5,14 @@ import numpy as np
 import pytest
 
 from macfluid import advection, grids, sim
-from macfluid.advection import (_advect_lattice, _fluid_at_points, advect_scalar,
-                                self_advect, trace_back)
+from macfluid.advection import _advect_lattice, _fluid_at_points, advect_scalar, self_advect
 from macfluid.datagen import SceneConfig, apply_emitters, build_scene
-from macfluid.grids import (GridDims, MacVelocity, OccupancyGrid, ScalarGrid, _bilinear,
-                            sample_velocity)
+from macfluid.grids import GridDims, MacVelocity, OccupancyGrid, ScalarGrid, _bilinear
+from oracles import cell_centers, sample_scalar, sample_velocity, trace_back
 
 
 def _gaussian(dims, cx, cy, sigma):
-    cc = dims.cell_centers()
+    cc = cell_centers(dims)
     r2 = (cc[..., 0] - cx) ** 2 + (cc[..., 1] - cy) ** 2
     return np.exp(-r2 / (2 * sigma**2))
 
@@ -75,8 +74,7 @@ def test_maccormack_creates_no_new_extrema():
 
 def _naive_sl(q, u, g, dt):
     """Unclamped backtrace, for contrast with the boundary-aware one."""
-    from macfluid.grids import sample_scalar, sample_velocity
-    pos = g.dims.cell_centers().reshape(-1, 2)
+    pos = cell_centers(g.dims).reshape(-1, 2)
     back = pos - dt * sample_velocity(u, pos)
     return sample_scalar(q, back).reshape(g.dims.shape)
 
@@ -109,7 +107,7 @@ def test_trace_lands_in_fluid():
         g = OccupancyGrid(GridDims(nx, ny), solid, open_top=bool(trial % 2))
         u = MacVelocity(g.dims, rng.normal(scale=6.0, size=g.dims.shape_ux),
                         rng.normal(scale=6.0, size=g.dims.shape_uy))
-        cc = g.dims.cell_centers().reshape(-1, 2)
+        cc = cell_centers(g.dims).reshape(-1, 2)
         starts = cc[g.fluid.ravel()]
         ends = trace_back(starts, u, g, 0.7)
         i = np.floor(ends[:, 0]).astype(int)

@@ -219,8 +219,11 @@ def test_simulate_writes_metrics_and_pgm(tmp_path):
               "--out", str(out), "--pgm"])
     assert rc == 0
     lines = (out / "metrics.csv").read_text().splitlines()
-    assert lines[0] == "frame,mean_div_l2,std_div_l2,max_div,max_speed,residual,wall_ms"
+    assert lines[0] == ("frame,mean_div_l2,std_div_l2,max_div,max_speed,residual,"
+                        "pcg_iterations,pcg_relres,pcg_converged,wall_ms")
     assert len(lines) == 1 + 5
+    # jacobi reports no solve: the pcg cells are empty
+    assert all(line.split(",")[6:9] == ["", "", ""] for line in lines[1:])
     pgms = sorted(p.name for p in (out / "frames").glob("*.pgm"))
     assert pgms == [f"frame_{i:06d}.pgm" for i in range(1, 6)]
 

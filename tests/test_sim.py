@@ -312,6 +312,25 @@ def test_run_metrics_and_sinks(tmp_path):
         "frame_000001.pgm", "frame_000002.pgm", "frame_000003.pgm"]
 
 
+def test_run_metrics_carry_the_pcg_report(tmp_path):
+    state, cfg = plume_scenario(GridDims(16, 16), projection=PcgProjection(1e-6))
+    csv_path = tmp_path / "metrics.csv"
+    with CsvMetricsSink(csv_path) as csv_sink:
+        final, metrics = run(state, cfg, frames=3, sinks=(csv_sink,))
+    assert (metrics[-1].pcg_iterations, metrics[-1].pcg_relres, metrics[-1].pcg_converged) \
+        == (final.report.iterations, final.report.relres, True)
+    rows = [line.split(",") for line in csv_path.read_text().splitlines()]
+    cols = {c: [r[i] for r in rows[1:]] for i, c in enumerate(rows[0])}
+    assert all(0 < int(v) < 30 for v in cols["pcg_iterations"])
+    assert all(0 < float(v) <= 1e-6 for v in cols["pcg_relres"])
+    assert cols["pcg_converged"] == ["True"] * 3
+    # a backend that runs no PCG leaves the fields None and the cells empty
+    _, metrics = run(state, dataclasses.replace(cfg, projection=JacobiProjection(5)), frames=1)
+    assert (metrics[0].pcg_iterations, metrics[0].pcg_relres, metrics[0].pcg_converged) \
+        == (None, None, None)
+    assert format_row(metrics[0].row())[6:9] == ["", "", ""]
+
+
 def test_run_is_deterministic_apart_from_timing():
     state, cfg = plume_scenario(GridDims(16, 16))
     _, m1 = run(state.copy(), cfg, frames=4)
