@@ -21,11 +21,10 @@ import numpy as np
 from .convnet import NetArch, init_params
 from .datagen import SceneConfig, build_scene, generate_dataset, load_dataset
 from .evaluate import (WARMUP_FRAMES, BenchRow, bench, eval_divergence_curves,
-                       match_divergence, parse_backend, write_bench_csv)
-from .formats import csv_text, load_model, save_model, write_frame
+                       match_divergence, parse_backend)
+from .formats import csv_text, format_row, load_model, save_model, write_frame, write_pgm
 from .grids import GridDims
-from .sim import (ConvnetProjection, CsvMetricsSink, FrameMetrics, PgmFrameSink,
-                  SimulationError, plume_scenario, run)
+from .sim import ConvnetProjection, FrameMetrics, SimulationError, plume_scenario, run
 from .training import (EpochStats, LossConfig, TrainConfig, gradient_check,
                        train)
 
@@ -138,7 +137,8 @@ def _cmd_train(args) -> int:
 
 def _cmd_simulate(args) -> int:
     out = Path(_require(args, "out"))
-    out.mkdir(parents=True, exist_ok=True)
+    if args.frames < 1:
+        raise CliError(f"--frames must be >= 1, got {args.frames}")
     _, projection = parse_backend(args.solver)
     state, cfg = plume_scenario(GridDims(args.res, args.res),
                                 open_top=args.open_top,
@@ -147,13 +147,20 @@ def _cmd_simulate(args) -> int:
                                 buoyancy=args.buoyancy,
                                 confinement=args.confinement,
                                 projection=projection, dt=args.dt)
-    with CsvMetricsSink(out / "metrics.csv") as metrics_csv:
-        sinks = (metrics_csv, PgmFrameSink(out / "frames")) if args.pgm else (metrics_csv,)
+    (out / "frames" if args.pgm else out).mkdir(parents=True, exist_ok=True)
+    with open(out / "metrics.csv", "w") as metrics_csv:
+        metrics_csv.write(",".join(FrameMetrics.COLUMNS) + "\n")
+
+        def write(m: FrameMetrics, s) -> None:
+            metrics_csv.write(",".join(format_row(m.row())) + "\n")
+            if args.pgm:
+                write_pgm(out / "frames" / f"frame_{s.frame:06d}.pgm", s.density.values)
+
         try:
             # a blow-up is reported by step's SimulationError below, not by
             # numpy's warnings on the overflowing arithmetic that led to it
             with np.errstate(all="ignore"):
-                state, metrics = run(state, cfg, args.frames, sinks)
+                state, metrics = run(state, cfg, args.frames, (write,))
         except SimulationError as e:  # the initial state is finite, so e.state is set
             dump = out / "blowup.fnf"
             write_frame(dump, e.state.g, e.state.u, e.state.density, cfg.dt)
@@ -182,7 +189,8 @@ def _cmd_eval(args) -> int:
     backends = [parse_backend(s.strip()) for s in args.backends.split(",") if s.strip()]
     if not backends:
         raise CliError("--backends must name at least one backend")
-    curves = eval_divergence_curves(scenes, backends, args.frames, out_csv=out)
+    curves = eval_divergence_curves(scenes, backends, args.frames)
+    Path(out).write_text(curves.to_csv())
     for name in curves.names:
         print(f"{name}: final mean divergence {curves.mean[name][-1]:.6g} "
               f"({curves.excluded[name]} of {len(scenes)} samples excluded)")
@@ -201,11 +209,12 @@ def _cmd_bench(args) -> int:
         raise CliError("--res must list at least one size")
     rows = bench(projection, [GridDims(n, n) for n in sizes],
                  repetitions=args.reps, name=name)
+    text = csv_text(BenchRow.COLUMNS, [r.row() for r in rows])
     if args.out is not None:
-        write_bench_csv(rows, args.out)
+        Path(args.out).write_text(text)
         print(f"timings written to {args.out}")
     else:
-        print(csv_text(BenchRow.COLUMNS, [r.row() for r in rows]), end="")
+        print(text, end="")
     return 0
 
 

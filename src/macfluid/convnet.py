@@ -23,8 +23,10 @@ gradients agree with finite differences to roundoff in float64.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -146,8 +148,9 @@ def upsample2_backward(cot: np.ndarray) -> np.ndarray:
 
 # ====== Architecture and parameters ======
 
-@dataclass(frozen=True)
-class StageSpec:
+class StageSpec(NamedTuple):
+    """One convolution stage, field for field its FNM1 stage descriptor."""
+
     in_ch: int
     out_ch: int
     kernel: int
@@ -181,59 +184,65 @@ class NetArch:
             StageSpec(f, 1, 1, 0),   # head
         ]
 
-
-@dataclass
-class NetParams:
-    """Weights and biases for every stage, in stage order."""
-
-    arch: NetArch
-    weights: list
-    biases: list
-
-    @property
-    def dtype(self) -> np.dtype:
-        return self.weights[0].dtype
+    def param_shapes(self) -> list[tuple[int, ...]]:
+        """Per stage, the weight shape (out, in, k, k) then the bias shape
+        (out,): the order of :attr:`NetParams.flat` and of the FNM1 payload."""
+        return [shape for s in self.stage_specs()
+                for shape in ((s.out_ch, s.in_ch, s.kernel, s.kernel), (s.out_ch,))]
 
     @property
     def n_params(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
+        return sum(math.prod(shape) for shape in self.param_shapes())
+
+
+@dataclass
+class NetParams:
+    """All parameters as one flat vector in ``arch.param_shapes()`` order;
+    ``weights`` and ``biases`` are per-stage views into it, so writing
+    through them writes ``flat``."""
+
+    arch: NetArch
+    flat: np.ndarray
+    weights: list = field(init=False, repr=False)
+    biases: list = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        shapes = self.arch.param_shapes()
+        ends = np.cumsum([math.prod(shape) for shape in shapes])
+        if self.flat.shape != (ends[-1],):
+            raise ValueError(f"expected {ends[-1]} values, got {self.flat.size}")
+        views = [part.reshape(shape)
+                 for part, shape in zip(np.split(self.flat, ends[:-1]), shapes)]
+        self.weights, self.biases = views[0::2], views[1::2]
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.flat.dtype
+
+    @property
+    def n_params(self) -> int:
+        return self.flat.size
 
     def pack(self) -> np.ndarray:
-        parts = []
-        for w, b in zip(self.weights, self.biases):
-            parts.append(w.ravel())
-            parts.append(b.ravel())
-        return np.concatenate(parts)
+        return self.flat.copy()
 
     def with_flat(self, flat: np.ndarray) -> "NetParams":
-        """Rebuild parameters from a flat vector in pack() order."""
-        if flat.size != self.n_params:
-            raise ValueError(f"expected {self.n_params} values, got {flat.size}")
-        ws, bs = [], []
-        pos = 0
-        for w, b in zip(self.weights, self.biases):
-            ws.append(flat[pos:pos + w.size].reshape(w.shape).astype(self.dtype))
-            pos += w.size
-            bs.append(flat[pos:pos + b.size].reshape(b.shape).astype(self.dtype))
-            pos += b.size
-        return NetParams(self.arch, ws, bs)
+        """Parameters from a flat vector in pack() order, cast to this dtype."""
+        return NetParams(self.arch, flat.astype(self.dtype))
 
     def astype(self, dtype) -> "NetParams":
-        return NetParams(self.arch,
-                         [w.astype(dtype) for w in self.weights],
-                         [b.astype(dtype) for b in self.biases])
+        return NetParams(self.arch, self.flat.astype(dtype))
 
 
 def init_params(arch: NetArch, seed, dtype=np.float32) -> NetParams:
     """Uniform initialization in +-sqrt(1/fan_in), weights then bias per stage."""
     rng = np.random.default_rng(seed)
-    ws, bs = [], []
-    for spec in arch.stage_specs():
+    params = NetParams(arch, np.empty(arch.n_params, dtype))
+    for spec, w, b in zip(arch.stage_specs(), params.weights, params.biases):
         bound = np.sqrt(1.0 / (spec.in_ch * spec.kernel ** 2))
-        shape = (spec.out_ch, spec.in_ch, spec.kernel, spec.kernel)
-        ws.append(rng.uniform(-bound, bound, size=shape).astype(dtype))
-        bs.append(rng.uniform(-bound, bound, size=spec.out_ch).astype(dtype))
-    return NetParams(arch, ws, bs)
+        w[...] = rng.uniform(-bound, bound, size=w.shape)
+        b[...] = rng.uniform(-bound, bound, size=b.shape)
+    return params
 
 
 # ====== Forward / backward over the fixed topology ======
@@ -257,35 +266,37 @@ def _forward_raw(params: NetParams, x: np.ndarray) -> tuple[np.ndarray, tuple]:
 
 
 def _backward_raw(params: NetParams, cache: tuple, cot_y: np.ndarray
-                  ) -> tuple[list, list, np.ndarray]:
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """The parameter gradient, flat in pack() order, and the input cotangent.
+    Each stage's part is written through ``dw[i][...]`` and ``db[i][...]``."""
     # relu(z) > 0 exactly where z > 0, so the cached activations double as
     # the relu masks and the pre-activations never need to be kept
     (x, a0, af1, af2, h0, ah1, ah2, q0, aq1, aq2, m, am) = cache
     w = params.weights
-    dw = [None] * 9
-    db = [None] * 9
+    grad = NetParams(params.arch, np.empty_like(params.flat))
+    dw, db = grad.weights, grad.biases
 
-    dam, dw[8], db[8] = conv2d_backward(cot_y, am, w[8])
-    dm, dw[7], db[7] = conv2d_backward(relu_backward(dam, am), m, w[7])
+    dam, dw[8][...], db[8][...] = conv2d_backward(cot_y, am, w[8])
+    dm, dw[7][...], db[7][...] = conv2d_backward(relu_backward(dam, am), m, w[7])
 
     # full branch
-    daf1, dw[2], db[2] = conv2d_backward(relu_backward(dm, af2), af1, w[2])
-    da0, dw[1], db[1] = conv2d_backward(relu_backward(daf1, af1), a0, w[1])
+    daf1, dw[2][...], db[2][...] = conv2d_backward(relu_backward(dm, af2), af1, w[2])
+    da0, dw[1][...], db[1][...] = conv2d_backward(relu_backward(daf1, af1), a0, w[1])
 
     # half branch
     duh = upsample2_backward(dm)
-    dah1, dw[4], db[4] = conv2d_backward(relu_backward(duh, ah2), ah1, w[4])
-    dh0, dw[3], db[3] = conv2d_backward(relu_backward(dah1, ah1), h0, w[3])
+    dah1, dw[4][...], db[4][...] = conv2d_backward(relu_backward(duh, ah2), ah1, w[4])
+    dh0, dw[3][...], db[3][...] = conv2d_backward(relu_backward(dah1, ah1), h0, w[3])
 
     # quarter branch
     duq = upsample2_backward(upsample2_backward(dm))
-    daq1, dw[6], db[6] = conv2d_backward(relu_backward(duq, aq2), aq1, w[6])
-    dq0, dw[5], db[5] = conv2d_backward(relu_backward(daq1, aq1), q0, w[5])
+    daq1, dw[6][...], db[6][...] = conv2d_backward(relu_backward(duq, aq2), aq1, w[6])
+    dq0, dw[5][...], db[5][...] = conv2d_backward(relu_backward(daq1, aq1), q0, w[5])
 
     dh0 = dh0 + avg_pool2_backward(dq0)
     da0 = da0 + avg_pool2_backward(dh0)
-    dx, dw[0], db[0] = conv2d_backward(relu_backward(da0, a0), x, w[0])
-    return dw, db, dx
+    dx, dw[0][...], db[0][...] = conv2d_backward(relu_backward(da0, a0), x, w[0])
+    return grad.flat, dx
 
 
 # ====== Grid-level interface ======
@@ -315,8 +326,7 @@ def net_backward(params: NetParams, cache: tuple, g: OccupancyGrid,
     cotangent of the predicted pressure field."""
     cy = np.where(g.solid, 0.0, cot_p * scale)
     cot_y = cy[None].astype(params.dtype)
-    dw, db, _ = _backward_raw(params, cache, cot_y)
-    return NetParams(params.arch, dw, db).pack().astype(np.float64)
+    return _backward_raw(params, cache, cot_y)[0].astype(np.float64)
 
 
 SCALE_BYPASS = 1e-6

@@ -5,7 +5,8 @@ reduce the results to CSV-friendly numbers: per-frame divergence curves
 over a test set, the Jacobi iteration count that matches a reference
 backend's divergence, and the wall time per ``sim.step`` frame of the
 closed disc plume (:func:`~macfluid.sim.plume_scenario`, sides divisible
-by 4).  The timed scene is fixed: no seed changes it.
+by 4).  The timed scene is fixed: no seed changes it.  This module
+writes no file; the ``eval`` and ``bench`` commands write their CSVs.
 """
 
 from __future__ import annotations
@@ -13,17 +14,15 @@ from __future__ import annotations
 import logging
 import statistics
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
-from .fdops import divergence
 from .formats import csv_text, load_model
 from .pressure import DENSE_CELL_LIMIT
 from .sim import (ConvnetProjection, ExactProjection, JacobiProjection,
                   NoProjection, PcgProjection, SimConfig, SimState,
                   SimulationError, plume_scenario, run, step)
-from .training import loss_weights
+from .training import divergence_loss, loss_weights
 
 log = logging.getLogger(__name__)
 
@@ -116,9 +115,7 @@ def one_step_loss(state: SimState, projection, dt: float = 1.0 / 30.0,
     """
     cfg = SimConfig(dt=dt, projection=projection)
     after = step(state, cfg)
-    w = loss_weights(after.g.distance, k)
-    d = divergence(after.u, after.g)
-    return float(np.sum(w.values * d.values ** 2))
+    return divergence_loss(after.u, loss_weights(after.g.distance, k), after.g)[0]
 
 
 # ====== Divergence curves over a test set ======
@@ -133,6 +130,14 @@ class DivergenceCurves:
     std: dict[str, np.ndarray]
     excluded: dict[str, int]
 
+    def to_csv(self) -> str:
+        """Columns frame, <name>_mean, <name>_std, then a ``# excluded:`` footer."""
+        header = ["frame"] + [f"{n}_{stat}" for n in self.names for stat in ("mean", "std")]
+        rows = [[f + 1] + [v for n in self.names for v in (self.mean[n][f], self.std[n][f])]
+                for f in range(self.frames)]
+        footer = ",".join(f"{n}={self.excluded[n]}" for n in self.names)
+        return csv_text(header, rows) + f"# excluded: {footer}\n"
+
 
 def _unique_names(backends) -> list[str]:
     seen: dict[str, int] = {}
@@ -143,16 +148,15 @@ def _unique_names(backends) -> list[str]:
     return names
 
 
-def eval_divergence_curves(scenes, backends, frames: int,
-                           out_csv=None) -> DivergenceCurves:
+def eval_divergence_curves(scenes, backends, frames: int) -> DivergenceCurves:
     """Roll every scene's initial frame forward under each backend.
 
     ``scenes`` is a list of loaded scenes (:func:`~macfluid.datagen.load_dataset`);
     ``backends`` is a list of (name, projection) pairs or spec strings.
-    Writes per-frame mean and std of the fluid-cell divergence norm across
-    the sample set, one column pair per backend.  Samples that blow up
-    under a backend are logged, dropped from that backend's statistics,
-    and counted in the CSV footer.
+    Returns per-frame mean and std of the fluid-cell divergence norm across
+    the sample set, per backend (:meth:`DivergenceCurves.to_csv` is the
+    CSV).  Samples that blow up under a backend are logged, dropped from
+    that backend's statistics, and counted in ``excluded``.
     """
     if frames < 1:
         raise ValueError(f"need at least one frame, got {frames}")
@@ -175,18 +179,7 @@ def eval_divergence_curves(scenes, backends, frames: int,
             curves.mean[name] = np.full(frames, np.nan)
             curves.std[name] = np.full(frames, np.nan)
         curves.excluded[name] = dropped
-
-    if out_csv is not None:
-        _write_curves_csv(curves, out_csv)
     return curves
-
-
-def _write_curves_csv(curves: DivergenceCurves, path) -> None:
-    header = ["frame"] + [f"{n}_{stat}" for n in curves.names for stat in ("mean", "std")]
-    rows = [[f + 1] + [v for n in curves.names for v in (curves.mean[n][f], curves.std[n][f])]
-            for f in range(curves.frames)]
-    footer = ",".join(f"{n}={curves.excluded[n]}" for n in curves.names)
-    Path(path).write_text(csv_text(header, rows) + f"# excluded: {footer}\n")
 
 
 # ====== Fixed-divergence comparison ======
@@ -221,8 +214,11 @@ def match_divergence(scenes, target_projection, frames: int = 16,
     does not reach it, the result carries ``matched=False``.  The statistic
     does not fall monotonically with the count (an odd count can beat the
     even count after it), so doubling only brackets the match, and the
-    counts from 1 up to the bracket are scanned in turn.
+    counts from 1 up to the bracket are scanned in turn.  ``max_iters``
+    must be at least 1.
     """
+    if max_iters < 1:
+        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
     samples = _initial_frames(scenes)
     target = _mean_rollout_div(samples, target_projection, frames)
     divs: dict[int, float] = {}
@@ -300,7 +296,3 @@ def bench(projection, dims_list, repetitions: int = 5,
         rows.append(BenchRow(name, dims.nx, dims.ny, dims.n_cells, repetitions,
                              float(statistics.median(m.wall_ms for m in metrics))))
     return rows
-
-
-def write_bench_csv(rows, path) -> None:
-    Path(path).write_text(csv_text(BenchRow.COLUMNS, [r.row() for r in rows]))

@@ -25,7 +25,7 @@ FNM1 layout::
     u16       version (1)
     u8        stage count
     per stage u16 in channels, u16 out channels, u8 kernel, u8 scale level
-    per stage f32 weights (out, in, k, k) then f32 biases (out,)
+    f32       NetParams.pack(): per stage, weights (out, in, k, k), biases (out,)
 
 Cell size and the open-top flag are runtime configuration, not frame
 data; readers take the boundary mode as an argument and grids come back
@@ -124,13 +124,9 @@ def read_frame(path, open_top: bool = False) -> FrameData:
 
 def save_model(path, params: NetParams) -> None:
     specs = params.arch.stage_specs()
-    parts = [_MODEL_HEADER.pack(b"FNM1", 1, len(specs))]
-    for spec in specs:
-        parts.append(_STAGE_DESC.pack(spec.in_ch, spec.out_ch, spec.kernel, spec.scale_level))
-    for w, b in zip(params.weights, params.biases):
-        parts.append(np.asarray(w, dtype="<f4").tobytes())
-        parts.append(np.asarray(b, dtype="<f4").tobytes())
-    Path(path).write_bytes(b"".join(parts))
+    Path(path).write_bytes(b"".join([_MODEL_HEADER.pack(b"FNM1", 1, len(specs)),
+                                     *(_STAGE_DESC.pack(*spec) for spec in specs),
+                                     np.asarray(params.flat, dtype="<f4").tobytes()]))
 
 
 def load_model(path) -> NetParams:
@@ -144,28 +140,17 @@ def load_model(path) -> NetParams:
         raise FormatError(f"unsupported model version {version}")
     if n_stages < 1:
         raise FormatError("model has no stages")
-    off = _MODEL_HEADER.size
-    descs = []
-    for _ in range(n_stages):
-        if off + _STAGE_DESC.size > len(buf):
-            raise FormatError("model file truncated inside stage table")
-        descs.append(_STAGE_DESC.unpack_from(buf, off))
-        off += _STAGE_DESC.size
-
+    table, off = _take(buf, _MODEL_HEADER.size, n_stages * _STAGE_DESC.size, np.uint8,
+                       "stage table")
+    descs = list(_STAGE_DESC.iter_unpack(table))
     arch = NetArch(features=descs[0][1], kernel=descs[0][2])
-    want = [(s.in_ch, s.out_ch, s.kernel, s.scale_level) for s in arch.stage_specs()]
-    if descs != want:
+    if descs != arch.stage_specs():
         raise FormatError("stage table does not describe the supported topology")
 
-    ws, bs = [], []
-    for in_ch, out_ch, k, _ in descs:
-        w, off = _take(buf, off, out_ch * in_ch * k * k, "<f4", "stage weights")
-        b, off = _take(buf, off, out_ch, "<f4", "stage biases")
-        ws.append(w.reshape(out_ch, in_ch, k, k).copy())
-        bs.append(b.copy())
+    flat, off = _take(buf, off, arch.n_params, "<f4", "model parameters")
     if off != len(buf):
         raise FormatError(f"{len(buf) - off} trailing bytes after model payload")
-    return NetParams(arch, ws, bs)
+    return NetParams(arch, flat.copy())
 
 
 def write_pgm(path, values: np.ndarray) -> None:

@@ -9,8 +9,9 @@ pluggable: Jacobi, PCG, a dense direct solve, a learned network, or
 nothing at all for ablation baselines.
 
 What the projection reports rides on the returned state as
-``SimState.report``.  A step writes no file; its inflow masks are kept on
-the grid (:meth:`~macfluid.grids.OccupancyGrid.derived`).
+``SimState.report``; the inflow masks are kept on the grid
+(:meth:`~macfluid.grids.OccupancyGrid.derived`).  This module writes no
+file: :func:`run` hands every frame to the sinks its caller passes.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import logging
 import math
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -28,7 +28,6 @@ from .convnet import NetParams, learned_project
 from .fdops import divergence, subtract_pressure_gradient
 from .forces import (ForceConfig, add_body_force, add_buoyancy,
                      enforce_solid_velocities, vorticity_confinement)
-from .formats import format_row, write_pgm
 from .grids import (GridDims, MacVelocity, OccupancyGrid, ScalarGrid, _in_disc,
                     _lattice_xy, box_mask, disc_mask)
 from .pressure import (PcgInfo, PoissonSystem, make_compatible, solve_dense_direct,
@@ -264,40 +263,9 @@ def frame_metrics(state: SimState, wall_ms: float = 0.0) -> FrameMetrics:
     return FrameMetrics(state.frame, mean, std, mx, state.u.max_speed(), l2, *solve, wall_ms)
 
 
-class CsvMetricsSink:
-    """Appends one metrics row per frame to a CSV file."""
-
-    def __init__(self, path):
-        self._f = open(path, "w")
-        self._f.write(",".join(FrameMetrics.COLUMNS) + "\n")
-
-    def __call__(self, metrics: FrameMetrics, state: SimState) -> None:
-        self._f.write(",".join(format_row(metrics.row())) + "\n")
-
-    def close(self) -> None:
-        self._f.close()
-
-    def __enter__(self) -> "CsvMetricsSink":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-class PgmFrameSink:
-    """Dumps the density field of every frame as frame_%06d.pgm."""
-
-    def __init__(self, out_dir):
-        self.out_dir = Path(out_dir)
-        self.out_dir.mkdir(parents=True, exist_ok=True)
-
-    def __call__(self, metrics: FrameMetrics, state: SimState) -> None:
-        write_pgm(self.out_dir / f"frame_{state.frame:06d}.pgm", state.density.values)
-
-
 def run(state: SimState, cfg: SimConfig, frames: int,
         sinks: tuple = ()) -> tuple[SimState, list[FrameMetrics]]:
-    """Advance ``frames`` steps, reporting per-frame metrics to the sinks.
+    """Advance ``frames`` steps; each sink is called with ``(metrics, state)``.
 
     On a simulation blow-up the error propagates after the metrics
     emitted so far; callers keep the partial record.

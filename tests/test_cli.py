@@ -12,7 +12,9 @@ import pytest
 
 from macfluid import evaluate
 from macfluid.cli import CliError, _build_parser, cli
-from macfluid.formats import load_model, read_frame
+from macfluid.formats import format_row, load_model, read_frame
+from macfluid.grids import GridDims
+from macfluid.sim import FrameMetrics, JacobiProjection, plume_scenario, run
 
 
 @pytest.fixture(scope="module")
@@ -218,14 +220,30 @@ def test_simulate_writes_metrics_and_pgm(tmp_path):
     rc = cli(["simulate", "--res", "16", "--frames", "5", "--solver", "jacobi:10",
               "--out", str(out), "--pgm"])
     assert rc == 0
-    lines = (out / "metrics.csv").read_text().splitlines()
+    raw = (out / "metrics.csv").read_bytes()
+    lines = raw.decode().splitlines()
     assert lines[0] == ("frame,mean_div_l2,std_div_l2,max_div,max_speed,residual,"
                         "pcg_iterations,pcg_relres,pcg_converged,wall_ms")
     assert len(lines) == 1 + 5
     # jacobi reports no solve: the pcg cells are empty
     assert all(line.split(",")[6:9] == ["", "", ""] for line in lines[1:])
+    # plain newlines and format_row cells: the rows of the same run in process
+    assert b"\r" not in raw and raw.endswith(b"\n")
+    state, cfg = plume_scenario(GridDims(16, 16), projection=JacobiProjection(10))
+    _, metrics = run(state, cfg, 5)
+    want = [",".join(r) for r in [FrameMetrics.COLUMNS, *(format_row(m.row()) for m in metrics)]]
+    assert _strip_wall_ms(raw.decode()) == _strip_wall_ms("\n".join(want))
+    assert all(format_row([float(line.split(",")[-1])]) == [line.split(",")[-1]]
+               for line in lines[1:])
     pgms = sorted(p.name for p in (out / "frames").glob("*.pgm"))
     assert pgms == [f"frame_{i:06d}.pgm" for i in range(1, 6)]
+
+
+def test_simulate_zero_frames_exits_one_and_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "sim"
+    assert cli(["simulate", "--res", "16", "--frames", "0", "--out", str(out)]) == 1
+    assert "--frames must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_simulate_reproducible_but_for_timing(tmp_path):
@@ -296,6 +314,7 @@ def test_eval_writes_curves(dataset_dir, tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert lines[0] == "frame,pcg_1e-6_mean,pcg_1e-6_std,none_mean,none_std"
     assert len(lines) == 1 + 3 + 1
+    assert lines[-1] == "# excluded: pcg_1e-6=0,none=0"
     assert "final mean divergence" in capsys.readouterr().out
 
 
@@ -311,6 +330,11 @@ def test_eval_match_divergence(dataset_dir, tmp_path, capsys):
               "--match-divergence", "--model", str(model)])
     assert rc == 1
     assert "at least one frame" in capsys.readouterr().err
+    for cap in ("0", "-5"):
+        rc = cli(["eval", "--data", str(dataset_dir), "--frames", "2",
+                  "--match-divergence", "--model", str(model), "--max-iters", cap])
+        assert rc == 1
+        assert "max_iters must be >= 1" in capsys.readouterr().err
 
 
 def test_eval_requires_out_or_match(dataset_dir, capsys):
@@ -328,6 +352,17 @@ def test_bench_csv_output(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "backend,nx,ny,cells,repetitions,median_ms"
     assert len(lines) == 3
+
+
+def test_bench_writes_the_csv_it_prints(tmp_path, capsys):
+    args = ["bench", "--backend", "jacobi:5", "--res", "16", "--reps", "1"]
+    assert cli(args) == 0
+    printed = capsys.readouterr().out
+    assert cli(args + ["--out", str(tmp_path / "bench.csv")]) == 0
+    written = (tmp_path / "bench.csv").read_text()
+    assert [line.rsplit(",", 1)[0] for line in written.splitlines()] \
+        == [line.rsplit(",", 1)[0] for line in printed.splitlines()]
+    assert written.endswith("\n") and printed.endswith("\n")
 
 
 def test_bench_stdout_and_bad_backend(capsys):

@@ -193,7 +193,7 @@ def test_backward_raw_input_gradient_matches_fd():
     r = rng.standard_normal((1, 8, 8))
 
     y, cache = _forward_raw(params, x)
-    _, _, dx = _backward_raw(params, cache, r)
+    _, dx = _backward_raw(params, cache, r)
 
     def loss(v):
         return np.sum(_forward_raw(params, v)[0] * r)

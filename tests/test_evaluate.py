@@ -8,8 +8,8 @@ from macfluid.convnet import NetArch, init_params
 from macfluid.datagen import LoadedScene, SceneConfig, build_scene, generate_dataset, load_dataset
 from macfluid.evaluate import (WARMUP_FRAMES, BenchRow, bench,
                                eval_divergence_curves, match_divergence,
-                               one_step_loss, parse_backend, write_bench_csv)
-from macfluid.formats import save_model
+                               one_step_loss, parse_backend)
+from macfluid.formats import csv_text, save_model
 from macfluid.grids import GridDims, MacVelocity, ScalarGrid
 from macfluid.sim import (ExactProjection, JacobiProjection, NoProjection,
                           PcgProjection, SimState, plume_scenario, run)
@@ -75,12 +75,10 @@ def test_one_step_loss_projection_beats_none():
 
 # ====== Divergence curves ======
 
-def test_curves_csv_contract(small_dataset, tmp_path):
-    out = tmp_path / "curves.csv"
+def test_curves_csv_contract(small_dataset):
     frames = 5
-    curves = eval_divergence_curves(small_dataset, ["pcg:1e-10", "none"],
-                                    frames, out_csv=out)
-    lines = out.read_text().splitlines()
+    curves = eval_divergence_curves(small_dataset, ["pcg:1e-10", "none"], frames)
+    lines = curves.to_csv().splitlines()
     assert lines[0] == "frame,pcg_1e-10_mean,pcg_1e-10_std,none_mean,none_std"
     assert len(lines) == 1 + frames + 1  # header + rows + footer
     assert lines[-1] == "# excluded: pcg_1e-10=0,none=0"
@@ -106,15 +104,14 @@ def _blown_up_scene(small_dataset):
     return LoadedScene("scene_bad", {"config": {"dt": 1.0 / 30.0}}, [bad_state])
 
 
-def test_curves_failed_sample_excluded(small_dataset, tmp_path, caplog):
+def test_curves_failed_sample_excluded(small_dataset, caplog):
     bad = _blown_up_scene(small_dataset)
-    out = tmp_path / "curves.csv"
     with caplog.at_level("WARNING", logger="macfluid.evaluate"):
         curves = eval_divergence_curves(list(small_dataset) + [bad],
-                                        ["pcg:1e-06", "none"], 3, out_csv=out)
+                                        ["pcg:1e-06", "none"], 3)
     assert curves.excluded == {"pcg_1e-06": 1, "none": 1}
     assert np.all(np.isfinite(curves.mean["none"]))
-    assert out.read_text().splitlines()[-1] == "# excluded: pcg_1e-06=1,none=1"
+    assert curves.to_csv().splitlines()[-1] == "# excluded: pcg_1e-06=1,none=1"
     assert any("excluded" in r.message for r in caplog.records)
 
 
@@ -190,6 +187,13 @@ def test_match_divergence_rejects_zero_frames(small_dataset):
         match_divergence(small_dataset[:1], JacobiProjection(8), frames=0)
 
 
+@pytest.mark.parametrize("max_iters", [0, -5])
+def test_match_divergence_rejects_a_cap_below_one(small_dataset, max_iters):
+    with pytest.raises(ValueError, match="max_iters must be >= 1"):
+        match_divergence(small_dataset[:1], JacobiProjection(8), frames=1,
+                         max_iters=max_iters)
+
+
 # ====== Timing ======
 
 def test_bench_row_per_resolution():
@@ -239,11 +243,9 @@ def test_bench_rejects_a_timed_run_that_differs_from_its_reference(monkeypatch):
         bench(JacobiProjection(4), [GridDims(8, 8)], repetitions=3)
 
 
-def test_bench_csv(tmp_path):
+def test_bench_csv():
     rows = [BenchRow("jacobi_34", 32, 32, 1024, 5, 1.25)]
-    path = tmp_path / "bench.csv"
-    write_bench_csv(rows, path)
-    lines = path.read_text().splitlines()
+    lines = csv_text(BenchRow.COLUMNS, [r.row() for r in rows]).splitlines()
     assert lines[0] == "backend,nx,ny,cells,repetitions,median_ms"
     assert lines[1] == "jacobi_34,32,32,1024,5,1.25"
 

@@ -14,11 +14,10 @@ from macfluid.forces import ForceConfig
 from macfluid.formats import format_row
 from macfluid.grids import GridDims, MacVelocity, OccupancyGrid, ScalarGrid
 from macfluid.pressure import PcgInfo, PoissonSystem, make_compatible, solve_pcg
-from macfluid.sim import (ConvnetProjection, CsvMetricsSink, ExactProjection,
-                          FrameMetrics, InflowRegion, JacobiProjection,
-                          NoProjection, PcgProjection, PgmFrameSink, SimConfig,
-                          SimState, SimulationError, frame_metrics,
-                          plume_scenario, run, step)
+from macfluid.sim import (ConvnetProjection, ExactProjection, FrameMetrics,
+                          InflowRegion, JacobiProjection, NoProjection,
+                          PcgProjection, SimConfig, SimState, SimulationError,
+                          frame_metrics, plume_scenario, run, step)
 
 
 def _random_state(seed, nx=8, ny=8, n_solid=3):
@@ -288,42 +287,30 @@ def test_steps_derive_grid_geometry_once(monkeypatch, projection):
 
 # ====== driver ======
 
-def test_run_metrics_and_sinks(tmp_path):
+def test_run_metrics_and_sinks():
     state, cfg = plume_scenario(GridDims(16, 16), projection=PcgProjection(1e-6))
-    csv_path = tmp_path / "metrics.csv"
-    frames_dir = tmp_path / "frames"
-    with CsvMetricsSink(csv_path) as csv_sink:
-        final, metrics = run(state, cfg, frames=3,
-                             sinks=(csv_sink, PgmFrameSink(frames_dir)))
+    calls = ([], [])
+    final, metrics = run(state, cfg, frames=3,
+                         sinks=tuple(lambda m, s, c=c: c.append((m, s)) for c in calls))
     assert len(metrics) == 3
     assert [m.frame for m in metrics] == [1, 2, 3]
     assert final.frame == 3
-
-    lines = csv_path.read_text().strip().splitlines()
-    assert lines[0] == ",".join(FrameMetrics.COLUMNS)
-    assert len(lines) == 4
-    # one row writer for every CSV: plain newlines, format_row cells
-    raw = csv_path.read_bytes()
-    assert b"\r" not in raw
-    assert raw.decode() == "".join(
-        ",".join(row) + "\n"
-        for row in [FrameMetrics.COLUMNS, *(format_row(m.row()) for m in metrics)])
-    assert sorted(p.name for p in frames_dir.iterdir()) == [
-        "frame_000001.pgm", "frame_000002.pgm", "frame_000003.pgm"]
+    for seen in calls:
+        assert [m for m, _ in seen] == metrics
+        assert [s.frame for _, s in seen] == [1, 2, 3]
+        assert seen[-1][1] is final
 
 
-def test_run_metrics_carry_the_pcg_report(tmp_path):
+def test_run_metrics_carry_the_pcg_report():
     state, cfg = plume_scenario(GridDims(16, 16), projection=PcgProjection(1e-6))
-    csv_path = tmp_path / "metrics.csv"
-    with CsvMetricsSink(csv_path) as csv_sink:
-        final, metrics = run(state, cfg, frames=3, sinks=(csv_sink,))
+    final, metrics = run(state, cfg, frames=3)
     assert (metrics[-1].pcg_iterations, metrics[-1].pcg_relres, metrics[-1].pcg_converged) \
         == (final.report.iterations, final.report.relres, True)
-    rows = [line.split(",") for line in csv_path.read_text().splitlines()]
-    cols = {c: [r[i] for r in rows[1:]] for i, c in enumerate(rows[0])}
+    # the CSV cells of the rows, as simulate writes them to metrics.csv
+    cols = dict(zip(FrameMetrics.COLUMNS, zip(*(format_row(m.row()) for m in metrics))))
     assert all(0 < int(v) < 30 for v in cols["pcg_iterations"])
     assert all(0 < float(v) <= 1e-6 for v in cols["pcg_relres"])
-    assert cols["pcg_converged"] == ["True"] * 3
+    assert cols["pcg_converged"] == ("True",) * 3
     # a backend that runs no PCG leaves the fields None and the cells empty
     _, metrics = run(state, dataclasses.replace(cfg, projection=JacobiProjection(5)), frames=1)
     assert (metrics[0].pcg_iterations, metrics[0].pcg_relres, metrics[0].pcg_converged) \
