@@ -97,6 +97,11 @@ def _load_config(path, parser: argparse.ArgumentParser) -> dict:
     return values
 
 
+def _make_parent(path) -> None:
+    """Create a file's directory before the work that will fill the file."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+
+
 def _require(args, name: str):
     value = getattr(args, name.replace("-", "_"))
     if value is None:
@@ -124,8 +129,10 @@ def _cmd_train(args) -> int:
                       batch_size=args.batch_size, lr=args.lr, grad_clip=args.grad_clip)
     scenes = load_dataset(data)
     dataset = [frame for scene in scenes for frame in scene.frames]
+    for path in (out, args.log):
+        if path is not None:
+            _make_parent(path)
     params, stats = train(dataset, cfg, args.epochs, args.seed)
-    Path(out).parent.mkdir(parents=True, exist_ok=True)
     save_model(out, params)
     if args.log is not None:
         Path(args.log).write_text(csv_text(EpochStats.COLUMNS, [s.row() for s in stats]))
@@ -189,6 +196,7 @@ def _cmd_eval(args) -> int:
     backends = [parse_backend(s.strip()) for s in args.backends.split(",") if s.strip()]
     if not backends:
         raise CliError("--backends must name at least one backend")
+    _make_parent(out)
     curves = eval_divergence_curves(scenes, backends, args.frames)
     Path(out).write_text(curves.to_csv())
     for name in curves.names:
@@ -207,6 +215,8 @@ def _cmd_bench(args) -> int:
         raise CliError(f"bad --res list {args.res!r}") from None
     if not sizes:
         raise CliError("--res must list at least one size")
+    if args.out is not None:
+        _make_parent(args.out)
     rows = bench(projection, [GridDims(n, n) for n in sizes],
                  repetitions=args.reps, name=name)
     text = csv_text(BenchRow.COLUMNS, [r.row() for r in rows])
@@ -262,7 +272,11 @@ def _build_parser() -> _Parser:
     p = subs.add_parser("train", help="train the projection network",
                         description="Train on a generated dataset and write an "
                                     "FNM1 model file.  --log writes a CSV with "
-                                    "columns " + ",".join(EpochStats.COLUMNS) + ".")
+                                    "columns " + ",".join(EpochStats.COLUMNS) + ": "
+                                    "per epoch, skipped counts the samples dropped "
+                                    "by the speed limit, clipped the batches whose "
+                                    "gradient was clipped, and grad_norm is the mean "
+                                    "batch gradient norm before clipping.")
     p.add_argument("--data", type=str, default=None, help="dataset directory")
     p.add_argument("--out", type=str, default=None, help="model file to write")
     p.add_argument("--epochs", type=int, default=10)

@@ -16,6 +16,14 @@ replication and keep spatial size; every stage but the head is followed
 by a ReLU.  Grid sides must be divisible by four so the pooled sizes stay
 even.
 
+Each convolution is one GEMM of the (c_out, c_in*k*k) weight matrix with
+an explicit (c_in*k*k, h*w) window matrix: k*k slice copies out of the
+edge-padded input, which one ``np.take`` through a cached index gathers.
+The weight gradient gathers the transposed window matrix directly, and
+the input gradient is the same GEMM over the windows of the zero-bordered
+cotangent.  BLAS gets the operands that ``tensordot`` builds, so results
+are bit for bit those of the reference in tests/oracles.py.
+
 Differentiation is plain backpropagation: each primitive has a backward
 companion that applies the exact transpose of its linearization, so the
 gradients agree with finite differences to roundoff in float64.
@@ -29,7 +37,6 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .fdops import divergence, subtract_pressure_gradient
 from .grids import MacVelocity, OccupancyGrid, ScalarGrid
@@ -37,10 +44,33 @@ from .grids import MacVelocity, OccupancyGrid, ScalarGrid
 
 # ====== Primitives ======
 
-def _replicate_pad(x: np.ndarray, p: int) -> np.ndarray:
-    if p == 0:
-        return x
-    return np.pad(x, ((0, 0), (p, p), (p, p)), mode="edge")
+@lru_cache(maxsize=None)
+def _pad_index(h: int, w: int, p: int) -> np.ndarray:
+    """Flat index into an h x w image of every pixel of its edge padding by p."""
+    r = np.clip(np.arange(h + 2 * p) - p, 0, h - 1)
+    c = np.clip(np.arange(w + 2 * p) - p, 0, w - 1)
+    return (r[:, None] * w + c).ravel()
+
+
+def _windows(xp: np.ndarray, k: int, oh: int, ow: int) -> np.ndarray:
+    """Window matrix of the k x k windows of a padded (c, oh+k-1, ow+k-1)
+    image: (c*k*k, oh*ow), laid out (c, tap row, tap column, output pixel)."""
+    c = xp.shape[0]
+    out = np.empty((c, k, k, oh, ow), xp.dtype)
+    for a in range(k):
+        for b in range(k):
+            out[:, a, b] = xp[:, a:a + oh, b:b + ow]
+    return out.reshape(c * k * k, oh * ow)
+
+
+@lru_cache(maxsize=None)
+def _window_index_t(c: int, h: int, w: int, k: int) -> np.ndarray:
+    """Index into a flat (c, h, w) image of the transpose of its same-size
+    window matrix, (h*w, c*k*k), so that one gather lays it out contiguous."""
+    p = k // 2
+    taps = _windows(_pad_index(h, w, p).reshape(1, h + 2 * p, w + 2 * p), k, h, w)
+    idx = np.arange(c)[:, None, None] * (h * w) + taps
+    return np.ascontiguousarray(idx.reshape(c * k * k, h * w).T)
 
 
 def _replicate_pad_adjoint(cot: np.ndarray, p: int) -> np.ndarray:
@@ -56,36 +86,52 @@ def _replicate_pad_adjoint(cot: np.ndarray, p: int) -> np.ndarray:
     return c[:, p:-p, :]
 
 
+# Every gather index is in range, and mode="wrap" is np.take's fastest mode.
+
 def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Same-size convolution with replicate padding.
 
     x is (c_in, h, w); w is (c_out, c_in, k, k); b is (c_out,).
     """
-    k = w.shape[2]
-    xp = _replicate_pad(x, k // 2)
-    win = sliding_window_view(xp, (k, k), axis=(1, 2))
-    y = np.tensordot(w, win, axes=([1, 2, 3], [0, 3, 4]))
-    return y + b[:, None, None]
+    c_out, c_in, k, _ = w.shape
+    _, h, wd = x.shape
+    if k == 1:
+        cols = x.reshape(c_in, h * wd)
+    else:
+        p = k // 2
+        xp = np.take(x.reshape(c_in, -1), _pad_index(h, wd, p), axis=1, mode="wrap")
+        cols = _windows(xp.reshape(c_in, h + 2 * p, wd + 2 * p), k, h, wd)
+    y = np.dot(w.reshape(c_out, -1), cols)
+    y += b[:, None]
+    return y.reshape(c_out, h, wd)
 
 
 def conv2d_backward(cot: np.ndarray, x: np.ndarray, w: np.ndarray
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cotangents of (x, w, b) for y = conv2d(x, w, b)."""
-    k = w.shape[2]
-    p = k // 2
-    xp = _replicate_pad(x, p)
-    win = sliding_window_view(xp, (k, k), axis=(1, 2))
-    dw = np.tensordot(cot, win, axes=([1, 2], [1, 2]))
+    """Cotangents of (x, w, b) for y = conv2d(x, w, b).  dx is the full
+    correlation of the zero-padded cotangent with the flipped kernel,
+    folded back through the replicate padding."""
+    c_out, c_in, k, _ = w.shape
+    _, h, wd = x.shape
+    # BLAS reads a 1x1 window matrix (x itself) transposed in place and a
+    # larger one as its contiguous transpose, as the reference does: the
+    # two round differently
+    if k == 1:
+        cols_t = x.reshape(c_in, -1).T
+    else:
+        cols_t = np.take(x.ravel(), _window_index_t(c_in, h, wd, k), mode="wrap")
+    dw = np.dot(cot.reshape(c_out, -1), cols_t).reshape(w.shape)
     db = cot.sum(axis=(1, 2))
-    wf = w[:, :, ::-1, ::-1]
-    cz = np.pad(cot, ((0, 0), (k - 1, k - 1), (k - 1, k - 1)))
-    cwin = sliding_window_view(cz, (k, k), axis=(1, 2))
-    dxp = np.tensordot(wf, cwin, axes=([0, 2, 3], [0, 3, 4]))
-    return _replicate_pad_adjoint(dxp, p), dw, db
+    wf = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c_in, -1)
+    oh, ow = h + k - 1, wd + k - 1
+    cz = np.zeros((c_out, oh + k - 1, ow + k - 1), cot.dtype)
+    cz[:, k - 1:k - 1 + h, k - 1:k - 1 + wd] = cot
+    dxp = np.dot(wf, _windows(cz, k, oh, ow)).reshape(c_in, oh, ow)
+    return _replicate_pad_adjoint(dxp, k // 2), dw, db
 
 
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0)
+def relu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    return np.maximum(x, 0, out=out)
 
 
 def relu_backward(cot: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -249,17 +295,22 @@ def init_params(arch: NetArch, seed, dtype=np.float32) -> NetParams:
 
 def _forward_raw(params: NetParams, x: np.ndarray) -> tuple[np.ndarray, tuple]:
     w, b = params.weights, params.biases
-    a0 = relu(conv2d(x, w[0], b[0]))
-    af1 = relu(conv2d(a0, w[1], b[1]))
-    af2 = relu(conv2d(af1, w[2], b[2]))
+
+    def conv_relu(a: np.ndarray, i: int) -> np.ndarray:
+        z = conv2d(a, w[i], b[i])
+        return relu(z, out=z)
+
+    a0 = conv_relu(x, 0)
+    af1 = conv_relu(a0, 1)
+    af2 = conv_relu(af1, 2)
     h0 = avg_pool2(a0)
-    ah1 = relu(conv2d(h0, w[3], b[3]))
-    ah2 = relu(conv2d(ah1, w[4], b[4]))
+    ah1 = conv_relu(h0, 3)
+    ah2 = conv_relu(ah1, 4)
     q0 = avg_pool2(h0)
-    aq1 = relu(conv2d(q0, w[5], b[5]))
-    aq2 = relu(conv2d(aq1, w[6], b[6]))
+    aq1 = conv_relu(q0, 5)
+    aq2 = conv_relu(aq1, 6)
     m = af2 + upsample2(ah2) + upsample2(upsample2(aq2))
-    am = relu(conv2d(m, w[7], b[7]))
+    am = conv_relu(m, 7)
     y = conv2d(am, w[8], b[8])
     cache = (x, a0, af1, af2, h0, ah1, ah2, q0, aq1, aq2, m, am)
     return y, cache

@@ -242,12 +242,20 @@ class EpochStats:
     mean_loss: float
     mean_div_step1: float
     mean_div_stepn: float
+    skipped: int  # samples dropped by SPEED_LIMIT
+    clipped: int  # batches whose gradient norm exceeded grad_clip
+    grad_norm: float  # mean batch gradient norm before clipping
     wall_ms: float
 
-    COLUMNS = ("epoch", "mean_loss", "mean_div_step1", "mean_div_stepn", "wall_ms")
+    COLUMNS = ("epoch", "mean_loss", "mean_div_step1", "mean_div_stepn",
+               "skipped", "clipped", "grad_norm", "wall_ms")
 
     def row(self) -> list:
         return [getattr(self, c) for c in self.COLUMNS]
+
+
+def _mean(values: list[float]) -> float:
+    return float(np.mean(values)) if values else float("nan")
 
 
 def train(dataset, cfg: TrainConfig, epochs: int, seed
@@ -257,7 +265,10 @@ def train(dataset, cfg: TrainConfig, epochs: int, seed
     Single-threaded and fully deterministic: one random stream drives
     initialization, shuffling and per-sample draws in a fixed order, and
     batch gradients are averaged in sample-index order.  Samples skipped
-    by the speed limit drop out of their batch mean.
+    by the speed limit drop out of their batch mean.  Each epoch's row
+    counts the skipped samples and the clipped batches, and averages the
+    batch gradient norms before clipping; a batch with every sample
+    skipped takes no step and has no norm.
     """
     if len(dataset) == 0:
         raise ValueError("training needs a nonempty dataset")
@@ -272,7 +283,8 @@ def train(dataset, cfg: TrainConfig, epochs: int, seed
     for epoch in range(1, epochs + 1):
         t0 = time.perf_counter()
         order = rng.permutation(len(dataset))
-        losses, div1s, divns = [], [], []
+        losses, div1s, divns, norms = [], [], [], []
+        skipped = clipped = 0
         for start in range(0, len(order), cfg.batch_size):
             batch = order[start:start + cfg.batch_size]
             acc = np.zeros(params.n_params)
@@ -280,6 +292,7 @@ def train(dataset, cfg: TrainConfig, epochs: int, seed
             for idx in batch:
                 stats = unrolled_loss(params, dataset[idx], cfg.loss, rng, aug=True)
                 if stats is None:
+                    skipped += 1
                     continue
                 if not np.isfinite(stats.loss) or not np.all(np.isfinite(stats.grads)):
                     raise TrainingError(
@@ -294,15 +307,15 @@ def train(dataset, cfg: TrainConfig, epochs: int, seed
                 log.warning("epoch %d: entire batch skipped", epoch)
                 continue
             grad = acc / used
-            if cfg.grad_clip > 0.0:
-                norm = float(np.linalg.norm(grad))
-                if norm > cfg.grad_clip:
-                    grad *= cfg.grad_clip / norm
+            norm = float(np.linalg.norm(grad))
+            norms.append(norm)
+            if 0.0 < cfg.grad_clip < norm:
+                grad *= cfg.grad_clip / norm
+                clipped += 1
             params, adam = adam_step(params, grad, adam)
         wall = (time.perf_counter() - t0) * 1e3
-        row = EpochStats(epoch, float(np.mean(losses)) if losses else float("nan"),
-                         float(np.mean(div1s)) if div1s else float("nan"),
-                         float(np.mean(divns)) if divns else float("nan"), wall)
+        row = EpochStats(epoch, _mean(losses), _mean(div1s), _mean(divns),
+                         skipped, clipped, _mean(norms), wall)
         log_rows.append(row)
         log.info("epoch %d: loss %.6g", epoch, row.mean_loss)
     return params, log_rows

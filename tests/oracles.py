@@ -2,15 +2,19 @@
 
 Each is the plain form of something the package computes a faster way,
 kept here as an oracle: bilinear sampling at arbitrary positions, single
-backward traces, cell-center positions and the residual norm of a
-pressure solve.
+backward traces, cell-center positions, the residual norm of a pressure
+solve, and convolution forward and backward through ``np.pad``,
+``sliding_window_view`` and ``tensordot``, which the package's window-matrix
+GEMM reproduces bit for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from macfluid.advection import _clamp
+from macfluid.convnet import _replicate_pad_adjoint
 from macfluid.fdops import PoissonSystem, apply_poisson
 from macfluid.grids import (GridDims, MacVelocity, OccupancyGrid, ScalarGrid, _bilinear,
                             _lattice_xy)
@@ -70,3 +74,37 @@ def residual_norm(sys: PoissonSystem, p: ScalarGrid) -> float:
     """Euclidean norm of A p - b over fluid cells."""
     r = apply_poisson(sys.g, p).values - sys.b.values
     return float(np.linalg.norm(r[sys.g.fluid]))
+
+
+def _replicate_pad(x: np.ndarray, p: int) -> np.ndarray:
+    if p == 0:
+        return x
+    return np.pad(x, ((0, 0), (p, p), (p, p)), mode="edge")
+
+
+def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Same-size convolution with replicate padding.
+
+    x is (c_in, h, w); w is (c_out, c_in, k, k); b is (c_out,).
+    """
+    k = w.shape[2]
+    xp = _replicate_pad(x, k // 2)
+    win = sliding_window_view(xp, (k, k), axis=(1, 2))
+    y = np.tensordot(w, win, axes=([1, 2, 3], [0, 3, 4]))
+    return y + b[:, None, None]
+
+
+def conv2d_backward(cot: np.ndarray, x: np.ndarray, w: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cotangents of (x, w, b) for y = conv2d(x, w, b)."""
+    k = w.shape[2]
+    p = k // 2
+    xp = _replicate_pad(x, p)
+    win = sliding_window_view(xp, (k, k), axis=(1, 2))
+    dw = np.tensordot(cot, win, axes=([1, 2], [1, 2]))
+    db = cot.sum(axis=(1, 2))
+    wf = w[:, :, ::-1, ::-1]
+    cz = np.pad(cot, ((0, 0), (k - 1, k - 1), (k - 1, k - 1)))
+    cwin = sliding_window_view(cz, (k, k), axis=(1, 2))
+    dxp = np.tensordot(wf, cwin, axes=([0, 2, 3], [0, 3, 4]))
+    return _replicate_pad_adjoint(dxp, p), dw, db

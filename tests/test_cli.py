@@ -186,12 +186,29 @@ def test_train_reproducible_and_logged(dataset_dir, tmp_path):
     assert rc == 0
     assert (tmp_path / "m1.fnm").read_bytes() == (tmp_path / "m2.fnm").read_bytes()
     log = (tmp_path / "l1.csv").read_text().splitlines()
-    assert log[0] == "epoch,mean_loss,mean_div_step1,mean_div_stepn,wall_ms"
+    assert log[0] == ("epoch,mean_loss,mean_div_step1,mean_div_stepn,"
+                      "skipped,clipped,grad_norm,wall_ms")
     assert len(log) == 3
     assert _strip_wall_ms("\n".join(log)) \
         == _strip_wall_ms((tmp_path / "l2.csv").read_text())
     params = load_model(tmp_path / "m1.fnm")
     assert params.arch.features == 2
+
+
+def test_train_makes_the_log_directory(dataset_dir, tmp_path):
+    log = tmp_path / "logs" / "deeper" / "l.csv"
+    assert cli(["train", "--data", str(dataset_dir), "--epochs", "1", "--features", "2",
+                "--out", str(tmp_path / "m.fnm"), "--log", str(log)]) == 0
+    assert len(log.read_text().splitlines()) == 2
+
+
+def test_train_unwritable_log_fails_before_training(dataset_dir, tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr("macfluid.cli.train", lambda *a: calls.append(a))
+    (tmp_path / "blocker").write_text("in the way")
+    assert cli(["train", "--data", str(dataset_dir), "--out", str(tmp_path / "m.fnm"),
+                "--log", str(tmp_path / "blocker" / "l.csv")]) == 2
+    assert calls == [] and not (tmp_path / "m.fnm").exists()
 
 
 def test_train_different_seed_differs(dataset_dir, tmp_path):
@@ -318,6 +335,23 @@ def test_eval_writes_curves(dataset_dir, tmp_path, capsys):
     assert "final mean divergence" in capsys.readouterr().out
 
 
+def test_eval_makes_the_output_directory(dataset_dir, tmp_path):
+    out = tmp_path / "new" / "curves.csv"
+    assert cli(["eval", "--data", str(dataset_dir), "--frames", "2",
+                "--backends", "none", "--out", str(out)]) == 0
+    assert out.read_text().startswith("frame,none_mean,none_std\n")
+
+
+def test_eval_unwritable_output_fails_before_any_rollout(dataset_dir, tmp_path,
+                                                         monkeypatch):
+    calls = []
+    monkeypatch.setattr("macfluid.cli.eval_divergence_curves", lambda *a: calls.append(a))
+    (tmp_path / "blocker").write_text("in the way")
+    assert cli(["eval", "--data", str(dataset_dir), "--backends", "none",
+                "--out", str(tmp_path / "blocker" / "curves.csv")]) == 2
+    assert calls == []
+
+
 def test_eval_match_divergence(dataset_dir, tmp_path, capsys):
     model = tmp_path / "m.fnm"
     assert cli(["train", "--data", str(dataset_dir), "--out", str(model),
@@ -363,6 +397,22 @@ def test_bench_writes_the_csv_it_prints(tmp_path, capsys):
     assert [line.rsplit(",", 1)[0] for line in written.splitlines()] \
         == [line.rsplit(",", 1)[0] for line in printed.splitlines()]
     assert written.endswith("\n") and printed.endswith("\n")
+
+
+def test_bench_makes_the_output_directory(tmp_path):
+    out = tmp_path / "new" / "bench.csv"
+    assert cli(["bench", "--backend", "none", "--res", "8", "--reps", "1",
+                "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 2
+
+
+def test_bench_unwritable_output_fails_before_timing(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr("macfluid.cli.bench", lambda *a, **kw: calls.append(a))
+    (tmp_path / "blocker").write_text("in the way")
+    assert cli(["bench", "--backend", "none", "--res", "8", "--reps", "1",
+                "--out", str(tmp_path / "blocker" / "bench.csv")]) == 2
+    assert calls == []
 
 
 def test_bench_stdout_and_bad_backend(capsys):

@@ -13,10 +13,12 @@ from macfluid.convnet import (NetArch, NetParams, SCALE_BYPASS, avg_pool2,
                               init_params, learned_project, net_backward,
                               net_forward, projection_backward, relu,
                               relu_backward, upsample2, upsample2_backward,
-                              _backward_raw, _forward_raw, _replicate_pad,
+                              _backward_raw, _forward_raw, _pad_index,
                               _replicate_pad_adjoint)
 from macfluid.fdops import divergence, face_masks
 from macfluid.grids import GridDims, MacVelocity, OccupancyGrid, ScalarGrid
+import oracles
+from oracles import _replicate_pad
 
 
 def _fd_grad(fn, x, eps=1e-6):
@@ -94,9 +96,35 @@ def test_replicate_pad_adjoint_identity():
     rng = np.random.default_rng(3)
     x = rng.standard_normal((2, 5, 7))
     y = rng.standard_normal((2, 9, 11))
-    lhs = np.sum(_replicate_pad(x, 2) * y)
+    # conv2d pads by gathering through _pad_index
+    padded = x.reshape(2, -1)[:, _pad_index(5, 7, 2)].reshape(2, 9, 11)
+    np.testing.assert_array_equal(padded, _replicate_pad(x, 2))
+    lhs = np.sum(padded * y)
     rhs = np.sum(x * _replicate_pad_adjoint(y, 2))
     assert abs(lhs - rhs) < 1e-12
+
+
+def _same_bits(new, old):
+    assert new.dtype == old.dtype and new.shape == old.shape
+    assert np.array_equal(new, old)
+    assert new.tobytes() == old.tobytes()  # also tells -0.0 from 0.0
+
+
+@pytest.mark.parametrize("shape", [(4, 4), (8, 12), (32, 32)])
+@pytest.mark.parametrize("c_in", [1, 2, 16])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_conv2d_window_gemm_is_bitwise_the_tensordot_oracle(k, dtype, c_in, shape):
+    rng = np.random.default_rng([k, c_in, *shape])
+    for c_out in (1, 16):
+        x = rng.standard_normal((c_in, *shape)).astype(dtype)
+        w = rng.standard_normal((c_out, c_in, k, k)).astype(dtype)
+        b = rng.standard_normal(c_out).astype(dtype)
+        cot = rng.standard_normal((c_out, *shape)).astype(dtype)
+        _same_bits(conv2d(x, w, b), oracles.conv2d(x, w, b))
+        for new, old in zip(conv2d_backward(cot, x, w),
+                            oracles.conv2d_backward(cot, x, w)):
+            _same_bits(new, old)
 
 
 # ====== relu / pooling / upsampling ======

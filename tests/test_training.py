@@ -389,7 +389,27 @@ def test_train_gradient_clip_bounds_update():
     assert rows[0].epoch == 1
     assert np.isfinite(rows[0].mean_loss)
     assert EpochStats.COLUMNS == ("epoch", "mean_loss", "mean_div_step1",
-                                  "mean_div_stepn", "wall_ms")
+                                  "mean_div_stepn", "skipped", "clipped",
+                                  "grad_norm", "wall_ms")
+    assert rows[0].clipped == 1  # two samples, batch size 2: one batch, clipped
+
+
+def test_epoch_stats_count_skips_and_clips_without_changing_training(monkeypatch):
+    data = _tiny_dataset()
+    off, _ = train(data, _fast_cfg(grad_clip=0.0), epochs=2, seed=4)
+    loose, rows = train(data, _fast_cfg(grad_clip=1e30), epochs=2, seed=4)
+    assert off.pack().tobytes() == loose.pack().tobytes()
+    assert [(r.skipped, r.clipped) for r in rows] == [(0, 0), (0, 0)]
+    assert all(np.isfinite(r.grad_norm) and r.grad_norm > 0 for r in rows)
+    _, tight = train(data, _fast_cfg(grad_clip=1e-8), epochs=2, seed=4)
+    assert [r.clipped for r in tight] == [2, 2]  # four samples, batch size 2
+    _, again = train(data, _fast_cfg(grad_clip=1e-8), epochs=2, seed=4)
+    assert [r.row()[:-1] for r in again] == [r.row()[:-1] for r in tight]
+
+    monkeypatch.setattr("macfluid.training.SPEED_LIMIT", 0.0)
+    _, dropped = train(data, _fast_cfg(), epochs=1, seed=4)
+    assert (dropped[0].skipped, dropped[0].clipped) == (4, 0)
+    assert np.isnan(dropped[0].grad_norm) and np.isnan(dropped[0].mean_loss)
 
 
 # ====== gradient check ======
