@@ -12,32 +12,41 @@ cell thick, at any CFL number.
 
 Only a trace that can reach a non-fluid point is scanned; every other one
 lands at x0 + dx, bit for bit what the scan gives.  A trace is skipped
-when it is shorter than its node's clearance (``_clearance2``, built once
-per lattice and grid): the exact distance from the node to the nearest
-non-fluid cell square of the padded fluid mask, so border walls and the
-air above an open top count too, less a roundoff margin.  ``g.distance``
+when it is shorter than its node's clearance (``_clearance2``, kept per
+grid): the exact distance from the node to the nearest non-fluid cell
+square of the padded fluid mask, so border walls and the air above an
+open top count too, less a roundoff margin.  ``g.distance``
 would not do: it sees only solid cells and is +inf on a grid without
 solid.  A trace of zero displacement is skipped whatever its clearance;
 the face nodes on the right and top borders sit on the padded mask's ring.
 
-The MacCormack scheme runs the plain trace forward and backward, both
-scaled from one velocity sample at the lattice nodes and scanned together
-on a leading axis of 2 over the lattice's (nrows, ncols) shape, so each
-lattice takes one scan.  It applies half the round-trip defect as a
-correction, and keeps the corrected value only while it stays inside the
-min/max of the four interpolation samples of the forward trace; otherwise
-it falls back to the plain value.
+Each call of ``advect_scalar`` and ``self_advect`` runs one trace over
+all of its nodes: the cell lattice for a scalar, both face lattices, one
+after the other, for the velocity.  Where each node sits, its clearance
+and its bilinear weights on the ``ux`` and ``uy`` lattices form a
+sampling plan built once per grid and tuple of lattices, so a node's
+velocity costs two weighted gathers per frame.  The MacCormack scheme
+traces backward and forward, both scaled from that one velocity sample
+and stacked on a leading axis of 2, so the call takes at most one scan.
+Each trace is clamped on its own data alone (more traces in the scan
+only add probes past a trace's own count, which it masks out), so which
+traces share a call does not change a bit.  Per lattice, the scheme
+applies half the round-trip defect as a correction, and keeps the
+corrected value only while it stays inside the min/max of the four
+interpolation samples of the forward trace; otherwise it falls back to
+the plain value.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
 
-from .grids import (MacVelocity, OccupancyGrid, ScalarGrid, _bilinear, _lattice_xy,
-                    _read_only)
+from .grids import (MacVelocity, OccupancyGrid, ScalarGrid, _bilinear, _bilinear_apply,
+                    _bilinear_weights, _lattice_xy, _read_only)
 
 _MIN_PROBES = 4
 _BISECT_ITERS = 8
@@ -77,7 +86,7 @@ def _clearance2(g: OccupancyGrid, shape: tuple[int, int], offx: float,
                 offy: float) -> np.ndarray:
     """Squared clearance of each node of a lattice, in world units: the
     length a trace from the node may have and still meet no non-fluid point.
-    Built once per lattice with ``g.derived``.
+    The sampling plan keeps it per grid.
 
     The clearance is the distance from the node to the nearest closed cell
     square that is non-fluid in ``g.fluid_padded`` (``_half_cell_distance``),
@@ -144,12 +153,12 @@ def _clamp(g: OccupancyGrid, x0: np.ndarray, y0: np.ndarray, dx: np.ndarray,
 
 def _trace(g: OccupancyGrid, x0: np.ndarray, y0: np.ndarray, dx: np.ndarray,
            dy: np.ndarray, clear2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``_clamp`` for the nodes of a lattice, with ``clear2`` from
-    ``_clearance2``: a trace shorter than its node's clearance meets no
-    non-fluid point, and a trace of zero displacement goes nowhere, so both
-    land at x0 + dx unscanned; only the rest (NaN and inf displacements
-    among them, which fail the comparison) are scanned.  The displacements
-    may carry leading axes of their own."""
+    """``_clamp`` for lattice nodes, with ``clear2`` from ``_clearance2``: a
+    trace shorter than its node's clearance meets no non-fluid point, and a
+    trace of zero displacement goes nowhere, so both land at x0 + dx
+    unscanned; only the rest (NaN and inf displacements among them, which
+    fail the comparison) are scanned.  The displacements may carry leading
+    axes of their own."""
     out_x, out_y = x0 + dx, y0 + dy
     far = np.nonzero(~(dx * dx + dy * dy < clear2) & ((dx != 0.0) | (dy != 0.0)))
     if far[0].size:
@@ -159,28 +168,66 @@ def _trace(g: OccupancyGrid, x0: np.ndarray, y0: np.ndarray, dx: np.ndarray,
     return out_x, out_y
 
 
-def _advect_lattice(values: np.ndarray, offx: float, offy: float, u: MacVelocity,
-                    g: OccupancyGrid, dt: float, scheme: str) -> np.ndarray:
-    """Advect one sample lattice (cell centers or one face family)."""
+@dataclass(frozen=True)
+class _SamplingPlan:
+    """What a trace needs of the nodes of some lattices, lattice after
+    lattice: their world coordinates, their squared clearances
+    (``_clearance2``) and the ``_bilinear_weights`` of the ``ux`` and ``uy``
+    lattices at them; ``spans`` picks out each lattice's nodes."""
+
+    x: np.ndarray
+    y: np.ndarray
+    clear2: np.ndarray
+    ux: tuple[np.ndarray, np.ndarray, np.ndarray]
+    uy: tuple[np.ndarray, np.ndarray, np.ndarray]
+    spans: tuple[slice, ...]
+
+
+def _sampling_plan(g: OccupancyGrid, lattices: tuple) -> _SamplingPlan:
+    """The plan for lattices given as (shape, offx, offy); built once per
+    grid and tuple of lattices with ``g.derived``."""
     h = g.dims.h
-    x, y = _lattice_xy(values.shape, offx, offy)
-    x, y = x * h, y * h
-    vx = _bilinear(u.ux, x, y, 0.0, 0.5, h)
-    vy = _bilinear(u.uy, x, y, 0.5, 0.0, h)
+    xs, ys, clear2, spans, n = [], [], [], [], 0
+    for shape, offx, offy in lattices:
+        x, y = _lattice_xy(shape, offx, offy)
+        x, y = np.broadcast_arrays(x * h, y * h)
+        xs.append(x.ravel())
+        ys.append(y.ravel())
+        clear2.append(_clearance2(g, shape, offx, offy).ravel())
+        spans.append(slice(n, n + x.size))
+        n += x.size
+    x, y = np.concatenate(xs), np.concatenate(ys)
+    ux = tuple(map(_read_only, _bilinear_weights(g.dims.shape_ux, x, y, 0.0, 0.5, h)))
+    uy = tuple(map(_read_only, _bilinear_weights(g.dims.shape_uy, x, y, 0.5, 0.0, h)))
+    return _read_only(_SamplingPlan(x, y, np.concatenate(clear2), ux, uy, tuple(spans)))
+
+
+def _advect(fields: list[tuple[np.ndarray, float, float]], u: MacVelocity, g: OccupancyGrid,
+            dt: float, scheme: str) -> list[np.ndarray]:
+    """Advect sample lattices, each given as (values, offx, offy), through u
+    with one trace over all of their nodes."""
+    h = g.dims.h
+    plan = g.derived(_sampling_plan, tuple((v.shape, ox, oy) for v, ox, oy in fields))
+    vx = _bilinear_apply(u.ux, *plan.ux)
+    vy = _bilinear_apply(u.uy, *plan.uy)
     # the backward trace, and for MacCormack the forward one beside it on a
     # leading axis, so that one scan serves both
-    steps = np.array([-dt] if scheme == "sl" else [-dt, dt])[:, None, None]
-    clear2 = g.derived(_clearance2, values.shape, offx, offy)
-    tx, ty = _trace(g, x, y, steps * vx, steps * vy, clear2)
+    steps = np.array([-dt] if scheme == "sl" else [-dt, dt])[:, None]
+    tx, ty = _trace(g, plan.x, plan.y, steps * vx, steps * vy, plan.clear2)
 
-    if scheme == "sl":
-        return _bilinear(values, tx[0], ty[0], offx, offy, h)
-
-    fwd, lo, hi = _bilinear(values, tx[0], ty[0], offx, offy, h, with_bounds=True)
-    bwd = _bilinear(fwd, tx[1], ty[1], offx, offy, h)
-    corrected = fwd + 0.5 * (values - bwd)
-    inside = (corrected >= lo) & (corrected <= hi)
-    return np.where(inside, corrected, fwd)
+    out = []
+    for (values, offx, offy), span in zip(fields, plan.spans):
+        # views of this lattice's landing points, shape (steps, nrows, ncols)
+        x, y = (t[:, span].reshape(-1, *values.shape) for t in (tx, ty))
+        if scheme == "sl":
+            out.append(_bilinear(values, x[0], y[0], offx, offy, h))
+            continue
+        fwd, lo, hi = _bilinear(values, x[0], y[0], offx, offy, h, with_bounds=True)
+        bwd = _bilinear(fwd, x[1], y[1], offx, offy, h)
+        corrected = fwd + 0.5 * (values - bwd)
+        inside = (corrected >= lo) & (corrected <= hi)
+        out.append(np.where(inside, corrected, fwd))
+    return out
 
 
 def advect_scalar(q: ScalarGrid, u: MacVelocity, g: OccupancyGrid, dt: float,
@@ -189,7 +236,7 @@ def advect_scalar(q: ScalarGrid, u: MacVelocity, g: OccupancyGrid, dt: float,
     _check_scheme(scheme)
     if dt == 0.0:
         return q.copy()
-    out = _advect_lattice(q.values, 0.5, 0.5, u, g, dt, scheme)
+    (out,) = _advect([(q.values, 0.5, 0.5)], u, g, dt, scheme)
     out[g.solid] = q.values[g.solid]
     return ScalarGrid(q.dims, out)
 
@@ -204,8 +251,7 @@ def self_advect(u: MacVelocity, g: OccupancyGrid, dt: float,
     if dt == 0.0:
         return u.copy()
     fm = g.faces
-    ux = _advect_lattice(u.ux, 0.0, 0.5, u, g, dt, scheme)
-    uy = _advect_lattice(u.uy, 0.5, 0.0, u, g, dt, scheme)
+    ux, uy = _advect([(u.ux, 0.0, 0.5), (u.uy, 0.5, 0.0)], u, g, dt, scheme)
     ux[fm.solid_x] = u.ux[fm.solid_x]
     uy[fm.solid_y] = u.uy[fm.solid_y]
     return MacVelocity(u.dims, ux, uy)

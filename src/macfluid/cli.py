@@ -334,8 +334,9 @@ def _build_parser() -> _Parser:
     p.set_defaults(_run=_cmd_eval, _sub=p)
 
     p = subs.add_parser("bench", help="time plume frames per backend",
-                        description="Median ms per sim.step frame of the closed "
-                                    f"disc plume after {WARMUP_FRAMES} warm-up frames, "
+                        description="Median, 10th and 90th percentile ms per "
+                                    "sim.step frame of the closed disc plume after "
+                                    f"{WARMUP_FRAMES} warm-up frames, "
                                     "checked bit for bit against an untimed rerun; "
                                     "--seed does not change the scene.  CSV columns "
                                     + ",".join(BenchRow.COLUMNS) + ".")

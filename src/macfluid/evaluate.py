@@ -247,8 +247,10 @@ class BenchRow:
     cells: int
     repetitions: int
     median_ms: float
+    p10_ms: float
+    p90_ms: float
 
-    COLUMNS = ("backend", "nx", "ny", "cells", "repetitions", "median_ms")
+    COLUMNS = ("backend", "nx", "ny", "cells", "repetitions", "median_ms", "p10_ms", "p90_ms")
 
     def row(self) -> list:
         return [getattr(self, c) for c in self.COLUMNS]
@@ -259,7 +261,9 @@ WARMUP_FRAMES = 24  # the warm-up of perfbench's plume128_jacobi
 
 def bench(projection, dims_list, repetitions: int = 5,
           name: str = "backend") -> list[BenchRow]:
-    """Median wall time of a ``sim.step`` frame of the closed disc plume.
+    """Median, 10th and 90th percentile (``np.percentile``'s linear
+    interpolation) of the wall time of a ``sim.step`` frame of the closed
+    disc plume.
 
     Per resolution, ``plume_scenario(dims, obstacle="disc")`` runs
     ``WARMUP_FRAMES`` untimed frames.  From the warmed state an untimed
@@ -293,6 +297,8 @@ def bench(projection, dims_list, repetitions: int = 5,
                 and untimed[:repetitions] == untimed[repetitions:]):
             raise RuntimeError(f"projection backend {name} is not "
                                "deterministic across repetitions")
+        wall = [m.wall_ms for m in metrics]
+        p10, p90 = np.percentile(wall, [10, 90])
         rows.append(BenchRow(name, dims.nx, dims.ny, dims.n_cells, repetitions,
-                             float(statistics.median(m.wall_ms for m in metrics))))
+                             float(statistics.median(wall)), float(p10), float(p90)))
     return rows

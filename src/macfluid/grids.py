@@ -206,18 +206,29 @@ class DistanceField:
 def _bilinear(values: np.ndarray, x: np.ndarray, y: np.ndarray, offx: float,
               offy: float, h: float, with_bounds: bool = False):
     """Bilinear interpolation on a lattice whose node (c, r) sits at
-    ((c + offx) * h, (r + offy) * h).
+    ((c + offx) * h, (r + offy) * h): :func:`_bilinear_apply` of
+    :func:`_bilinear_weights`, so sampling at positions known in advance
+    (weights kept) and at fresh ones (weights built per call) agree bit for
+    bit.  Returns the interpolated values, plus the min and max over the
+    four support samples when ``with_bounds`` is set.
+    """
+    return _bilinear_apply(values, *_bilinear_weights(values.shape, x, y, offx, offy, h),
+                           with_bounds=with_bounds)
+
+
+def _bilinear_weights(shape: tuple[int, int], x: np.ndarray, y: np.ndarray,
+                      offx: float, offy: float, h: float
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where and how :func:`_bilinear_apply` samples a lattice of ``shape``
+    at the points (x, y): the flat index k = j0 * ncols + i0 of each lower
+    left corner, and the fractions tx, ty within the cell.
 
     Positions outside the lattice are clamped to the border sample band
     first, so no value outside the convex hull of samples is ever produced.
-    The four corners are gathered from the flattened lattice at k, k + 1,
-    k + ncols and k + ncols + 1, where k = j0 * ncols + i0.  A NaN position
-    raises ValueError: its int64 cast is INT_MIN, which that flat index
-    would wrap back into range (to 0 when ncols is odd).
-    Returns the interpolated values, plus the min and max over the four
-    support samples when ``with_bounds`` is set.
+    A NaN position raises ValueError: its int64 cast is INT_MIN, which the
+    flat index would wrap back into range (to 0 when ncols is odd).
     """
-    nrows, ncols = values.shape
+    nrows, ncols = shape
     fx = np.clip(x / h - offx, 0.0, ncols - 1.0)
     fy = np.clip(y / h - offy, 0.0, nrows - 1.0)
     i0 = np.minimum(fx.astype(np.int64), ncols - 2)
@@ -230,10 +241,19 @@ def _bilinear(values: np.ndarray, x: np.ndarray, y: np.ndarray, offx: float,
                          f"({bx.flat[at]}, {by.flat[at]})")
     tx = fx - i0
     ty = fy - j0
+    return j0 * ncols + i0, tx, ty
+
+
+def _bilinear_apply(values: np.ndarray, k: np.ndarray, tx: np.ndarray,
+                    ty: np.ndarray, with_bounds: bool = False):
+    """Bilinear interpolation of ``values`` with weights from
+    :func:`_bilinear_weights` for a lattice of its shape: the four corners
+    are gathered from the flattened lattice at k, k + 1, k + ncols and
+    k + ncols + 1, then three lerps."""
+    ncols = values.shape[1]
     flat = values.ravel()
-    k = j0 * ncols + i0
     v00 = flat.take(k)
-    k += 1
+    k = k + 1
     v01 = flat.take(k)
     k += ncols
     v11 = flat.take(k)

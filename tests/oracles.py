@@ -2,8 +2,10 @@
 
 Each is the plain form of something the package computes a faster way,
 kept here as an oracle: bilinear sampling at arbitrary positions, single
-backward traces, cell-center positions, the residual norm of a pressure
-solve, and convolution forward and backward through ``np.pad``,
+backward traces, advection of one sample lattice at a time (each with its
+own velocity sampling, trace and scan, which the package's one trace per
+call reproduces bit for bit), cell-center positions, the residual norm of
+a pressure solve, and convolution forward and backward through ``np.pad``,
 ``sliding_window_view`` and ``tensordot``, which the package's window-matrix
 GEMM reproduces bit for bit.
 """
@@ -13,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from macfluid.advection import _clamp
+from macfluid.advection import _clamp, _clearance2, _trace
 from macfluid.convnet import _replicate_pad_adjoint
 from macfluid.fdops import PoissonSystem, apply_poisson
 from macfluid.grids import (GridDims, MacVelocity, OccupancyGrid, ScalarGrid, _bilinear,
@@ -68,6 +70,30 @@ def trace_back(pos: np.ndarray, u: MacVelocity, g: OccupancyGrid, dt: float) -> 
     vel = sample_velocity(u, pos)
     x, y = _clamp(g, pos[:, 0], pos[:, 1], -dt * vel[:, 0], -dt * vel[:, 1])
     return np.stack([x, y], axis=-1)
+
+
+def advect_lattice(values: np.ndarray, offx: float, offy: float, u: MacVelocity,
+                   g: OccupancyGrid, dt: float, scheme: str) -> np.ndarray:
+    """Advect one sample lattice (cell centers or one face family)."""
+    h = g.dims.h
+    x, y = _lattice_xy(values.shape, offx, offy)
+    x, y = x * h, y * h
+    vx = _bilinear(u.ux, x, y, 0.0, 0.5, h)
+    vy = _bilinear(u.uy, x, y, 0.5, 0.0, h)
+    # the backward trace, and for MacCormack the forward one beside it on a
+    # leading axis, so that one scan serves both
+    steps = np.array([-dt] if scheme == "sl" else [-dt, dt])[:, None, None]
+    clear2 = g.derived(_clearance2, values.shape, offx, offy)
+    tx, ty = _trace(g, x, y, steps * vx, steps * vy, clear2)
+
+    if scheme == "sl":
+        return _bilinear(values, tx[0], ty[0], offx, offy, h)
+
+    fwd, lo, hi = _bilinear(values, tx[0], ty[0], offx, offy, h, with_bounds=True)
+    bwd = _bilinear(fwd, tx[1], ty[1], offx, offy, h)
+    corrected = fwd + 0.5 * (values - bwd)
+    inside = (corrected >= lo) & (corrected <= hi)
+    return np.where(inside, corrected, fwd)
 
 
 def residual_norm(sys: PoissonSystem, p: ScalarGrid) -> float:

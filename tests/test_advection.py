@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from macfluid import advection, grids, sim
-from macfluid.advection import _advect_lattice, _fluid_at_points, advect_scalar, self_advect
+from macfluid.advection import _fluid_at_points, advect_scalar, self_advect
 from macfluid.datagen import SceneConfig, apply_emitters, build_scene
-from macfluid.grids import GridDims, MacVelocity, OccupancyGrid, ScalarGrid, _bilinear
-from oracles import cell_centers, sample_scalar, sample_velocity, trace_back
+from macfluid.grids import (GridDims, MacVelocity, OccupancyGrid, ScalarGrid, _bilinear,
+                            _bilinear_apply)
+from oracles import advect_lattice, cell_centers, sample_scalar, sample_velocity, trace_back
 
 
 def _gaussian(dims, cx, cy, sigma):
@@ -204,9 +205,9 @@ def test_fluid_at_points_matches_bounds_checked_lookup(open_top):
     assert want.any() and not want.all()
 
 
-def _random_flow(seed, open_top, h=0.7):
+def _random_flow(seed, open_top, h=0.7, size=(11, 9)):
     rng = np.random.default_rng(seed)
-    dims = GridDims(11, 9, h=h)
+    dims = GridDims(*size, h=h)
     g = OccupancyGrid(dims, rng.random(dims.shape) < 0.2, open_top)
     u = MacVelocity(dims, rng.normal(scale=4.0, size=dims.shape_ux),
                     rng.normal(scale=4.0, size=dims.shape_uy))
@@ -222,53 +223,141 @@ def test_sl_lattice_equals_bilinear_at_trace_back_landings(lattice, dt, open_top
     shape, offx, offy = {"cells": (dims.shape, 0.5, 0.5),
                          "x_faces": (dims.shape_ux, 0.0, 0.5),
                          "y_faces": (dims.shape_uy, 0.5, 0.0)}[lattice]
-    values = rng.normal(size=shape)
+    if lattice == "cells":
+        values = rng.normal(size=shape)
+        got = advect_scalar(ScalarGrid(dims, values), u, g, dt, "sl").values
+        kept = g.solid
+    else:
+        component = "ux" if lattice == "x_faces" else "uy"
+        values = getattr(u, component)
+        got = getattr(self_advect(u, g, dt, "sl"), component)
+        kept = getattr(g.faces, "solid_" + component[1])
     x, y = np.meshgrid((np.arange(shape[1]) + offx) * h, (np.arange(shape[0]) + offy) * h)
     pos = np.stack([x.ravel(), y.ravel()], axis=-1)
     land = trace_back(pos, u, g, dt)
     # some traces leave the fluid, so the clamp is exercised
     assert not np.array_equal(land, pos - dt * sample_velocity(u, pos))
     want = _bilinear(values, land[:, 0], land[:, 1], offx, offy, h).reshape(shape)
-    got = _advect_lattice(values, offx, offy, u, g, dt, "sl")
+    want[kept] = values[kept]  # solid nodes keep their values
     assert got.shape == shape
     np.testing.assert_array_equal(got, want)
 
 
-def test_maccormack_samples_velocity_once_per_lattice(monkeypatch):
+@pytest.mark.parametrize("size", [(11, 9), (32, 32)])
+@pytest.mark.parametrize("dt", [0.3, -0.3, 2.0])
+@pytest.mark.parametrize("h", [1.0, 0.7])
+@pytest.mark.parametrize("open_top", [False, True])
+@pytest.mark.parametrize("scheme", ["sl", "maccormack"])
+def test_advection_equals_the_per_lattice_oracle_bit_for_bit(monkeypatch, scheme, open_top,
+                                                             h, dt, size):
+    rng, g, u = _random_flow(54, open_top, h, size)
+    q = ScalarGrid(g.dims, rng.normal(size=g.dims.shape))
+    clamped = []
+    clamp = advection._clamp
+
+    def spy(g, x0, y0, dx, dy):
+        out = clamp(g, x0, y0, dx, dy)
+        clamped.append(np.count_nonzero((out[0] != x0 + dx) | (out[1] != y0 + dy)))
+        return out
+
+    monkeypatch.setattr(advection, "_clamp", spy)
+    fm = g.faces
+    want = []
+    for values, offx, offy, kept in ((q.values, 0.5, 0.5, g.solid), (u.ux, 0.0, 0.5, fm.solid_x),
+                                     (u.uy, 0.5, 0.0, fm.solid_y)):
+        lattice = advect_lattice(values, offx, offy, u, g, dt, scheme)
+        lattice[kept] = values[kept]
+        want.append(lattice)
+    assert sum(clamped) > 0
+    v = self_advect(u, g, dt, scheme)
+    got = [advect_scalar(q, u, g, dt, scheme).values, v.ux, v.uy]
+    for a, b in zip(got, want):
+        assert (a.dtype, a.shape) == (b.dtype, b.shape)
+        assert a.tobytes() == b.tobytes()  # raw bytes: -0.0 differs from 0.0
+
+
+def test_maccormack_samples_values_twice_per_lattice(monkeypatch):
     _, g, u = _random_flow(49, False)
     q = ScalarGrid(g.dims, np.ones(g.dims.shape))
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(1)
+        calls.append(kwargs.get("with_bounds", False))
         return _bilinear(*args, **kwargs)
 
     monkeypatch.setattr(advection, "_bilinear", counted)
     monkeypatch.setattr(grids, "_bilinear", counted)
     advect_scalar(q, u, g, 0.3, "maccormack")
     self_advect(u, g, 0.3, "maccormack")
-    # per lattice: two velocity components, the forward and the backward value
-    assert len(calls) == 3 * 4
+    # per lattice: the forward value with its bounds, then the backward one;
+    # node velocities come from the sampling plan
+    assert calls == [True, False] * 3
 
 
-# sha256 of (ux, uy, density) after 12 MacCormack plume frames: a speed-up of
-# advection must leave these bytes as they are; the open-top box runs at
-# dt 0.5 so that some traces clamp
+def test_the_sampling_plan_is_built_once_per_grid_and_read_only(monkeypatch):
+    built = []
+    build = advection._sampling_plan
+
+    def spy(g, lattices):
+        built.append((g, lattices))
+        return build(g, lattices)
+
+    monkeypatch.setattr(advection, "_sampling_plan", spy)
+    for seed in (55, 56):
+        rng, g, u = _random_flow(seed, bool(seed % 2))
+        q = ScalarGrid(g.dims, rng.normal(size=g.dims.shape))
+        for _ in range(2):
+            for scheme in ("sl", "maccormack"):
+                advect_scalar(q, u, g, 0.3, scheme)
+                self_advect(u, g, 0.3, scheme)
+    # per grid: one plan for the cells, one for both face lattices
+    assert len(built) == 4 and len(set(built)) == 4
+    for g, lattices in built:
+        plan = g.derived(spy, lattices)
+        arrays = [plan.x, plan.y, plan.clear2, *plan.ux, *plan.uy]
+        assert not any(a.flags.writeable for a in arrays)
+        with pytest.raises(ValueError):
+            plan.x[0] = 0.0
+        h = g.dims.h
+        for (shape, offx, offy), span in zip(lattices, plan.spans):
+            x, y = np.broadcast_arrays(*grids._lattice_xy(shape, offx, offy))
+            np.testing.assert_array_equal(plan.x[span].reshape(shape), x * h)
+            np.testing.assert_array_equal(plan.y[span].reshape(shape), y * h)
+            np.testing.assert_array_equal(plan.clear2[span].reshape(shape),
+                                          advection._clearance2(g, shape, offx, offy))
+        # the kept weights sample node velocities as fresh ones would
+        u = MacVelocity(g.dims, np.random.default_rng(57).normal(size=g.dims.shape_ux),
+                        np.random.default_rng(58).normal(size=g.dims.shape_uy))
+        np.testing.assert_array_equal(_bilinear_apply(u.ux, *plan.ux),
+                                      _bilinear(u.ux, plan.x, plan.y, 0.0, 0.5, h))
+        np.testing.assert_array_equal(_bilinear_apply(u.uy, *plan.uy),
+                                      _bilinear(u.uy, plan.x, plan.y, 0.5, 0.0, h))
+
+
+# sha256 of (ux, uy, density) after 12 plume frames, MacCormack unless the
+# scene is marked _sl: a speed-up of advection must leave these bytes as they
+# are; the open-top box runs at dt 0.5 so that some traces clamp
+_DISC64 = (64, dict(obstacle="disc"))
+_BOX32_OPEN_TOP = (32, dict(obstacle="box", open_top=True, inflow_speed=4.0, buoyancy=2.0,
+                            dt=0.5))
 _GOLDEN_PLUMES = {
     "disc64_jacobi": (
-        (64, dict(obstacle="disc")),
-        "23c3803470bbe3e50501c212ff47099586ce98a7ce4151d7f5b55686eedc8fb8"),
+        _DISC64, "23c3803470bbe3e50501c212ff47099586ce98a7ce4151d7f5b55686eedc8fb8"),
     "box32_open_top": (
-        (32, dict(obstacle="box", open_top=True, inflow_speed=4.0, buoyancy=2.0, dt=0.5)),
-        "d5a5c1b7224c01d41ac1d7ece5fb91d763c229d2875ea1f1542eccdc460ac668"),
+        _BOX32_OPEN_TOP, "d5a5c1b7224c01d41ac1d7ece5fb91d763c229d2875ea1f1542eccdc460ac668"),
+    "disc64_jacobi_sl": (
+        _DISC64, "4ae76d58f26c210c645b7aeabaa9e4ec02ace1fccd7c1304b042085c4a421379"),
+    "box32_open_top_sl": (
+        _BOX32_OPEN_TOP, "dd7566a2c2674a57c2843905e515e151f8cc6b2e850ee857719e44e6dc190ed2"),
 }
 
 
 @pytest.mark.parametrize("scene", sorted(_GOLDEN_PLUMES))
 def test_plume_bytes_match_the_golden_digest(scene):
     (n, kwargs), want = _GOLDEN_PLUMES[scene]
+    scheme = "sl" if scene.endswith("_sl") else "maccormack"
     state, cfg = sim.plume_scenario(GridDims(n, n), projection=sim.JacobiProjection(34),
-                                    advection="maccormack", **kwargs)
+                                    advection=scheme, **kwargs)
     for _ in range(12):
         state = sim.step(state, cfg)
     digest = hashlib.sha256()
@@ -413,21 +502,17 @@ def test_still_nodes_are_not_scanned(monkeypatch, open_top):
         assert np.all((dx != 0.0) | (dy != 0.0))
 
 
-def test_maccormack_scans_each_lattice_once(monkeypatch):
+def test_maccormack_scans_once_per_call(monkeypatch):
     _, g, u = _random_flow(49, False)
     q = ScalarGrid(g.dims, np.ones(g.dims.shape))
     seen = _spy_clamp(monkeypatch)
-    per_lattice = []
-    advect_lattice = advection._advect_lattice
-
-    def lattice(*args):
-        before = len(seen)
-        out = advect_lattice(*args)
-        per_lattice.append(len(seen) - before)
-        return out
-
-    monkeypatch.setattr(advection, "_advect_lattice", lattice)
+    for values, offx, offy in ((u.ux, 0.0, 0.5), (u.uy, 0.5, 0.0)):
+        advect_lattice(values, offx, offy, u, g, 0.3, "maccormack")
+    per_lattice = sum(dx.size for dx, _ in seen)
+    del seen[:]
     advect_scalar(q, u, g, 0.3, "maccormack")
     self_advect(u, g, 0.3, "maccormack")
-    # strong flow among solid cells: every lattice has traces to clamp
-    assert per_lattice == [1, 1, 1]
+    # strong flow among solid cells: each call has traces to clamp, and the
+    # one scan of self_advect takes those of both face lattices
+    assert len(seen) == 2
+    assert seen[1][0].size == per_lattice

@@ -384,7 +384,7 @@ def test_bench_csv_output(tmp_path):
               "--out", str(out)])
     assert rc == 0
     lines = out.read_text().splitlines()
-    assert lines[0] == "backend,nx,ny,cells,repetitions,median_ms"
+    assert lines[0] == "backend,nx,ny,cells,repetitions,median_ms,p10_ms,p90_ms"
     assert len(lines) == 3
 
 
@@ -394,8 +394,9 @@ def test_bench_writes_the_csv_it_prints(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert cli(args + ["--out", str(tmp_path / "bench.csv")]) == 0
     written = (tmp_path / "bench.csv").read_text()
-    assert [line.rsplit(",", 1)[0] for line in written.splitlines()] \
-        == [line.rsplit(",", 1)[0] for line in printed.splitlines()]
+    # the same columns, up to the three timings
+    assert [line.split(",")[:-3] for line in written.splitlines()] \
+        == [line.split(",")[:-3] for line in printed.splitlines()]
     assert written.endswith("\n") and printed.endswith("\n")
 
 
@@ -417,7 +418,7 @@ def test_bench_unwritable_output_fails_before_timing(tmp_path, monkeypatch):
 
 def test_bench_stdout_and_bad_backend(capsys):
     assert cli(["bench", "--backend", "jacobi:5", "--res", "16", "--reps", "1"]) == 0
-    assert "median_ms" in capsys.readouterr().out
+    assert "median_ms,p10_ms,p90_ms" in capsys.readouterr().out
     assert cli(["bench", "--backend", "sorcery", "--res", "16"]) == 1
 
 
@@ -437,7 +438,7 @@ def test_bench_exact_over_the_dense_cap_exits_one_untimed(monkeypatch, capsys):
 def test_bench_no_projection(capsys):
     assert cli(["bench", "--backend", "none", "--res", "8", "--reps", "1"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "backend,nx,ny,cells,repetitions,median_ms"
+    assert lines[0] == "backend,nx,ny,cells,repetitions,median_ms,p10_ms,p90_ms"
     assert len(lines) == 2 and lines[1].startswith("none,8,8,64,1,")
 
 

@@ -1,5 +1,7 @@
 """Backend parsing, divergence curves, matching, and timing tests."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -202,7 +204,25 @@ def test_bench_row_per_resolution():
                  name="pcg_1e-04")
     assert [(r.nx, r.cells, r.repetitions) for r in rows] \
         == [(16, 256, 1), (32, 1024, 1)]
-    assert all(r.median_ms > 0 for r in rows)
+    assert all(0 < r.p10_ms <= r.median_ms <= r.p90_ms for r in rows)
+
+
+def test_bench_percentiles_spread_over_the_timed_frames(monkeypatch):
+    calls = []
+    real_run = evaluate.run
+
+    def timed_run(start, cfg, frames):
+        out, metrics = real_run(start, cfg, frames)
+        calls.append(frames)
+        if len(calls) == 3:  # after the warm-up and the reference run
+            metrics = [replace(m, wall_ms=w) for m, w in zip(metrics, [9.0, 1.0, 4.0, 2.0, 3.0])]
+        return out, metrics
+
+    monkeypatch.setattr(evaluate, "run", timed_run)
+    (row,) = bench(JacobiProjection(4), [GridDims(8, 8)], repetitions=5)
+    assert calls == [WARMUP_FRAMES, 5, 5]
+    assert row.median_ms == 3.0
+    assert (row.p10_ms, row.p90_ms) == (pytest.approx(1.4), pytest.approx(7.0))
 
 
 def test_bench_steps_the_warmed_disc_plume(monkeypatch):
@@ -244,10 +264,10 @@ def test_bench_rejects_a_timed_run_that_differs_from_its_reference(monkeypatch):
 
 
 def test_bench_csv():
-    rows = [BenchRow("jacobi_34", 32, 32, 1024, 5, 1.25)]
+    rows = [BenchRow("jacobi_34", 32, 32, 1024, 5, 1.25, 1.125, 2.5)]
     lines = csv_text(BenchRow.COLUMNS, [r.row() for r in rows]).splitlines()
-    assert lines[0] == "backend,nx,ny,cells,repetitions,median_ms"
-    assert lines[1] == "jacobi_34,32,32,1024,5,1.25"
+    assert lines[0] == "backend,nx,ny,cells,repetitions,median_ms,p10_ms,p90_ms"
+    assert lines[1] == "jacobi_34,32,32,1024,5,1.25,1.125,2.5"
 
 
 def test_bench_jacobi_scaling_not_superlinear():
