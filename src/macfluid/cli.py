@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .convnet import NetArch, init_params
+from .convnet import SIDE_MULTIPLE, NetArch, init_params
 from .datagen import SceneConfig, build_scene, generate_dataset, load_dataset
 from .evaluate import (WARMUP_FRAMES, BenchRow, bench, eval_divergence_curves,
                        match_divergence, parse_backend)
@@ -173,9 +173,11 @@ def _cmd_simulate(args) -> int:
             write_frame(dump, e.state.g, e.state.u, e.state.density, cfg.dt)
             raise SimulationError(f"{e}; frame dumped to {dump}", e.state) from None
     m = metrics[-1]
+    bad = sum(f.pcg_converged is False for f in metrics)
+    note = f"; PCG did not converge on {bad} of {len(metrics)} frames" if bad else ""
     print(f"simulated {args.frames} frames at {args.res}x{args.res}; "
           f"final mean divergence {m.mean_div_l2:.6g}, max speed {m.max_speed:.6g}; "
-          f"metrics in {out / 'metrics.csv'}")
+          f"metrics in {out / 'metrics.csv'}{note}")
     return 0
 
 
@@ -296,7 +298,9 @@ def _build_parser() -> _Parser:
                         description="Simulate and write metrics.csv with columns "
                                     + ",".join(FrameMetrics.COLUMNS) + "; the pcg_* "
                                     "columns report each frame's PCG solve and are "
-                                    "empty for other solvers.")
+                                    "empty for other solvers.  Unconverged PCG frames "
+                                    "add '; PCG did not converge on K of N frames' to "
+                                    "the final line; the exit code stays 0.")
     p.add_argument("--res", type=int, default=64, help="grid side length")
     p.add_argument("--frames", type=int, default=64)
     p.add_argument("--solver", type=str, default="pcg:1e-4",
@@ -342,7 +346,7 @@ def _build_parser() -> _Parser:
                                     + ",".join(BenchRow.COLUMNS) + ".")
     p.add_argument("--backend", type=str, default=None, help="backend spec")
     p.add_argument("--res", type=str, default="32,64,128",
-                   help="comma-separated grid side lengths, each divisible by 4")
+                   help=f"comma-separated grid side lengths, each divisible by {SIDE_MULTIPLE}")
     p.add_argument("--reps", type=int, default=5, help="timed frames")
     p.add_argument("--out", type=str, default=None, help="CSV to write (else stdout)")
     _add_common(p)

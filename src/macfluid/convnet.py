@@ -7,14 +7,15 @@ pressure-like field.  Because the velocity correction is the (negated)
 gradient of this single scalar field, the learned update can only remove
 divergence, never inject rotation.
 
-Topology: a stem convolution lifts the input to ``features`` channels;
-three branches process the result at full, half and quarter resolution
-(two convolutions each, pooling by 2x2 averages); the coarse branches are
-brought back up with bilinear upsampling and summed; a merge convolution
-and a 1x1 head reduce to one channel.  All convolutions pad by edge
-replication and keep spatial size; every stage but the head is followed
-by a ReLU.  Grid sides must be divisible by four so the pooled sizes stay
-even.
+Topology, written once as ``LEVELS`` and :meth:`NetArch.stage_specs`: a
+stem convolution lifts the input to ``features`` channels; each level
+(full, half and quarter resolution) applies two convolutions to the stem
+output, pooled by 2x2 averages once per level below full; bilinear
+upsampling brings each level back up to be summed; a merge convolution
+and a 1x1 head reduce to one channel.  Forward and backward are one loop
+over the levels.  All convolutions pad by edge replication and keep
+spatial size; every stage but the head is followed by a ReLU.  Grid sides
+must be divisible by ``SIDE_MULTIPLE`` (4) so every pooled size is even.
 
 Each convolution is one GEMM of the (c_out, c_in*k*k) weight matrix with
 an explicit (c_in*k*k, h*w) window matrix: k*k slice copies out of the
@@ -194,13 +195,17 @@ def upsample2_backward(cot: np.ndarray) -> np.ndarray:
 
 # ====== Architecture and parameters ======
 
+LEVELS = 3  # branches at full, half and quarter resolution
+SIDE_MULTIPLE = 2 ** (LEVELS - 1)  # grid sides stay even through every pooling
+
+
 class StageSpec(NamedTuple):
     """One convolution stage, field for field its FNM1 stage descriptor."""
 
     in_ch: int
     out_ch: int
     kernel: int
-    scale_level: int  # 0 full, 1 half, 2 quarter resolution
+    scale_level: int  # resolution level: 0 full, each next one halves the sides
 
 
 @dataclass(frozen=True)
@@ -217,18 +222,11 @@ class NetArch:
             raise ValueError(f"kernel must be odd and positive, got {self.kernel}")
 
     def stage_specs(self) -> list[StageSpec]:
+        """The stem, two stages per level, the merge and the 1x1 head."""
         f, k = self.features, self.kernel
-        return [
-            StageSpec(2, f, k, 0),   # stem
-            StageSpec(f, f, k, 0),   # full-resolution branch
-            StageSpec(f, f, k, 0),
-            StageSpec(f, f, k, 1),   # half-resolution branch
-            StageSpec(f, f, k, 1),
-            StageSpec(f, f, k, 2),   # quarter-resolution branch
-            StageSpec(f, f, k, 2),
-            StageSpec(f, f, k, 0),   # merge after upsampling
-            StageSpec(f, 1, 1, 0),   # head
-        ]
+        return ([StageSpec(2, f, k, 0)]
+                + [StageSpec(f, f, k, level) for level in range(LEVELS) for _ in range(2)]
+                + [StageSpec(f, f, k, 0), StageSpec(f, 1, 1, 0)])
 
     def param_shapes(self) -> list[tuple[int, ...]]:
         """Per stage, the weight shape (out, in, k, k) then the bias shape
@@ -294,26 +292,30 @@ def init_params(arch: NetArch, seed, dtype=np.float32) -> NetParams:
 # ====== Forward / backward over the fixed topology ======
 
 def _forward_raw(params: NetParams, x: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """The raw output and the cache (x, a0, [(input, a1, a2) per level], m, am)."""
     w, b = params.weights, params.biases
 
     def conv_relu(a: np.ndarray, i: int) -> np.ndarray:
         z = conv2d(a, w[i], b[i])
         return relu(z, out=z)
 
-    a0 = conv_relu(x, 0)
-    af1 = conv_relu(a0, 1)
-    af2 = conv_relu(af1, 2)
-    h0 = avg_pool2(a0)
-    ah1 = conv_relu(h0, 3)
-    ah2 = conv_relu(ah1, 4)
-    q0 = avg_pool2(h0)
-    aq1 = conv_relu(q0, 5)
-    aq2 = conv_relu(aq1, 6)
-    m = af2 + upsample2(ah2) + upsample2(upsample2(aq2))
-    am = conv_relu(m, 7)
-    y = conv2d(am, w[8], b[8])
-    cache = (x, a0, af1, af2, h0, ah1, ah2, q0, aq1, aq2, m, am)
-    return y, cache
+    a0 = inp = conv_relu(x, 0)
+    levels = []
+    for level in range(LEVELS):
+        if level:
+            inp = avg_pool2(inp)
+        a1 = conv_relu(inp, 1 + 2 * level)
+        a2 = conv_relu(a1, 2 + 2 * level)
+        levels.append((inp, a1, a2))
+        up = a2
+        for _ in range(level):
+            up = upsample2(up)
+        # a fresh sum, never in place, since level 0's a2 is cached as its
+        # relu mask; fine to coarse: (a2_0 + up(a2_1)) + up(up(a2_2))
+        m = up if level == 0 else m + up
+    am = conv_relu(m, 1 + 2 * LEVELS)
+    y = conv2d(am, w[-1], b[-1])
+    return y, (x, a0, levels, m, am)
 
 
 def _backward_raw(params: NetParams, cache: tuple, cot_y: np.ndarray
@@ -322,31 +324,27 @@ def _backward_raw(params: NetParams, cache: tuple, cot_y: np.ndarray
     Each stage's part is written through ``dw[i][...]`` and ``db[i][...]``."""
     # relu(z) > 0 exactly where z > 0, so the cached activations double as
     # the relu masks and the pre-activations never need to be kept
-    (x, a0, af1, af2, h0, ah1, ah2, q0, aq1, aq2, m, am) = cache
+    x, a0, levels, m, am = cache
     w = params.weights
     grad = NetParams(params.arch, np.empty_like(params.flat))
     dw, db = grad.weights, grad.biases
+    merge = 1 + 2 * LEVELS
+    dam, dw[-1][...], db[-1][...] = conv2d_backward(cot_y, am, w[-1])
+    d_up, dw[merge][...], db[merge][...] = conv2d_backward(relu_backward(dam, am), m, w[merge])
 
-    dam, dw[8][...], db[8][...] = conv2d_backward(cot_y, am, w[8])
-    dm, dw[7][...], db[7][...] = conv2d_backward(relu_backward(dam, am), m, w[7])
+    d_inputs = []
+    for level, (inp, a1, a2) in enumerate(levels):
+        i1, i2 = 1 + 2 * level, 2 + 2 * level
+        if level:
+            d_up = upsample2_backward(d_up)
+        da1, dw[i2][...], db[i2][...] = conv2d_backward(relu_backward(d_up, a2), a1, w[i2])
+        d_in, dw[i1][...], db[i1][...] = conv2d_backward(relu_backward(da1, a1), inp, w[i1])
+        d_inputs.append(d_in)
 
-    # full branch
-    daf1, dw[2][...], db[2][...] = conv2d_backward(relu_backward(dm, af2), af1, w[2])
-    da0, dw[1][...], db[1][...] = conv2d_backward(relu_backward(daf1, af1), a0, w[1])
-
-    # half branch
-    duh = upsample2_backward(dm)
-    dah1, dw[4][...], db[4][...] = conv2d_backward(relu_backward(duh, ah2), ah1, w[4])
-    dh0, dw[3][...], db[3][...] = conv2d_backward(relu_backward(dah1, ah1), h0, w[3])
-
-    # quarter branch
-    duq = upsample2_backward(upsample2_backward(dm))
-    daq1, dw[6][...], db[6][...] = conv2d_backward(relu_backward(duq, aq2), aq1, w[6])
-    dq0, dw[5][...], db[5][...] = conv2d_backward(relu_backward(daq1, aq1), q0, w[5])
-
-    dh0 = dh0 + avg_pool2_backward(dq0)
-    da0 = da0 + avg_pool2_backward(dh0)
-    dx, dw[0][...], db[0][...] = conv2d_backward(relu_backward(da0, a0), x, w[0])
+    carry = d_inputs[-1]
+    for d_in in reversed(d_inputs[:-1]):
+        carry = d_in + avg_pool2_backward(carry)
+    dx, dw[0][...], db[0][...] = conv2d_backward(relu_backward(carry, a0), x, w[0])
     return grad.flat, dx
 
 
@@ -361,8 +359,8 @@ def net_forward(params: NetParams, div: ScalarGrid, g: OccupancyGrid,
     one in the velocity.  Output is zero on solid cells.
     """
     ny, nx = g.dims.shape
-    if ny % 4 or nx % 4:
-        raise ValueError(f"grid sides must be divisible by 4, got {nx}x{ny}")
+    if ny % SIDE_MULTIPLE or nx % SIDE_MULTIPLE:
+        raise ValueError(f"grid sides must be divisible by {SIDE_MULTIPLE}, got {nx}x{ny}")
     dtype = params.dtype
     x = np.stack([div.values / scale, g.solid.astype(np.float64)]).astype(dtype)
     y, cache = _forward_raw(params, x)
@@ -407,16 +405,11 @@ def learned_project(params: NetParams, u_star: MacVelocity, g: OccupancyGrid,
     """
     s = float(np.std(u_star.all_samples()))
     if s < SCALE_BYPASS:
-        p = ScalarGrid.zeros(g.dims)
-        if tape:
-            return u_star.copy(), p, ProjectionTape(params, g, s, None)
-        return u_star.copy(), p
-    div = divergence(u_star, g)
-    p, cache = net_forward(params, div, g, s)
-    u = subtract_pressure_gradient(u_star, p, g)
-    if tape:
-        return u, p, ProjectionTape(params, g, s, cache)
-    return u, p
+        u, p, cache = u_star.copy(), ScalarGrid.zeros(g.dims), None
+    else:
+        p, cache = net_forward(params, divergence(u_star, g), g, s)
+        u = subtract_pressure_gradient(u_star, p, g)
+    return (u, p, ProjectionTape(params, g, s, cache)) if tape else (u, p)
 
 
 def projection_backward(t: ProjectionTape, cot_u: MacVelocity) -> np.ndarray:

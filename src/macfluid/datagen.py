@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 from scipy.ndimage import gaussian_filter
 
+from .convnet import SIDE_MULTIPLE
 from .forces import enforce_solid_velocities
 from .formats import read_frame, write_frame
 from .grids import (GridDims, MacVelocity, OccupancyGrid, ScalarGrid, _cone, _lattice_xy,
@@ -207,8 +208,8 @@ class SceneConfig:
     dt: float = 1.0 / 30.0
 
     def __post_init__(self) -> None:
-        if self.dims.nx % 4 or self.dims.ny % 4:
-            raise ValueError("scene sides must be divisible by 4 so the learned "
+        if self.dims.nx % SIDE_MULTIPLE or self.dims.ny % SIDE_MULTIPLE:
+            raise ValueError(f"scene sides must be divisible by {SIDE_MULTIPLE} so the learned "
                              f"projection can run on them, got {self.dims.nx}x{self.dims.ny}")
         if self.boundary not in ("closed", "open-top"):
             raise ValueError(f"boundary must be 'closed' or 'open-top', got {self.boundary!r}")

@@ -93,18 +93,3 @@ class PoissonSystem:
     @property
     def dims(self) -> GridDims:
         return self.g.dims
-
-
-def apply_poisson(g: OccupancyGrid, p: ScalarGrid) -> ScalarGrid:
-    """Matrix-free action A p of the pressure system; zero on solid cells."""
-    st = g.stencil
-    h2 = g.dims.h ** 2
-    pv = p.values
-    pp = np.pad(pv, 1, constant_values=0.0)
-    nbr = (np.where(st.fluid_w, pp[1:-1, :-2], 0.0)
-           + np.where(st.fluid_e, pp[1:-1, 2:], 0.0)
-           + np.where(st.fluid_s, pp[:-2, 1:-1], 0.0)
-           + np.where(st.fluid_n, pp[2:, 1:-1], 0.0))
-    out = (st.diag * pv - nbr) / h2
-    out[g.solid] = 0.0
-    return ScalarGrid(p.dims, out)

@@ -16,7 +16,6 @@ file: :func:`run` hands every frame to the sinks its caller passes.
 
 from __future__ import annotations
 
-import logging
 import math
 import time
 from dataclasses import dataclass, field
@@ -24,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .advection import advect_scalar, self_advect
-from .convnet import NetParams, learned_project
+from .convnet import SIDE_MULTIPLE, NetParams, learned_project
 from .fdops import divergence, subtract_pressure_gradient
 from .forces import (ForceConfig, add_body_force, add_buoyancy,
                      enforce_solid_velocities, vorticity_confinement)
@@ -32,8 +31,6 @@ from .grids import (GridDims, MacVelocity, OccupancyGrid, ScalarGrid, _in_disc,
                     _lattice_xy, box_mask, disc_mask)
 from .pressure import (PcgInfo, PoissonSystem, make_compatible, solve_dense_direct,
                        solve_jacobi, solve_pcg)
-
-log = logging.getLogger(__name__)
 
 
 class SimulationError(RuntimeError):
@@ -299,8 +296,9 @@ def plume_scenario(dims: GridDims, open_top: bool = False,
     ``obstacle`` places a held-out solid mid-domain: "disc" or "box".
     Returns the initial state and a ready-to-run configuration.
     """
-    if dims.ny % 4 or dims.nx % 4:
-        raise ValueError(f"grid sides must be divisible by 4, got {dims.nx}x{dims.ny}")
+    if dims.ny % SIDE_MULTIPLE or dims.nx % SIDE_MULTIPLE:
+        raise ValueError(f"grid sides must be divisible by {SIDE_MULTIPLE}, "
+                         f"got {dims.nx}x{dims.ny}")
     center = (dims.nx / 2.0, dims.ny / 2.0)
     r = dims.nx / 8.0
     if obstacle is None:

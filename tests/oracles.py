@@ -5,9 +5,11 @@ kept here as an oracle: bilinear sampling at arbitrary positions, single
 backward traces, advection of one sample lattice at a time (each with its
 own velocity sampling, trace and scan, which the package's one trace per
 call reproduces bit for bit), cell-center positions, the residual norm of
-a pressure solve, and convolution forward and backward through ``np.pad``,
-``sliding_window_view`` and ``tensordot``, which the package's window-matrix
-GEMM reproduces bit for bit.
+a pressure solve and the matrix-free Poisson operator it applies,
+convolution forward and backward through ``np.pad``, ``sliding_window_view``
+and ``tensordot``, which the package's window-matrix GEMM reproduces bit for
+bit, and the network's forward and backward passes unrolled stage by stage,
+which the package's loop over resolution levels reproduces bit for bit.
 """
 
 from __future__ import annotations
@@ -15,9 +17,10 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from macfluid import convnet
 from macfluid.advection import _clamp, _clearance2, _trace
-from macfluid.convnet import _replicate_pad_adjoint
-from macfluid.fdops import PoissonSystem, apply_poisson
+from macfluid.convnet import NetParams, _replicate_pad_adjoint
+from macfluid.fdops import PoissonSystem
 from macfluid.grids import (GridDims, MacVelocity, OccupancyGrid, ScalarGrid, _bilinear,
                             _lattice_xy)
 
@@ -96,6 +99,21 @@ def advect_lattice(values: np.ndarray, offx: float, offy: float, u: MacVelocity,
     return np.where(inside, corrected, fwd)
 
 
+def apply_poisson(g: OccupancyGrid, p: ScalarGrid) -> ScalarGrid:
+    """Matrix-free action A p of the pressure system; zero on solid cells."""
+    st = g.stencil
+    h2 = g.dims.h ** 2
+    pv = p.values
+    pp = np.pad(pv, 1, constant_values=0.0)
+    nbr = (np.where(st.fluid_w, pp[1:-1, :-2], 0.0)
+           + np.where(st.fluid_e, pp[1:-1, 2:], 0.0)
+           + np.where(st.fluid_s, pp[:-2, 1:-1], 0.0)
+           + np.where(st.fluid_n, pp[2:, 1:-1], 0.0))
+    out = (st.diag * pv - nbr) / h2
+    out[g.solid] = 0.0
+    return ScalarGrid(p.dims, out)
+
+
 def residual_norm(sys: PoissonSystem, p: ScalarGrid) -> float:
     """Euclidean norm of A p - b over fluid cells."""
     r = apply_poisson(sys.g, p).values - sys.b.values
@@ -134,3 +152,60 @@ def conv2d_backward(cot: np.ndarray, x: np.ndarray, w: np.ndarray
     cwin = sliding_window_view(cz, (k, k), axis=(1, 2))
     dxp = np.tensordot(wf, cwin, axes=([0, 2, 3], [0, 3, 4]))
     return _replicate_pad_adjoint(dxp, p), dw, db
+
+
+def net_forward_unrolled(params: NetParams, x: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """The network's forward pass with each of its nine stages written out."""
+    w, b = params.weights, params.biases
+
+    def conv_relu(a: np.ndarray, i: int) -> np.ndarray:
+        z = convnet.conv2d(a, w[i], b[i])
+        return convnet.relu(z, out=z)
+
+    a0 = conv_relu(x, 0)
+    af1 = conv_relu(a0, 1)
+    af2 = conv_relu(af1, 2)
+    h0 = convnet.avg_pool2(a0)
+    ah1 = conv_relu(h0, 3)
+    ah2 = conv_relu(ah1, 4)
+    q0 = convnet.avg_pool2(h0)
+    aq1 = conv_relu(q0, 5)
+    aq2 = conv_relu(aq1, 6)
+    m = af2 + convnet.upsample2(ah2) + convnet.upsample2(convnet.upsample2(aq2))
+    am = conv_relu(m, 7)
+    y = convnet.conv2d(am, w[8], b[8])
+    cache = (x, a0, af1, af2, h0, ah1, ah2, q0, aq1, aq2, m, am)
+    return y, cache
+
+
+def net_backward_unrolled(params: NetParams, cache: tuple, cot_y: np.ndarray
+                          ) -> tuple[np.ndarray, np.ndarray]:
+    """The flat parameter gradient and the input cotangent of
+    :func:`net_forward_unrolled`, one branch at a time."""
+    conv2d_backward, relu_backward = convnet.conv2d_backward, convnet.relu_backward
+    (x, a0, af1, af2, h0, ah1, ah2, q0, aq1, aq2, m, am) = cache
+    w = params.weights
+    grad = NetParams(params.arch, np.empty_like(params.flat))
+    dw, db = grad.weights, grad.biases
+
+    dam, dw[8][...], db[8][...] = conv2d_backward(cot_y, am, w[8])
+    dm, dw[7][...], db[7][...] = conv2d_backward(relu_backward(dam, am), m, w[7])
+
+    # full branch
+    daf1, dw[2][...], db[2][...] = conv2d_backward(relu_backward(dm, af2), af1, w[2])
+    da0, dw[1][...], db[1][...] = conv2d_backward(relu_backward(daf1, af1), a0, w[1])
+
+    # half branch
+    duh = convnet.upsample2_backward(dm)
+    dah1, dw[4][...], db[4][...] = conv2d_backward(relu_backward(duh, ah2), ah1, w[4])
+    dh0, dw[3][...], db[3][...] = conv2d_backward(relu_backward(dah1, ah1), h0, w[3])
+
+    # quarter branch
+    duq = convnet.upsample2_backward(convnet.upsample2_backward(dm))
+    daq1, dw[6][...], db[6][...] = conv2d_backward(relu_backward(duq, aq2), aq1, w[6])
+    dq0, dw[5][...], db[5][...] = conv2d_backward(relu_backward(daq1, aq1), q0, w[5])
+
+    dh0 = dh0 + convnet.avg_pool2_backward(dq0)
+    da0 = da0 + convnet.avg_pool2_backward(dh0)
+    dx, dw[0][...], db[0][...] = conv2d_backward(relu_backward(da0, a0), x, w[0])
+    return grad.flat, dx

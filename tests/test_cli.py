@@ -305,6 +305,24 @@ def test_simulate_pcg_blowup_prints_only_the_error_line(tmp_path):
                            f"frame dumped to {out / 'blowup.fnf'}\n")
 
 
+@pytest.mark.parametrize("tol, note", [
+    ("1e-300", "; PCG did not converge on 2 of 2 frames"),
+    ("1e-4", None),
+])
+def test_simulate_reports_unconverged_pcg_frames_on_its_final_line(tol, note, tmp_path,
+                                                                   capsys):
+    out = tmp_path / "sim"
+    rc = cli(["simulate", "--res", "16", "--frames", "2", "--solver", f"pcg:{tol}",
+              "--out", str(out)])
+    assert rc == 0
+    last = capsys.readouterr().out.splitlines()[-1]
+    if note is None:
+        assert "did not converge" not in last
+    else:
+        assert last.endswith(note)
+    assert sorted(q.name for q in out.iterdir()) == ["metrics.csv"]
+
+
 def test_simulate_bad_solver_spec_exits_one(tmp_path, capsys):
     rc = cli(["simulate", "--solver", "jacobi:many", "--out", str(tmp_path / "x")])
     assert rc == 1

@@ -229,6 +229,23 @@ def test_backward_raw_input_gradient_matches_fd():
     np.testing.assert_allclose(dx, _fd_grad(loss, x, eps=1e-6), rtol=1e-4, atol=1e-8)
 
 
+@pytest.mark.parametrize("shape", [(8, 12), (32, 32)])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("kernel", [1, 3, 5])
+@pytest.mark.parametrize("features", [1, 3, 16])
+def test_level_loop_is_bitwise_the_unrolled_oracle(features, kernel, dtype, shape):
+    rng = np.random.default_rng([features, kernel, *shape])
+    params = init_params(NetArch(features, kernel), seed=features).astype(dtype)
+    x = rng.standard_normal((2, *shape)).astype(dtype)
+    cot = rng.standard_normal((1, *shape)).astype(dtype)
+    y, cache = _forward_raw(params, x)
+    y_old, cache_old = oracles.net_forward_unrolled(params, x)
+    _same_bits(y, y_old)
+    for new, old in zip(_backward_raw(params, cache, cot),
+                        oracles.net_backward_unrolled(params, cache_old, cot)):
+        _same_bits(new, old)
+
+
 def test_net_backward_parameter_gradient_matches_fd():
     rng = np.random.default_rng(7)
     dims = GridDims(8, 8)

@@ -3,7 +3,6 @@ import pytest
 
 from macfluid.fdops import (
     adjoint_divergence,
-    apply_poisson,
     cell_stencil,
     divergence,
     face_masks,
@@ -11,6 +10,7 @@ from macfluid.fdops import (
     vorticity,
 )
 from macfluid.grids import GridDims, MacVelocity, OccupancyGrid, ScalarGrid
+from oracles import apply_poisson
 
 
 def random_geometry(rng, nx, ny, p_solid=0.2, open_top=False):
