@@ -35,12 +35,26 @@ applies half the round-trip defect as a correction, and keeps the
 corrected value only while it stays inside the min/max of the four
 interpolation samples of the forward trace; otherwise it falls back to
 the plain value.
+
+Advection writes into memory it already owns.  A trace's displacements,
+landing points and far-test temporaries live in work arrays kept per
+trace shape, (steps, nodes), by ``_trace_work`` rather than per grid, so
+a new grid of a known size (a new scene) allocates none.  Every call
+overwrites them and none is ever returned.  Sampling runs in the buffers
+of the gathered corners (``grids._bilinear_apply``), and the MacCormack
+correction and limiter run in the backward sample's and the forward
+sample's buffers, which become the returned fields.  Each element sees
+the same IEEE operations on the same operands as out of place, so the
+results are bit for bit the same.  The work arrays are shared by every
+caller in the process, so advection must not run on two threads at once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from scipy import ndimage
@@ -151,16 +165,54 @@ def _clamp(g: OccupancyGrid, x0: np.ndarray, y0: np.ndarray, dx: np.ndarray,
     return out_x, out_y
 
 
+class _TraceWork(NamedTuple):
+    """Work arrays of one trace shape: the displacements ``dx``, ``dy`` that
+    ``_advect`` writes, the landing points ``x``, ``y`` and the far-test
+    temporaries that ``_trace`` writes."""
+
+    dx: np.ndarray
+    dy: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    dx2: np.ndarray
+    dy2: np.ndarray
+    near: np.ndarray
+    moves: np.ndarray
+    moves_y: np.ndarray
+
+
+# cells and faces, one trace or two, at two grid sizes
+@lru_cache(maxsize=8)
+def _trace_work(shape: tuple[int, ...]) -> _TraceWork:
+    """The work arrays for traces of ``shape``, shared by every grid: each
+    call of ``_advect`` or ``_trace`` overwrites them, and none is ever
+    returned to a caller outside this module."""
+    floats = (np.empty(shape) for _ in range(6))
+    return _TraceWork(*floats, *(np.empty(shape, dtype=bool) for _ in range(3)))
+
+
 def _trace(g: OccupancyGrid, x0: np.ndarray, y0: np.ndarray, dx: np.ndarray,
            dy: np.ndarray, clear2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``_clamp`` for lattice nodes, with ``clear2`` from ``_clearance2``: a
     trace shorter than its node's clearance meets no non-fluid point, and a
     trace of zero displacement goes nowhere, so both land at x0 + dx
     unscanned; only the rest (NaN and inf displacements among them, which
-    fail the comparison) are scanned.  The displacements may carry leading
-    axes of their own."""
-    out_x, out_y = x0 + dx, y0 + dy
-    far = np.nonzero(~(dx * dx + dy * dy < clear2) & ((dx != 0.0) | (dy != 0.0)))
+    fail the comparison) are scanned.  The float64 displacements may carry
+    leading axes of their own.
+
+    The landing points are ``_trace_work(dx.shape)``'s ``x`` and ``y``,
+    valid until the next trace of that shape."""
+    w = _trace_work(dx.shape)
+    out_x, out_y = np.add(x0, dx, out=w.x), np.add(y0, dy, out=w.y)
+    # far = ~(dx * dx + dy * dy < clear2) & ((dx != 0.0) | (dy != 0.0))
+    d2 = np.multiply(dx, dx, out=w.dx2)
+    d2 += np.multiply(dy, dy, out=w.dy2)
+    scan = np.less(d2, clear2, out=w.near)
+    np.invert(scan, out=scan)
+    moves = np.not_equal(dx, 0.0, out=w.moves)
+    moves |= np.not_equal(dy, 0.0, out=w.moves_y)
+    scan &= moves
+    far = np.nonzero(scan)
     if far[0].size:
         out_x[far], out_y[far] = _clamp(
             g, np.broadcast_to(x0, dx.shape)[far], np.broadcast_to(y0, dx.shape)[far],
@@ -213,7 +265,9 @@ def _advect(fields: list[tuple[np.ndarray, float, float]], u: MacVelocity, g: Oc
     # the backward trace, and for MacCormack the forward one beside it on a
     # leading axis, so that one scan serves both
     steps = np.array([-dt] if scheme == "sl" else [-dt, dt])[:, None]
-    tx, ty = _trace(g, plan.x, plan.y, steps * vx, steps * vy, plan.clear2)
+    w = _trace_work((len(steps), vx.size))
+    tx, ty = _trace(g, plan.x, plan.y, np.multiply(steps, vx, out=w.dx),
+                    np.multiply(steps, vy, out=w.dy), plan.clear2)
 
     out = []
     for (values, offx, offy), span in zip(fields, plan.spans):
@@ -223,10 +277,15 @@ def _advect(fields: list[tuple[np.ndarray, float, float]], u: MacVelocity, g: Oc
             out.append(_bilinear(values, x[0], y[0], offx, offy, h))
             continue
         fwd, lo, hi = _bilinear(values, x[0], y[0], offx, offy, h, with_bounds=True)
-        bwd = _bilinear(fwd, x[1], y[1], offx, offy, h)
-        corrected = fwd + 0.5 * (values - bwd)
-        inside = (corrected >= lo) & (corrected <= hi)
-        out.append(np.where(inside, corrected, fwd))
+        # corrected = fwd + 0.5 * (values - bwd), in bwd's buffer
+        corrected = _bilinear(fwd, x[1], y[1], offx, offy, h)
+        np.subtract(values, corrected, out=corrected)
+        corrected *= 0.5
+        np.add(fwd, corrected, out=corrected)
+        inside = corrected >= lo
+        inside &= corrected <= hi
+        np.copyto(fwd, corrected, where=inside)
+        out.append(fwd)
     return out
 
 

@@ -211,6 +211,10 @@ def _bilinear(values: np.ndarray, x: np.ndarray, y: np.ndarray, offx: float,
     (weights kept) and at fresh ones (weights built per call) agree bit for
     bit.  Returns the interpolated values, plus the min and max over the
     four support samples when ``with_bounds`` is set.
+
+    Every returned array is fresh, and no input is written: the weights are
+    worked out in buffers of their own, and the lerps run in the buffers of
+    the gathered corner samples.
     """
     return _bilinear_apply(values, *_bilinear_weights(values.shape, x, y, offx, offy, h),
                            with_bounds=with_bounds)
@@ -227,20 +231,30 @@ def _bilinear_weights(shape: tuple[int, int], x: np.ndarray, y: np.ndarray,
     first, so no value outside the convex hull of samples is ever produced.
     A NaN position raises ValueError: its int64 cast is INT_MIN, which the
     flat index would wrap back into range (to 0 when ncols is odd).
+
+    Each axis is worked out in place in one fresh array, x / h or y / h; k
+    is formed out of place, since x and y may broadcast against each other.
     """
     nrows, ncols = shape
-    fx = np.clip(x / h - offx, 0.0, ncols - 1.0)
-    fy = np.clip(y / h - offy, 0.0, nrows - 1.0)
-    i0 = np.minimum(fx.astype(np.int64), ncols - 2)
-    j0 = np.minimum(fy.astype(np.int64), nrows - 2)
+    fx, fy = np.asarray(x / h), np.asarray(y / h)
+    fx -= offx
+    fy -= offy
+    np.clip(fx, 0.0, ncols - 1.0, out=fx)
+    np.clip(fy, 0.0, nrows - 1.0, out=fy)
+    i0, j0 = fx.astype(np.int64), fy.astype(np.int64)
+    np.minimum(i0, ncols - 2, out=i0)
+    np.minimum(j0, nrows - 2, out=j0)
     if min(i0.min(initial=0), j0.min(initial=0)) < 0:
         # the clip keeps only NaN below zero
         bx, by = np.broadcast_arrays(x, y)
         at = np.flatnonzero(np.isnan(bx) | np.isnan(by))[0]
         raise ValueError(f"cannot sample at the non-finite position "
                          f"({bx.flat[at]}, {by.flat[at]})")
-    tx = fx - i0
-    ty = fy - j0
+    # fx - i0 promotes a narrower float to float64; widening first is exact
+    tx = fx.astype(np.result_type(fx, i0), copy=False)
+    ty = fy.astype(np.result_type(fy, j0), copy=False)
+    tx -= i0
+    ty -= j0
     return j0 * ncols + i0, tx, ty
 
 
@@ -249,24 +263,42 @@ def _bilinear_apply(values: np.ndarray, k: np.ndarray, tx: np.ndarray,
     """Bilinear interpolation of ``values`` with weights from
     :func:`_bilinear_weights` for a lattice of its shape: the four corners
     are gathered from the flattened lattice at k, k + 1, k + ncols and
-    k + ncols + 1, then three lerps."""
+    k + ncols + 1, then three lerps, top = v00 + tx * (v01 - v00),
+    bot = v10 + tx * (v11 - v10) and top + ty * (bot - top).
+
+    The bounds are taken first, and the lerps then run in the gathered
+    corners' own buffers; k, tx and ty are only read, so kept weights may
+    be read-only."""
     ncols = values.shape[1]
     flat = values.ravel()
-    v00 = flat.take(k)
+    v00 = np.asarray(flat.take(k))
     k = k + 1
-    v01 = flat.take(k)
+    v01 = np.asarray(flat.take(k))
     k += ncols
-    v11 = flat.take(k)
+    v11 = np.asarray(flat.take(k))
     k -= 1
-    v10 = flat.take(k)
-    top = v00 + tx * (v01 - v00)
-    bot = v10 + tx * (v11 - v10)
-    out = top + ty * (bot - top)
-    if not with_bounds:
-        return out
-    lo = np.minimum(np.minimum(v00, v01), np.minimum(v10, v11))
-    hi = np.maximum(np.maximum(v00, v01), np.maximum(v10, v11))
-    return out, lo, hi
+    v10 = np.asarray(flat.take(k))
+    if with_bounds:
+        lo, hi, side = (np.empty_like(v00) for _ in range(3))
+        np.minimum(v00, v01, out=lo)
+        np.minimum(lo, np.minimum(v10, v11, out=side), out=lo)
+        np.maximum(v00, v01, out=hi)
+        np.maximum(hi, np.maximum(v10, v11, out=side), out=hi)
+    v01 -= v00
+    v11 -= v10
+    wide = np.result_type(v00, tx, ty)
+    if wide != v00.dtype:
+        # samples narrower than the weights: the lerps run in the weights'
+        # dtype, and widening the samples and their differences is exact
+        v00, v01, v10, v11 = (v.astype(wide) for v in (v00, v01, v10, v11))
+    v01 *= tx
+    v00 += v01
+    v11 *= tx
+    v10 += v11
+    v10 -= v00
+    v10 *= ty
+    v00 += v10
+    return (v00, lo, hi) if with_bounds else v00
 
 
 # ====== Geometry queries ======

@@ -35,7 +35,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .fdops import PoissonSystem
-from .grids import FluidComponents, OccupancyGrid, ScalarGrid
+from .grids import FluidComponents, OccupancyGrid, ScalarGrid, _read_only
 
 logger = logging.getLogger(__name__)
 
@@ -62,10 +62,15 @@ def _project_out_constants(lab: np.ndarray, x: np.ndarray,
     return x - np.where(comps.closed, sums / comps.sizes, 0.0)[lab]
 
 
+def _fluid_labels(g: OccupancyGrid) -> np.ndarray:
+    """The component label of each fluid cell, row-major; kept per grid."""
+    return _read_only(g.components.labels[g.fluid])
+
+
 def _remove_closed_means(values: np.ndarray, g: OccupancyGrid) -> np.ndarray:
     fluid = g.fluid
     out = np.zeros_like(values)
-    out[fluid] = _project_out_constants(g.components.labels[fluid], values[fluid], g.components)
+    out[fluid] = _project_out_constants(g.derived(_fluid_labels), values[fluid], g.components)
     return out
 
 
@@ -87,6 +92,7 @@ class _Lattice:
 
     A fluid cell walled in on all four sides has an empty matrix row and
     no fluid neighbor; it stays out of every solve and keeps pressure +0.0.
+    ``walled`` holds the flat indices of those cells.
     ``nbr`` holds the index of each cell's west, east, south and north
     fluid neighbor, -1 where there is none; a vector gathered through it
     carries one trailing +0.0 slot, which index -1 reads.
@@ -100,6 +106,7 @@ class _Lattice:
     active: np.ndarray  # 2d bool mask
     lab: np.ndarray    # component label per active cell
     comps: FluidComponents
+    walled: np.ndarray  # flat indices of the fluid cells left out
 
     @cached_property
     def multigrid(self):
@@ -129,7 +136,8 @@ def _build_lattice(g: OccupancyGrid) -> _Lattice:
           np.concatenate([rows, nbr[has]]))),
         shape=(n, n))
     return _Lattice(n, nbr, st.solid_count[active].astype(np.float64), off, A,
-                    active, g.components.labels[active], g.components)
+                    active, g.components.labels[active], g.components,
+                    np.flatnonzero(g.fluid & ~active))
 
 
 # ====== Jacobi ======
@@ -153,7 +161,7 @@ def solve_jacobi(sys: PoissonSystem, iters: int = 34) -> ScalarGrid:
     g = sys.g
     lat = g.derived(_build_lattice)
     b = sys.b.values
-    if np.any(b[g.fluid & ~lat.active] != 0.0):
+    if np.any(b.take(lat.walled) != 0.0):
         raise ValueError("isolated fluid cell with nonzero right hand side")
     hb = g.dims.h ** 2 * b[lat.active]
     n = lat.n

@@ -1,8 +1,10 @@
 """Reference routines that only the tests call.
 
 Each is the plain form of something the package computes a faster way,
-kept here as an oracle: bilinear sampling at arbitrary positions, single
-backward traces, advection of one sample lattice at a time (each with its
+kept here as an oracle: bilinear sampling at arbitrary positions and
+the clearance-skipping lattice trace, both out of place in fresh arrays
+(the package's in-place sampling and reused trace arrays reproduce them
+bit for bit), single backward traces, advection of one sample lattice at a time (each with its
 own velocity sampling, trace and scan, which the package's one trace per
 call reproduces bit for bit), cell-center positions, the residual norm of
 a pressure solve and the matrix-free Poisson operator it applies,
@@ -18,11 +20,10 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from macfluid import convnet
-from macfluid.advection import _clamp, _clearance2, _trace
+from macfluid.advection import _clamp, _clearance2
 from macfluid.convnet import NetParams, _replicate_pad_adjoint
 from macfluid.fdops import PoissonSystem
-from macfluid.grids import (GridDims, MacVelocity, OccupancyGrid, ScalarGrid, _bilinear,
-                            _lattice_xy)
+from macfluid.grids import GridDims, MacVelocity, OccupancyGrid, ScalarGrid, _lattice_xy
 
 
 def cell_centers(dims: GridDims) -> np.ndarray:
@@ -37,6 +38,85 @@ def _split_pos(pos) -> tuple[np.ndarray, np.ndarray, bool]:
         raise ValueError(f"positions must have a trailing axis of size 2, got shape {p.shape}")
     single = p.ndim == 1
     return p[..., 0], p[..., 1], single
+
+
+def _bilinear(values: np.ndarray, x: np.ndarray, y: np.ndarray, offx: float,
+              offy: float, h: float, with_bounds: bool = False):
+    """Bilinear interpolation on a lattice whose node (c, r) sits at
+    ((c + offx) * h, (r + offy) * h), out of place: the weights of
+    :func:`_bilinear_weights`, applied by :func:`_bilinear_apply`."""
+    return _bilinear_apply(values, *_bilinear_weights(values.shape, x, y, offx, offy, h),
+                           with_bounds=with_bounds)
+
+
+def _bilinear_weights(shape: tuple[int, int], x: np.ndarray, y: np.ndarray,
+                      offx: float, offy: float, h: float
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where and how :func:`_bilinear_apply` samples a lattice of ``shape``
+    at the points (x, y): the flat index k = j0 * ncols + i0 of each lower
+    left corner, and the fractions tx, ty within the cell.
+
+    Positions outside the lattice are clamped to the border sample band
+    first, so no value outside the convex hull of samples is ever produced.
+    A NaN position raises ValueError: its int64 cast is INT_MIN, which the
+    flat index would wrap back into range (to 0 when ncols is odd).
+    """
+    nrows, ncols = shape
+    fx = np.clip(x / h - offx, 0.0, ncols - 1.0)
+    fy = np.clip(y / h - offy, 0.0, nrows - 1.0)
+    i0 = np.minimum(fx.astype(np.int64), ncols - 2)
+    j0 = np.minimum(fy.astype(np.int64), nrows - 2)
+    if min(i0.min(initial=0), j0.min(initial=0)) < 0:
+        # the clip keeps only NaN below zero
+        bx, by = np.broadcast_arrays(x, y)
+        at = np.flatnonzero(np.isnan(bx) | np.isnan(by))[0]
+        raise ValueError(f"cannot sample at the non-finite position "
+                         f"({bx.flat[at]}, {by.flat[at]})")
+    tx = fx - i0
+    ty = fy - j0
+    return j0 * ncols + i0, tx, ty
+
+
+def _bilinear_apply(values: np.ndarray, k: np.ndarray, tx: np.ndarray,
+                    ty: np.ndarray, with_bounds: bool = False):
+    """Bilinear interpolation of ``values`` with weights from
+    :func:`_bilinear_weights` for a lattice of its shape: the four corners
+    are gathered from the flattened lattice at k, k + 1, k + ncols and
+    k + ncols + 1, then three lerps."""
+    ncols = values.shape[1]
+    flat = values.ravel()
+    v00 = flat.take(k)
+    k = k + 1
+    v01 = flat.take(k)
+    k += ncols
+    v11 = flat.take(k)
+    k -= 1
+    v10 = flat.take(k)
+    top = v00 + tx * (v01 - v00)
+    bot = v10 + tx * (v11 - v10)
+    out = top + ty * (bot - top)
+    if not with_bounds:
+        return out
+    lo = np.minimum(np.minimum(v00, v01), np.minimum(v10, v11))
+    hi = np.maximum(np.maximum(v00, v01), np.maximum(v10, v11))
+    return out, lo, hi
+
+
+def _trace(g: OccupancyGrid, x0: np.ndarray, y0: np.ndarray, dx: np.ndarray,
+           dy: np.ndarray, clear2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_clamp`` for lattice nodes, with ``clear2`` from ``_clearance2``: a
+    trace shorter than its node's clearance meets no non-fluid point, and a
+    trace of zero displacement goes nowhere, so both land at x0 + dx
+    unscanned; only the rest (NaN and inf displacements among them, which
+    fail the comparison) are scanned.  The displacements may carry leading
+    axes of their own."""
+    out_x, out_y = x0 + dx, y0 + dy
+    far = np.nonzero(~(dx * dx + dy * dy < clear2) & ((dx != 0.0) | (dy != 0.0)))
+    if far[0].size:
+        out_x[far], out_y[far] = _clamp(
+            g, np.broadcast_to(x0, dx.shape)[far], np.broadcast_to(y0, dx.shape)[far],
+            dx[far], dy[far])
+    return out_x, out_y
 
 
 def sample_scalar(grid: ScalarGrid, pos) -> np.ndarray | float:

@@ -9,6 +9,7 @@ from macfluid.advection import _fluid_at_points, advect_scalar, self_advect
 from macfluid.datagen import SceneConfig, apply_emitters, build_scene
 from macfluid.grids import (GridDims, MacVelocity, OccupancyGrid, ScalarGrid, _bilinear,
                             _bilinear_apply)
+import oracles
 from oracles import advect_lattice, cell_centers, sample_scalar, sample_velocity, trace_back
 
 
@@ -261,6 +262,7 @@ def test_advection_equals_the_per_lattice_oracle_bit_for_bit(monkeypatch, scheme
         return out
 
     monkeypatch.setattr(advection, "_clamp", spy)
+    monkeypatch.setattr(oracles, "_clamp", spy)
     fm = g.faces
     want = []
     for values, offx, offy, kept in ((q.values, 0.5, 0.5, g.solid), (u.ux, 0.0, 0.5, fm.solid_x),
@@ -332,6 +334,38 @@ def test_the_sampling_plan_is_built_once_per_grid_and_read_only(monkeypatch):
                                       _bilinear(u.ux, plan.x, plan.y, 0.0, 0.5, h))
         np.testing.assert_array_equal(_bilinear_apply(u.uy, *plan.uy),
                                       _bilinear(u.uy, plan.x, plan.y, 0.5, 0.0, h))
+
+
+def test_trace_work_arrays_are_shared_by_shape_and_never_returned():
+    advection._trace_work.cache_clear()
+    flows = [_random_flow(seed, False, size=(12, 10)) for seed in (60, 61)]
+    dims = flows[0][1].dims
+    n_faces = dims.nx * (dims.ny + 1) + dims.ny * (dims.nx + 1)
+    for scheme, steps in (("sl", 1), ("maccormack", 2)):
+        for rng, g, u in flows:
+            q = ScalarGrid(g.dims, rng.normal(size=g.dims.shape))
+
+            def advect():
+                v = self_advect(u, g, 0.3, scheme)
+                return [advect_scalar(q, u, g, 0.3, scheme).values, v.ux, v.uy]
+
+            misses = advection._trace_work.cache_info().misses
+            fields = advect()
+            # one set of work arrays per trace shape, shared by grids of one size
+            new = advection._trace_work.cache_info().misses - misses
+            assert new == (2 if g is flows[0][1] else 0)
+            work = [w for n in (dims.n_cells, n_faces) for w in advection._trace_work((steps, n))]
+            assert not any(np.shares_memory(f, w) for f in fields for w in work)
+            # writing into a returned field does not change the next call
+            want = [f.tobytes() for f in fields]
+            for f in fields:
+                f[...] = np.nan
+            assert [f.tobytes() for f in advect()] == want
+            for lattices in (((dims.shape, 0.5, 0.5),),
+                             ((dims.shape_ux, 0.0, 0.5), (dims.shape_uy, 0.5, 0.0))):
+                plan = g.derived(advection._sampling_plan, lattices)
+                assert not any(a.flags.writeable for a in
+                               [plan.x, plan.y, plan.clear2, *plan.ux, *plan.uy])
 
 
 # sha256 of (ux, uy, density) after 12 plume frames, MacCormack unless the
@@ -482,6 +516,7 @@ def _spy_clamp(monkeypatch):
         return clamp(g, x0, y0, dx, dy)
 
     monkeypatch.setattr(advection, "_clamp", spy)
+    monkeypatch.setattr(oracles, "_clamp", spy)
     return seen
 
 

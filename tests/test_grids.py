@@ -3,6 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
+import oracles
+from macfluid import grids
 from macfluid.grids import (
     DistanceField,
     GridDims,
@@ -219,6 +221,77 @@ def test_sample_scalar_reproduces_linear_fields():
                     rng.uniform(0.5 * dims.h, (dims.ny - 0.5) * dims.h, 300)], axis=-1)
     want = 2.0 * pos[:, 0] - 3.0 * pos[:, 1] + 0.75
     np.testing.assert_allclose(sample_scalar(q, pos), want, atol=1e-12)
+
+
+def _bilinear_case(case, rng, dims):
+    """Positions (x, y) for one case of the in-place sampling oracle test."""
+    if case == "broadcast":  # the (1, n) x (m, 1) rows advection passes
+        return (rng.uniform(-2.0, dims.nx + 2.0, size=(1, 13)) * dims.h,
+                rng.uniform(-2.0, dims.ny + 2.0, size=(8, 1)) * dims.h)
+    if case == "far_outside":
+        x, y = rng.uniform(-1e3, 1e3, size=(2, 40))
+        x[:2], y[2:4] = (np.inf, -np.inf), (-np.inf, np.inf)
+        return x, y
+    if case == "zero_d":  # one point, as oracles.sample_scalar passes it
+        return np.asarray(1.3 * dims.h), np.asarray(2.9 * dims.h)
+    if case == "float32_positions":
+        return (rng.uniform(0.0, dims.nx, size=50).astype(np.float32) * np.float32(dims.h),
+                rng.uniform(0.0, dims.ny, size=50).astype(np.float32) * np.float32(dims.h))
+    # node positions and half-way points, where signed zeros meet
+    x, y = np.meshgrid(np.arange(0.0, dims.nx, 0.5), np.arange(0.0, dims.ny, 0.5))
+    return x * dims.h, y * dims.h
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert (a.dtype, a.shape) == (b.dtype, b.shape)
+    assert a.tobytes() == b.tobytes()  # raw bytes: -0.0 differs from 0.0
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("case", ["broadcast", "far_outside", "zero_d", "float32_positions",
+                                  "signed_zeros"])
+def test_in_place_bilinear_is_bitwise_the_out_of_place_oracle(case, dtype):
+    rng = np.random.default_rng(12)
+    dims = GridDims(9, 6, h=0.4)
+    x, y = _bilinear_case(case, rng, dims)
+    zeros = []
+    for offx, offy, shape in ((0.5, 0.5, dims.shape), (0.0, 0.5, dims.shape_ux),
+                              (0.5, 0.0, dims.shape_uy)):
+        if case == "signed_zeros":
+            values = rng.choice([-0.0, 0.0, -1.0, 1.0], size=shape).astype(dtype)
+        else:
+            values = rng.normal(size=shape).astype(dtype)
+        inputs = [values, x, y]
+        kept = [a.copy() for a in inputs]
+        for a in inputs:
+            a.flags.writeable = False
+        weights = grids._bilinear_weights(shape, x, y, offx, offy, dims.h)
+        for a, b in zip(weights, oracles._bilinear_weights(shape, x, y, offx, offy, dims.h)):
+            _same_bits(a, b)
+        for a in weights:
+            if isinstance(a, np.ndarray):
+                a.flags.writeable = False  # as the sampling plan keeps them
+        for with_bounds in (False, True):
+            want = oracles._bilinear(values, x, y, offx, offy, dims.h, with_bounds=with_bounds)
+            for got in (_bilinear(values, x, y, offx, offy, dims.h, with_bounds=with_bounds),
+                        grids._bilinear_apply(values, *weights, with_bounds=with_bounds)):
+                for a, b in zip(*((got, want) if with_bounds else ((got,), (want,)))):
+                    _same_bits(a, b)
+        for a, b in zip(inputs, kept):
+            _same_bits(a, b)
+        zeros.extend(want[0][want[0] == 0.0].ravel())
+    if case == "signed_zeros":
+        assert np.signbit(zeros).any() and not np.signbit(zeros).all()
+    # a NaN position raises the oracle's error
+    x = np.array(x)
+    x.flat[-1] = np.nan
+    errors = []
+    for sample in (oracles._bilinear, _bilinear):
+        with pytest.raises(ValueError) as err, np.errstate(invalid="ignore"):
+            sample(values, x, y, 0.5, 0.0, dims.h)
+        errors.append(str(err.value))
+    assert errors[0] == errors[1]
 
 
 # ====== Distance field ======
