@@ -11,12 +11,15 @@ Three routes with very different cost/accuracy trade-offs.  Jacobi and
 PCG share one lattice per grid, the compressed active fluid cells, built
 on the grid's first solve by either and kept on the grid itself through
 :meth:`~macfluid.grids.OccupancyGrid.derived`, so it lives exactly as
-long as the grid:
+long as the grid.  What only one solver needs is built lazily on that
+lattice: Jacobi's padded layout and PCG's multigrid hierarchy.
 
 * :func:`solve_jacobi`: fixed iteration count, cheap, smooth error decay.
   The update mirrors the pressure across solid faces and sees zero beyond
   an open top, which makes the sweep a Richardson iteration with step
-  h^2/4 and keeps the residual monotone.
+  h^2/4 and keeps the residual monotone.  The iterate lives on the grid
+  padded with one ring of zeros, so a sweep reads its four neighbors as
+  shifted contiguous slices instead of gathering them.
 * :func:`solve_pcg`: conjugate gradients preconditioned with one multigrid
   V-cycle per iteration, iterated to a residual tolerance; the hierarchy is
   built on the grid's first PCG solve and kept on its lattice.
@@ -35,7 +38,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .fdops import PoissonSystem
-from .grids import FluidComponents, OccupancyGrid, ScalarGrid, _read_only
+from .grids import CellStencil, FluidComponents, OccupancyGrid, ScalarGrid, _read_only
 
 logger = logging.getLogger(__name__)
 
@@ -92,26 +95,35 @@ class _Lattice:
 
     A fluid cell walled in on all four sides has an empty matrix row and
     no fluid neighbor; it stays out of every solve and keeps pressure +0.0.
-    ``walled`` holds the flat indices of those cells.
-    ``nbr`` holds the index of each cell's west, east, south and north
-    fluid neighbor, -1 where there is none; a vector gathered through it
-    carries one trailing +0.0 slot, which index -1 reads.
+    ``walled`` holds the flat indices of those cells.  ``stencil`` is the
+    grid's own cell stencil, from which :attr:`padded` is built.
     """
 
     n: int
-    nbr: np.ndarray    # (4, n) neighbor indices
-    solid_count: np.ndarray  # solid neighbors per active cell, as float64
     off: float         # off-diagonal coefficient (-1/h^2)
     A: sp.csr_matrix   # the system matrix on the active cells
     active: np.ndarray  # 2d bool mask
     lab: np.ndarray    # component label per active cell
     comps: FluidComponents
     walled: np.ndarray  # flat indices of the fluid cells left out
+    stencil: CellStencil
 
     @cached_property
     def multigrid(self):
         """The preconditioner of :func:`solve_pcg`, built on the first PCG solve."""
         return _build_hierarchy(self)
+
+    @cached_property
+    def padded(self) -> tuple[np.ndarray, np.ndarray]:
+        """Jacobi's layout, built on the first Jacobi solve: the grid padded
+        with one ring of cells, flat and row-major, ``(ny + 2) * (nx + 2)``
+        slots.  Returns the read-only mask of the inactive slots (solid,
+        walled-in and ring cells) and the solid-neighbor count of each slot
+        as float64, +0.0 on every inactive one."""
+        inactive = np.pad(~self.active, 1, constant_values=True)
+        count = np.zeros(inactive.shape)
+        count[1:-1, 1:-1][self.active] = self.stencil.solid_count[self.active]
+        return _read_only(inactive.ravel()), _read_only(count.ravel())
 
 
 def _build_lattice(g: OccupancyGrid) -> _Lattice:
@@ -135,9 +147,8 @@ def _build_lattice(g: OccupancyGrid) -> _Lattice:
          (np.concatenate([rows, np.broadcast_to(rows, nbr.shape)[has]]),
           np.concatenate([rows, nbr[has]]))),
         shape=(n, n))
-    return _Lattice(n, nbr, st.solid_count[active].astype(np.float64), off, A,
-                    active, g.components.labels[active], g.components,
-                    np.flatnonzero(g.fluid & ~active))
+    return _Lattice(n, off, A, active, g.components.labels[active], g.components,
+                    np.flatnonzero(g.fluid & ~active), st)
 
 
 # ====== Jacobi ======
@@ -148,13 +159,22 @@ def solve_jacobi(sys: PoissonSystem, iters: int = 34) -> ScalarGrid:
     Each sweep averages the four neighbor pressures (the cell's own value
     mirrored across solid faces, zero across an open top) plus h^2 b,
     reading only the previous iterate.  Zero-mean on closed components.
-    The sweeps run on the grid's cached lattice, the one PCG solves on.
 
-    The summation order of a sweep is fixed: per active cell it computes
-    ``0.25 * ((h^2 b + (((w + e) + s) + n)) + solid_count * p)``, where a
-    neighbor that is not fluid reads as +0.0.  Results are pinned bit for
-    bit to that order, and the closed-box oracle gap of acceptance
-    criterion 1 sits just under its bound, so a faster sweep must keep it.
+    The iterate lives in the grid's padded layout (:attr:`_Lattice.padded`),
+    with a row stride of nx + 2.  A sweep covers rows 1..ny, all nx + 2
+    columns, reads the west, east, south and north neighbors as the slices
+    shifted by -1, +1, -(nx + 2) and +(nx + 2), and writes a second buffer;
+    the two swap.  Per slot it computes ``t = w + e; t += s; t += n;
+    t += h^2 b; t += solid_count * p; p' = 0.25 * t``, then sets every
+    inactive slot back to +0.0.  h^2 b is written only at active slots, so
+    a non-finite value on a solid cell never enters the arithmetic.
+
+    On the active cells that is bit for bit the documented order
+    ``0.25 * ((h^2 b + (((w + e) + s) + n)) + solid_count * p)``, with a
+    neighbor that is not fluid read as +0.0: every inactive slot holds +0.0
+    whenever a sweep reads it.  The closed-box oracle gap of acceptance
+    criterion 1 sits just under its bound, so a faster sweep must keep
+    that order.
     """
     if iters < 0:
         raise ValueError(f"iteration count must be nonnegative, got {iters}")
@@ -163,27 +183,31 @@ def solve_jacobi(sys: PoissonSystem, iters: int = 34) -> ScalarGrid:
     b = sys.b.values
     if np.any(b.take(lat.walled) != 0.0):
         raise ValueError("isolated fluid cell with nonzero right hand side")
-    hb = g.dims.h ** 2 * b[lat.active]
-    n = lat.n
-    x = np.zeros(n + 1)
-    p = x[:n]
-    nbr = np.empty((4, n))
-    w, e, s, nn = nbr
-    own = np.empty(n)
-    # a few calls into fixed buffers per sweep: on small grids numpy's
-    # per-call overhead, not arithmetic, sets the cost; "wrap" sends -1 to
-    # the +0.0 slot and skips the bounds check and buffered copy of "raise"
+    ny, nx = g.dims.shape
+    row = nx + 2
+    body = slice(row, (ny + 1) * row)  # rows 1..ny of the padded grid
+    inactive, count = (a[body] for a in lat.padded)
+    hb = np.zeros((ny + 2, row))
+    hb[1:-1, 1:-1][lat.active] = g.dims.h ** 2 * b[lat.active]
+    hb = hb.ravel()[body]
+    p, q = np.zeros((ny + 2) * row), np.zeros((ny + 2) * row)
+    own = np.empty(ny * row)
+    # copyto, not a 0/1 mask, resets the inactive slots: a product would
+    # leave -0.0 or NaN there, which the next sweep would read
     for _ in range(iters):
-        x.take(lat.nbr, out=nbr, mode="wrap")
-        w += e
-        w += s
-        w += nn
-        w += hb
-        np.multiply(lat.solid_count, p, out=own)
-        w += own
-        np.multiply(w, 0.25, out=p)
+        t = q[body]
+        np.add(p[row - 1:-row - 1], p[row + 1:-row + 1], out=t)
+        t += p[:-2 * row]
+        t += p[2 * row:]
+        t += hb
+        np.multiply(count, p[body], out=own)
+        t += own
+        np.multiply(t, 0.25, out=t)
+        np.copyto(t, 0.0, where=inactive)
+        p, q = q, p
+    x = p.reshape(ny + 2, row)[1:-1, 1:-1][lat.active]
     out = np.zeros(g.dims.shape)
-    out[lat.active] = _project_out_constants(lat.lab, p, lat.comps)
+    out[lat.active] = _project_out_constants(lat.lab, x, lat.comps)
     return ScalarGrid(g.dims, out)
 
 

@@ -17,6 +17,7 @@ file: :func:`run` hands every frame to the sinks its caller passes.
 from __future__ import annotations
 
 import math
+import operator
 import time
 from dataclasses import dataclass, field
 
@@ -46,14 +47,29 @@ class SimulationError(RuntimeError):
 
 @dataclass(frozen=True)
 class JacobiProjection:
+    """``iters`` Jacobi sweeps from zero, an integer >= 0."""
+
     iters: int = 34
+
+    def __post_init__(self) -> None:
+        try:
+            iters = operator.index(self.iters)
+        except TypeError:
+            raise TypeError(f"jacobi iterations must be an integer, got {self.iters!r}") from None
+        if iters < 0:
+            raise ValueError(f"jacobi iterations must be >= 0, got {iters}")
 
 
 @dataclass(frozen=True)
 class PcgProjection:
-    """PCG to relative residual ``tol`` within solve_pcg's default iteration cap."""
+    """PCG to relative residual ``tol`` within solve_pcg's default iteration
+    cap; ``tol`` must be positive and finite."""
 
     tol: float = 1e-4
+
+    def __post_init__(self) -> None:
+        if not (self.tol > 0 and math.isfinite(self.tol)):
+            raise ValueError(f"pcg tolerance must be positive and finite, got {self.tol}")
 
 
 @dataclass(frozen=True)

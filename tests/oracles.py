@@ -7,7 +7,10 @@ the clearance-skipping lattice trace, both out of place in fresh arrays
 bit for bit), single backward traces, advection of one sample lattice at a time (each with its
 own velocity sampling, trace and scan, which the package's one trace per
 call reproduces bit for bit), cell-center positions, the residual norm of
-a pressure solve and the matrix-free Poisson operator it applies,
+a pressure solve and the matrix-free Poisson operator it applies, Jacobi
+sweeps that gather each cell's four neighbors through one index on the
+compressed active cells, which the package's shifted slices of a padded
+iterate reproduce bit for bit,
 convolution forward and backward through ``np.pad``, ``sliding_window_view``
 and ``tensordot``, which the package's window-matrix GEMM reproduces bit for
 bit, and the network's forward and backward passes unrolled stage by stage,
@@ -23,6 +26,7 @@ from macfluid import convnet
 from macfluid.advection import _clamp, _clearance2
 from macfluid.convnet import NetParams, _replicate_pad_adjoint
 from macfluid.fdops import PoissonSystem
+from macfluid.pressure import _project_out_constants
 from macfluid.grids import GridDims, MacVelocity, OccupancyGrid, ScalarGrid, _lattice_xy
 
 
@@ -198,6 +202,49 @@ def residual_norm(sys: PoissonSystem, p: ScalarGrid) -> float:
     """Euclidean norm of A p - b over fluid cells."""
     r = apply_poisson(sys.g, p).values - sys.b.values
     return float(np.linalg.norm(r[sys.g.fluid]))
+
+
+def solve_jacobi_gather(sys: PoissonSystem, iters: int) -> ScalarGrid:
+    """Jacobi sweeps on the compressed active cells from a zero guess.
+
+    ``nbr`` holds the index of each active cell's west, east, south and
+    north fluid neighbor, -1 where there is none; the iterate carries one
+    trailing +0.0 slot, which index -1 reads.  Per cell a sweep computes
+    ``0.25 * ((h^2 b + (((w + e) + s) + n)) + solid_count * p)``.
+    """
+    if iters < 0:
+        raise ValueError(f"iteration count must be nonnegative, got {iters}")
+    g = sys.g
+    st = g.stencil
+    active = g.fluid & (st.diag > 0)
+    n = int(np.count_nonzero(active))
+    idx = np.full(g.dims.shape, -1, dtype=np.intp)
+    idx[active] = np.arange(n)
+    pi = np.pad(idx, 1, constant_values=-1)
+    nbr_index = np.stack([pi[1:-1, :-2][active], pi[1:-1, 2:][active],
+                          pi[:-2, 1:-1][active], pi[2:, 1:-1][active]])
+    solid_count = st.solid_count[active].astype(np.float64)
+    b = sys.b.values
+    if np.any(b.take(np.flatnonzero(g.fluid & ~active)) != 0.0):
+        raise ValueError("isolated fluid cell with nonzero right hand side")
+    hb = g.dims.h ** 2 * b[active]
+    x = np.zeros(n + 1)
+    p = x[:n]
+    nbr = np.empty((4, n))
+    w, e, s, nn = nbr
+    own = np.empty(n)
+    for _ in range(iters):
+        x.take(nbr_index, out=nbr, mode="wrap")
+        w += e
+        w += s
+        w += nn
+        w += hb
+        np.multiply(solid_count, p, out=own)
+        w += own
+        np.multiply(w, 0.25, out=p)
+    out = np.zeros(g.dims.shape)
+    out[active] = _project_out_constants(g.components.labels[active], p, g.components)
+    return ScalarGrid(g.dims, out)
 
 
 def _replicate_pad(x: np.ndarray, p: int) -> np.ndarray:

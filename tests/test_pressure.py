@@ -19,7 +19,7 @@ from macfluid.pressure import (
     solve_pcg,
 )
 from macfluid.sim import JacobiProjection, plume_scenario, step
-from oracles import apply_poisson, residual_norm
+from oracles import apply_poisson, residual_norm, solve_jacobi_gather
 
 
 def random_system(rng, nx=8, ny=8, p_solid=0.2, open_top=False, compatible=True):
@@ -168,6 +168,56 @@ def test_jacobi_matches_reference_sweep_bit_for_bit():
                     (open_top, nx, ny, iters)
 
 
+def _assert_same_bytes(got, want, case):
+    assert (got.dtype, got.shape) == (want.dtype, want.shape), case
+    assert got.tobytes() == want.tobytes(), case
+
+
+@pytest.mark.parametrize("open_top", [False, True])
+@pytest.mark.parametrize("nx, ny, h, p_solid", [
+    (8, 8, 1.0, 0.2), (13, 9, 0.37, 0.35), (16, 11, 2.5, 0.1), (4, 7, 1.0, 0.2),
+    (9, 4, 0.37, 0.3), (40, 4, 2.5, 0.25), (4, 40, 1.0, 0.25)])
+def test_jacobi_matches_the_gather_oracle_bit_for_bit(nx, ny, h, p_solid, open_top):
+    # the non-square grids catch a wrong row stride of the padded iterate
+    rng = np.random.default_rng(1000 + 17 * nx + ny)
+    for _ in range(3):
+        solid = rng.random((ny, nx)) < p_solid
+        # one fluid cell walled in on all four sides, right hand side -0.0
+        solid[:3, :3] = True
+        solid[1, 1] = False
+        g = OccupancyGrid(GridDims(nx, ny, h), solid, open_top)
+        b = rng.normal(size=g.dims.shape) * g.fluid
+        b[1, 1] = -0.0
+        sys = make_compatible(PoissonSystem(g, ScalarGrid(g.dims, b)))
+        for iters in (0, 1, 34, 300):
+            _assert_same_bytes(solve_jacobi(sys, iters).values,
+                               solve_jacobi_gather(sys, iters).values, (iters, solid))
+
+
+def test_jacobi_never_reads_the_right_hand_side_of_a_solid_cell():
+    # non-finite values there would raise RuntimeWarnings, which fail the test
+    rng = np.random.default_rng(1001)
+    sys = random_system(rng, nx=13, ny=9, p_solid=0.3)
+    b = sys.b.values.copy()
+    b[sys.g.solid] = rng.choice([np.inf, -np.inf, np.nan], size=np.count_nonzero(sys.g.solid))
+    bad = PoissonSystem(sys.g, ScalarGrid(sys.dims, b))
+    _assert_same_bytes(solve_jacobi(bad, 34).values, solve_jacobi(sys, 34).values, "solid b")
+
+
+@pytest.mark.parametrize("open_top", [False, True])
+@pytest.mark.parametrize("res", [32, 64, 128])
+def test_jacobi_matches_the_gather_oracle_on_the_settled_plume(res, open_top):
+    state, cfg = plume_scenario(GridDims(res, res), obstacle="disc", open_top=open_top,
+                                projection=JacobiProjection(34))
+    for _ in range(8):
+        state = step(state, cfg)
+    d = divergence(state.u, state.g)
+    sys = make_compatible(PoissonSystem(state.g, ScalarGrid(state.g.dims, -d.values)))
+    for iters in (1, 34):
+        _assert_same_bytes(solve_jacobi(sys, iters).values,
+                           solve_jacobi_gather(sys, iters).values, iters)
+
+
 # ====== Dense direct ======
 
 def test_dense_recovers_constructed_solution():
@@ -300,6 +350,59 @@ def test_jacobi_shares_the_lattice_and_never_factors(monkeypatch, open_top):
     solve_pcg(sys, tol=1e-8)
     solve_pcg(sys, tol=1e-8)
     assert calls == {"_build_lattice": 2, "_build_hierarchy": 1}
+
+
+def test_pcg_on_a_fresh_grid_builds_no_jacobi_layout():
+    rng = np.random.default_rng(1002)
+    sys = random_system(rng, nx=16, ny=12, p_solid=0.2)
+    solve_pcg(sys, tol=1e-8)
+    lat = sys.g.derived(_build_lattice)
+    assert "multigrid" in vars(lat)
+    assert "padded" not in vars(lat)
+
+
+@pytest.mark.parametrize("open_top", [False, True])
+def test_jacobi_builds_its_read_only_layout_once_per_grid(open_top):
+    rng = np.random.default_rng(1003)
+    sys = random_system(rng, nx=14, ny=11, p_solid=0.3, open_top=open_top)
+    solve_jacobi(sys, 5)
+    lat = sys.g.derived(_build_lattice)
+    layout = vars(lat)["padded"]
+    solve_jacobi(sys, 7)
+    solve_pcg(sys, tol=1e-8)
+    assert vars(lat)["padded"] is layout
+    inactive, count = layout
+    assert inactive.shape == count.shape == (13 * 16,)
+    assert not inactive.flags.writeable and not count.flags.writeable
+    assert np.all(count[inactive] == 0.0)
+    # a fresh grid of the same geometry builds its own, with equal bytes
+    fresh = _same_geometry(sys)
+    solve_jacobi(fresh, 5)
+    other = vars(fresh.g.derived(_build_lattice))["padded"]
+    assert other is not layout
+    assert all(a.tobytes() == c.tobytes() for a, c in zip(layout, other))
+
+
+def test_jacobi_result_shares_no_memory_with_the_lattice():
+    rng = np.random.default_rng(1004)
+    sys = random_system(rng, nx=12, ny=9, p_solid=0.2)
+    p = solve_jacobi(sys, 20).values
+    lat = sys.g.derived(_build_lattice)
+    kept = [v for v in vars(lat).values() if isinstance(v, np.ndarray)]
+    kept += [*lat.padded, lat.A.data, lat.stencil.solid_count, sys.b.values]
+    assert not any(np.shares_memory(p, k) for k in kept)
+    want = p.copy()
+    p[...] = np.nan  # the caller may write it; the next solve is unaffected
+    _assert_same_bytes(solve_jacobi(sys, 20).values, want, "after a write")
+
+
+def test_jacobi_leaves_the_right_hand_side_untouched():
+    rng = np.random.default_rng(1005)
+    sys = random_system(rng, nx=12, ny=9, p_solid=0.2, open_top=True)
+    before = sys.b.values.copy()
+    sys.b.values.flags.writeable = False
+    solve_jacobi(sys, 34)
+    assert sys.b.values.tobytes() == before.tobytes()
 
 
 def test_pcg_setup_is_not_shared_between_geometries():

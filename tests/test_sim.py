@@ -270,6 +270,24 @@ def test_config_validation():
         run(_random_state(0), SimConfig(), frames=0)
 
 
+
+@pytest.mark.parametrize("tol", [float("nan"), -1.0, 0.0, float("inf")])
+def test_pcg_projection_rejects_a_bad_tolerance_when_built(tol):
+    # a NaN or negative tolerance used to run all 2000 iterations every frame
+    with pytest.raises(ValueError, match="pcg tolerance must be positive and finite"):
+        PcgProjection(tol=tol)
+
+
+def test_jacobi_projection_rejects_a_bad_iteration_count_when_built():
+    # a float count used to fail in the middle of a step
+    with pytest.raises(TypeError, match="jacobi iterations must be an integer"):
+        JacobiProjection(2.5)
+    with pytest.raises(ValueError, match="jacobi iterations must be >= 0"):
+        JacobiProjection(-1)
+    assert JacobiProjection(np.int64(7)) == JacobiProjection(7)
+    out = step(_random_state(12), SimConfig(projection=JacobiProjection(0)))
+    assert out.frame == 1
+
 @pytest.mark.parametrize("projection", [JacobiProjection(34), PcgProjection(1e-6)])
 def test_steps_derive_grid_geometry_once(monkeypatch, projection):
     calls = {}
