@@ -18,7 +18,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .formats import csv_text, load_model
-from .pressure import DENSE_CELL_LIMIT
 from .sim import (ConvnetProjection, ExactProjection, JacobiProjection,
                   NoProjection, PcgProjection, SimConfig, SimState,
                   SimulationError, plume_scenario, run, step)
@@ -55,8 +54,6 @@ def parse_backend(spec: str) -> tuple[str, object]:
             tol = float(arg)
         except ValueError:
             raise ValueError(f"bad pcg tolerance {arg!r}") from None
-        if not (tol > 0 and np.isfinite(tol)):
-            raise ValueError(f"pcg tolerance must be positive and finite, got {tol}")
         return f"pcg_{arg}", PcgProjection(tol=tol)
     if kind == "convnet":
         if not sep or not arg:
@@ -270,20 +267,12 @@ def bench(projection, dims_list, repetitions: int = 5,
     reference run and then the timed run each step ``repetitions`` frames
     through :func:`~macfluid.sim.run`; the timed run must reproduce the
     reference bit for bit, in its final fields and in every frame metric
-    but ``wall_ms``.  With the dense ``exact`` backend every resolution's
-    fluid-cell count is checked against ``pressure.DENSE_CELL_LIMIT``
-    before any frame runs.
+    but ``wall_ms``.
     """
     if repetitions < 1:
         raise ValueError(f"need at least one repetition, got {repetitions}")
     scenes = [plume_scenario(dims, obstacle="disc", projection=projection)
               for dims in dims_list]
-    if isinstance(projection, ExactProjection):
-        for start, _ in scenes:
-            if start.g.n_fluid > DENSE_CELL_LIMIT:
-                raise ValueError(
-                    f"exact backend capped at {DENSE_CELL_LIMIT} fluid cells; the "
-                    f"{start.g.dims.nx}x{start.g.dims.ny} plume has {start.g.n_fluid}")
     rows = []
     for start, cfg in scenes:
         dims = start.g.dims

@@ -23,13 +23,13 @@ lattice: Jacobi's padded layout and PCG's multigrid hierarchy.
 * :func:`solve_pcg`: conjugate gradients preconditioned with one multigrid
   V-cycle per iteration, iterated to a residual tolerance; the hierarchy is
   built on the grid's first PCG solve and kept on its lattice.
-* :func:`solve_dense_direct`: dense least-squares reference for small
-  grids, minimum-norm on singular components.
+* :func:`solve_dense_direct`: a direct solve by a sparse LU of the pinned
+  matrix, assembled independently of the lattice and factored on the
+  grid's first direct solve; kept on the grid like the lattice.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -40,9 +40,6 @@ import scipy.sparse as sp
 from .fdops import PoissonSystem
 from .grids import CellStencil, FluidComponents, OccupancyGrid, ScalarGrid, _read_only
 
-logger = logging.getLogger(__name__)
-
-DENSE_CELL_LIMIT = 4096
 # solve_pcg's V-cycle: smoother weight, coarse correction scale, and the
 # unknowns at or below which a level or a closed component is solved exactly
 SMOOTH_OMEGA = 0.8
@@ -372,42 +369,50 @@ def solve_pcg(sys: PoissonSystem, tol: float = 1e-4,
         d = z + beta * d
         rz = rz_new
 
-    if not converged:
-        logger.warning("PCG stopped after %d iterations at relative residual %.3e "
-                       "(tol %.3e)", iterations, relres, tol)
     out[lat.active] = _project_out_constants(lat.lab, x, lat.comps)
     return ScalarGrid(g.dims, out), PcgInfo(iterations, converged, relres, "multigrid")
 
 
-# ====== Dense reference ======
+# ====== Sparse direct ======
 
-def solve_dense_direct(sys: PoissonSystem) -> ScalarGrid:
-    """Assemble A densely and solve by least squares.
+def _direct_factor(g: OccupancyGrid):
+    """The sparse LU of A on every fluid cell, pinned: the first cell of
+    each closed component, a walled-in cell included, gets +1/h^2 on its
+    diagonal.  Built on the grid's first direct solve and kept on the grid.
 
-    Minimum-norm on singular components, then re-pinned to zero mean per
-    closed component.  Guarded by a cell-count cap; this is a reference
-    oracle, not a production path.
+    The pinned matrix is nonsingular.  Against a compatible right hand side
+    the pinned cell solves to 0, since A is symmetric and its rows sum to
+    zero over a closed component, so the solution satisfies A p = b.
     """
-    g = sys.g
-    if g.n_fluid > DENSE_CELL_LIMIT:
-        raise ValueError(f"dense solve capped at {DENSE_CELL_LIMIT} fluid cells, "
-                         f"got {g.n_fluid}")
+    # importing scipy.sparse.linalg costs ~80 ms, which only exact solves pay
+    from scipy.sparse.linalg import splu
     st = g.stencil
     fluid = g.fluid
     n = g.n_fluid
     idx = np.full(g.dims.shape, -1, dtype=np.int64)
     idx[fluid] = np.arange(n)
     h2 = g.dims.h ** 2
-    A = np.zeros((n, n))
-    rows = idx[fluid]
-    A[rows, rows] = st.diag[fluid] / h2
+    diag = st.diag[fluid] / h2
+    _, first = np.unique(g.derived(_fluid_labels), return_index=True)
+    diag[first[g.components.closed]] += 1.0 / h2
+    parts = [(diag, np.arange(n), np.arange(n))]
     pi = np.pad(idx, 1, constant_values=-1)
     for mask, nbr in ((st.fluid_w, pi[1:-1, :-2]), (st.fluid_e, pi[1:-1, 2:]),
                       (st.fluid_s, pi[:-2, 1:-1]), (st.fluid_n, pi[2:, 1:-1])):
         m = mask & fluid
-        A[idx[m], nbr[m]] = -1.0 / h2
-    bv = sys.b.values[fluid]
-    x, *_ = np.linalg.lstsq(A, bv, rcond=None)
+        parts.append((np.full(np.count_nonzero(m), -1.0 / h2), idx[m], nbr[m]))
+    A = _sparse(parts, (n, n), sp.csc_matrix)
+    return splu(A, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
+
+
+def solve_dense_direct(sys: PoissonSystem) -> ScalarGrid:
+    """Solve A p = b directly, by the grid's sparse LU (:func:`_direct_factor`).
+
+    Expects a compatible right hand side (:func:`make_compatible`); returns
+    zero mean on each closed component.  Criterion 1 imports this name as
+    its oracle, so it stays although the solve is no longer dense.
+    """
+    g = sys.g
     out = np.zeros(g.dims.shape)
-    out[fluid] = x
+    out[g.fluid] = g.derived(_direct_factor).solve(sys.b.values[g.fluid])
     return ScalarGrid(g.dims, _remove_closed_means(out, g))

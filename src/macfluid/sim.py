@@ -5,7 +5,7 @@ advection through the previous velocity, velocity self-advection, body
 force, buoyancy, vorticity confinement, solid-face enforcement, and the
 pressure projection with the configured backend.  No backend writes a
 solid face, so the enforced zeros survive the projection.  The backend is
-pluggable: Jacobi, PCG, a dense direct solve, a learned network, or
+pluggable: Jacobi, PCG, a sparse direct solve, a learned network, or
 nothing at all for ablation baselines.
 
 What the projection reports rides on the returned state as
@@ -74,8 +74,8 @@ class PcgProjection:
 
 @dataclass(frozen=True)
 class ExactProjection:
-    """Dense direct solve of at most ``pressure.DENSE_CELL_LIMIT`` (4096)
-    fluid cells; a 32x32 plume frame takes about 260 ms on two CPU cores."""
+    """Direct solve by a sparse LU factored on a grid's first exact frame
+    (:func:`~macfluid.pressure.solve_dense_direct`)."""
 
 
 @dataclass(frozen=True)

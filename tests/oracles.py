@@ -10,7 +10,8 @@ call reproduces bit for bit), cell-center positions, the residual norm of
 a pressure solve and the matrix-free Poisson operator it applies, Jacobi
 sweeps that gather each cell's four neighbors through one index on the
 compressed active cells, which the package's shifted slices of a padded
-iterate reproduce bit for bit,
+iterate reproduce bit for bit, a dense least-squares pressure solve,
+which the package's sparse LU matches to roundoff,
 convolution forward and backward through ``np.pad``, ``sliding_window_view``
 and ``tensordot``, which the package's window-matrix GEMM reproduces bit for
 bit, and the network's forward and backward passes unrolled stage by stage,
@@ -26,7 +27,7 @@ from macfluid import convnet
 from macfluid.advection import _clamp, _clearance2
 from macfluid.convnet import NetParams, _replicate_pad_adjoint
 from macfluid.fdops import PoissonSystem
-from macfluid.pressure import _project_out_constants
+from macfluid.pressure import _project_out_constants, _remove_closed_means
 from macfluid.grids import GridDims, MacVelocity, OccupancyGrid, ScalarGrid, _lattice_xy
 
 
@@ -246,6 +247,35 @@ def solve_jacobi_gather(sys: PoissonSystem, iters: int) -> ScalarGrid:
     out[active] = _project_out_constants(g.components.labels[active], p, g.components)
     return ScalarGrid(g.dims, out)
 
+
+
+def solve_dense_lstsq(sys: PoissonSystem) -> ScalarGrid:
+    """Assemble A densely and solve by least squares.
+
+    Minimum-norm on singular components, then re-pinned to zero mean per
+    closed component.  Memory grows with the square of the fluid cells, so
+    this is for small grids only.
+    """
+    g = sys.g
+    st = g.stencil
+    fluid = g.fluid
+    n = g.n_fluid
+    idx = np.full(g.dims.shape, -1, dtype=np.int64)
+    idx[fluid] = np.arange(n)
+    h2 = g.dims.h ** 2
+    A = np.zeros((n, n))
+    rows = idx[fluid]
+    A[rows, rows] = st.diag[fluid] / h2
+    pi = np.pad(idx, 1, constant_values=-1)
+    for mask, nbr in ((st.fluid_w, pi[1:-1, :-2]), (st.fluid_e, pi[1:-1, 2:]),
+                      (st.fluid_s, pi[:-2, 1:-1]), (st.fluid_n, pi[2:, 1:-1])):
+        m = mask & fluid
+        A[idx[m], nbr[m]] = -1.0 / h2
+    bv = sys.b.values[fluid]
+    x, *_ = np.linalg.lstsq(A, bv, rcond=None)
+    out = np.zeros(g.dims.shape)
+    out[fluid] = x
+    return ScalarGrid(g.dims, _remove_closed_means(out, g))
 
 def _replicate_pad(x: np.ndarray, p: int) -> np.ndarray:
     if p == 0:

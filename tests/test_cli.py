@@ -10,7 +10,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from macfluid import evaluate
 from macfluid.cli import CliError, _build_parser, cli
 from macfluid.formats import format_row, load_model, read_frame
 from macfluid.grids import GridDims
@@ -36,11 +35,13 @@ def _strip_wall_ms(csv_text: str) -> list[str]:
 # ====== The package ======
 
 def test_importing_the_package_loads_no_module():
-    # each name is imported from its module; the package re-exports nothing
+    # each name is imported from its module; the package re-exports nothing.
+    # Only the exact backend's factor needs scipy.sparse.linalg, a slow import
     code = ("import importlib, sys, macfluid\n"
             "loaded = sorted(m for m in sys.modules if m.startswith('macfluid.'))\n"
             "assert not loaded, loaded\n"
-            "assert callable(importlib.import_module('macfluid.cli').main)\n")
+            "assert callable(importlib.import_module('macfluid.cli').main)\n"
+            "assert 'scipy.sparse.linalg' not in sys.modules\n")
     src = Path(__file__).resolve().parents[1] / "src"
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(src)})
@@ -291,18 +292,29 @@ def test_simulate_blowup_exits_two_and_dumps_the_frame(solver, tmp_path, capsys)
     assert len((out / "metrics.csv").read_text().splitlines()) == 1  # header only
 
 
-def test_simulate_pcg_blowup_prints_only_the_error_line(tmp_path):
-    # in a fresh process, where no logging handler is configured
-    out = tmp_path / "sim"
+def _fresh_cli(*args: str) -> subprocess.CompletedProcess:
+    """The CLI in a fresh process, where no logging handler is configured."""
     code = "import sys; from macfluid.cli import cli; sys.exit(cli(sys.argv[1:]))"
     src = Path(__file__).resolve().parents[1] / "src"
-    done = subprocess.run(
-        [sys.executable, "-c", code, "simulate", "--res", "16", "--frames", "3",
-         "--buoyancy", "1e308", "--dt", "1e10", "--out", str(out)],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(src)})
+
+
+def test_simulate_pcg_blowup_prints_only_the_error_line(tmp_path):
+    out = tmp_path / "sim"
+    done = _fresh_cli("simulate", "--res", "16", "--frames", "3", "--buoyancy", "1e308",
+                      "--dt", "1e10", "--out", str(out))
     assert done.returncode == 2
     assert done.stderr == (f"error: non-finite fields after frame 1; "
                            f"frame dumped to {out / 'blowup.fnf'}\n")
+
+
+def test_simulate_unconverged_pcg_writes_nothing_to_stderr(tmp_path):
+    done = _fresh_cli("simulate", "--res", "16", "--solver", "pcg:1e-300", "--frames", "3",
+                      "--out", str(tmp_path / "sim"))
+    assert done.returncode == 0
+    assert done.stderr == ""
+    assert done.stdout.splitlines()[-1].endswith("; PCG did not converge on 3 of 3 frames")
 
 
 @pytest.mark.parametrize("tol, note", [
@@ -445,12 +457,11 @@ def test_bench_rejects_a_side_not_divisible_by_four(capsys):
     assert "divisible by 4" in capsys.readouterr().err
 
 
-def test_bench_exact_over_the_dense_cap_exits_one_untimed(monkeypatch, capsys):
-    runs = []
-    monkeypatch.setattr(evaluate, "run", lambda *args: runs.append(args))
-    assert cli(["bench", "--backend", "exact"]) == 1  # default --res 32,64,128
-    assert "capped at 4096 fluid cells" in capsys.readouterr().err
-    assert runs == []
+def test_bench_exact_runs_at_every_default_resolution(capsys):
+    assert cli(["bench", "--backend", "exact", "--res", "32,64,128", "--reps", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(",")[:3] for line in lines[1:]] == [
+        ["exact", "32", "32"], ["exact", "64", "64"], ["exact", "128", "128"]]
 
 
 def test_bench_no_projection(capsys):
