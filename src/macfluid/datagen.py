@@ -213,8 +213,8 @@ class SceneConfig:
                              f"projection can run on them, got {self.dims.nx}x{self.dims.ny}")
         if self.boundary not in ("closed", "open-top"):
             raise ValueError(f"boundary must be 'closed' or 'open-top', got {self.boundary!r}")
-        if not self.dt > 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        if not (self.dt > 0 and math.isfinite(self.dt)):
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
 
 
 def _seed_density(g: OccupancyGrid, rng: np.random.Generator) -> ScalarGrid:

@@ -7,12 +7,14 @@ side is only solvable once its per-component mean is removed; solvers
 here expect that and :func:`make_compatible` does it.  All solvers pin
 the free constant by returning zero-mean pressure on such components.
 
-Three routes with very different cost/accuracy trade-offs.  Jacobi and
-PCG share one lattice per grid, the compressed active fluid cells, built
-on the grid's first solve by either and kept on the grid itself through
-:meth:`~macfluid.grids.OccupancyGrid.derived`, so it lives exactly as
-long as the grid.  What only one solver needs is built lazily on that
-lattice: Jacobi's padded layout and PCG's multigrid hierarchy.
+Three routes with very different cost/accuracy trade-offs.  Each solver
+builds what it reads on the grid's first solve by it and keeps it on the
+grid itself through :meth:`~macfluid.grids.OccupancyGrid.derived`, so it
+lives exactly as long as the grid and no solver builds what only another
+reads.  Jacobi and PCG share the mask of active cells, the fluid cells with
+a non-solid neighbor; a fluid cell walled in on all sides stays out of
+both.  Every route returns through :func:`_remove_closed_means` on the
+fluid cells.
 
 * :func:`solve_jacobi`: fixed iteration count, cheap, smooth error decay.
   The update mirrors the pressure across solid faces and sees zero beyond
@@ -21,24 +23,22 @@ lattice: Jacobi's padded layout and PCG's multigrid hierarchy.
   padded with one ring of zeros, so a sweep reads its four neighbors as
   shifted contiguous slices instead of gathering them.
 * :func:`solve_pcg`: conjugate gradients preconditioned with one multigrid
-  V-cycle per iteration, iterated to a residual tolerance; the hierarchy is
-  built on the grid's first PCG solve and kept on its lattice.
+  V-cycle per iteration, iterated to a residual tolerance, with A as a CSR
+  matrix on the active cells.
 * :func:`solve_dense_direct`: a direct solve by a sparse LU of the pinned
-  matrix, assembled independently of the lattice and factored on the
-  grid's first direct solve; kept on the grid like the lattice.
+  matrix on every fluid cell, assembled independently of PCG's.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 
 from .fdops import PoissonSystem
-from .grids import CellStencil, FluidComponents, OccupancyGrid, ScalarGrid, _read_only
+from .grids import FluidComponents, OccupancyGrid, ScalarGrid, _read_only
 
 # solve_pcg's V-cycle: smoother weight, coarse correction scale, and the
 # unknowns at or below which a level or a closed component is solved exactly
@@ -84,48 +84,36 @@ def make_compatible(sys: PoissonSystem) -> PoissonSystem:
     return PoissonSystem(sys.g, ScalarGrid(sys.dims, b))
 
 
-# ====== The lattice of unknowns ======
+# ====== What Jacobi and PCG derive per grid ======
 
-@dataclass
-class _Lattice:
-    """The pressure unknowns of one grid: its active fluid cells, row-major.
+def _active_cells(g: OccupancyGrid) -> np.ndarray:
+    """The unknowns of Jacobi and PCG: every fluid cell with a non-solid
+    neighbor, as a read-only mask.
 
     A fluid cell walled in on all four sides has an empty matrix row and
-    no fluid neighbor; it stays out of every solve and keeps pressure +0.0.
-    ``walled`` holds the flat indices of those cells.  ``stencil`` is the
-    grid's own cell stencil, from which :attr:`padded` is built.
+    no fluid neighbor; it stays out of both solves and keeps pressure +0.0.
     """
-
-    n: int
-    off: float         # off-diagonal coefficient (-1/h^2)
-    A: sp.csr_matrix   # the system matrix on the active cells
-    active: np.ndarray  # 2d bool mask
-    lab: np.ndarray    # component label per active cell
-    comps: FluidComponents
-    walled: np.ndarray  # flat indices of the fluid cells left out
-    stencil: CellStencil
-
-    @cached_property
-    def multigrid(self):
-        """The preconditioner of :func:`solve_pcg`, built on the first PCG solve."""
-        return _build_hierarchy(self)
-
-    @cached_property
-    def padded(self) -> tuple[np.ndarray, np.ndarray]:
-        """Jacobi's layout, built on the first Jacobi solve: the grid padded
-        with one ring of cells, flat and row-major, ``(ny + 2) * (nx + 2)``
-        slots.  Returns the read-only mask of the inactive slots (solid,
-        walled-in and ring cells) and the solid-neighbor count of each slot
-        as float64, +0.0 on every inactive one."""
-        inactive = np.pad(~self.active, 1, constant_values=True)
-        count = np.zeros(inactive.shape)
-        count[1:-1, 1:-1][self.active] = self.stencil.solid_count[self.active]
-        return _read_only(inactive.ravel()), _read_only(count.ravel())
+    return _read_only(g.fluid & (g.stencil.diag > 0))
 
 
-def _build_lattice(g: OccupancyGrid) -> _Lattice:
-    st = g.stencil
-    active = g.fluid & (st.diag > 0)
+def _jacobi_layout(g: OccupancyGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Jacobi's layout: the grid padded with one ring of cells, flat and
+    row-major, ``(ny + 2) * (nx + 2)`` slots.  Returns the mask of the
+    inactive slots (solid, walled-in and ring cells), the solid-neighbor
+    count of each slot as float64, +0.0 on every inactive one, and the flat
+    indices of the walled-in cells on the unpadded grid; all read-only."""
+    active = g.derived(_active_cells)
+    inactive = np.pad(~active, 1, constant_values=True)
+    count = np.zeros(inactive.shape)
+    count[1:-1, 1:-1][active] = g.stencil.solid_count[active]
+    walled = np.flatnonzero(g.fluid & ~active)
+    return _read_only(inactive.ravel()), _read_only(count.ravel()), _read_only(walled)
+
+
+def _pcg_matrix(g: OccupancyGrid) -> tuple[sp.csr_matrix, np.ndarray]:
+    """A on the active cells, row-major, as CSR, and the component label of
+    each active cell; both read-only."""
+    st, active = g.stencil, g.derived(_active_cells)
     n = int(np.count_nonzero(active))
     # solid, outside and walled-in cells all read -1
     idx = np.full(g.dims.shape, -1, dtype=np.intp)
@@ -134,18 +122,11 @@ def _build_lattice(g: OccupancyGrid) -> _Lattice:
     nbr = np.stack([pi[1:-1, :-2][active], pi[1:-1, 2:][active],
                     pi[:-2, 1:-1][active], pi[2:, 1:-1][active]])
     h2 = g.dims.h ** 2
-    adiag = st.diag[active].astype(np.float64) / h2
-    off = -1.0 / h2
-
-    rows = np.arange(n)
-    has = nbr >= 0
-    A = sp.csr_matrix(
-        (np.concatenate([adiag, np.full(np.count_nonzero(has), off)]),
-         (np.concatenate([rows, np.broadcast_to(rows, nbr.shape)[has]]),
-          np.concatenate([rows, nbr[has]]))),
-        shape=(n, n))
-    return _Lattice(n, off, A, active, g.components.labels[active], g.components,
-                    np.flatnonzero(g.fluid & ~active), st)
+    rows, has = np.arange(n), nbr >= 0
+    A = _sparse([(st.diag[active] / h2, rows, rows),
+                 (np.full(np.count_nonzero(has), -1.0 / h2),
+                  np.broadcast_to(rows, nbr.shape)[has], nbr[has])], (n, n))
+    return _read_only(A), _read_only(g.components.labels[active])
 
 
 # ====== Jacobi ======
@@ -157,7 +138,7 @@ def solve_jacobi(sys: PoissonSystem, iters: int = 34) -> ScalarGrid:
     mirrored across solid faces, zero across an open top) plus h^2 b,
     reading only the previous iterate.  Zero-mean on closed components.
 
-    The iterate lives in the grid's padded layout (:attr:`_Lattice.padded`),
+    The iterate lives in the grid's padded layout (:func:`_jacobi_layout`),
     with a row stride of nx + 2.  A sweep covers rows 1..ny, all nx + 2
     columns, reads the west, east, south and north neighbors as the slices
     shifted by -1, +1, -(nx + 2) and +(nx + 2), and writes a second buffer;
@@ -176,16 +157,17 @@ def solve_jacobi(sys: PoissonSystem, iters: int = 34) -> ScalarGrid:
     if iters < 0:
         raise ValueError(f"iteration count must be nonnegative, got {iters}")
     g = sys.g
-    lat = g.derived(_build_lattice)
+    active = g.derived(_active_cells)
+    inactive, count, walled = g.derived(_jacobi_layout)
     b = sys.b.values
-    if np.any(b.take(lat.walled) != 0.0):
+    if np.any(b.take(walled) != 0.0):
         raise ValueError("isolated fluid cell with nonzero right hand side")
     ny, nx = g.dims.shape
     row = nx + 2
     body = slice(row, (ny + 1) * row)  # rows 1..ny of the padded grid
-    inactive, count = (a[body] for a in lat.padded)
+    inactive, count = inactive[body], count[body]
     hb = np.zeros((ny + 2, row))
-    hb[1:-1, 1:-1][lat.active] = g.dims.h ** 2 * b[lat.active]
+    hb[1:-1, 1:-1][active] = g.dims.h ** 2 * b[active]
     hb = hb.ravel()[body]
     p, q = np.zeros((ny + 2) * row), np.zeros((ny + 2) * row)
     own = np.empty(ny * row)
@@ -202,10 +184,7 @@ def solve_jacobi(sys: PoissonSystem, iters: int = 34) -> ScalarGrid:
         np.multiply(t, 0.25, out=t)
         np.copyto(t, 0.0, where=inactive)
         p, q = q, p
-    x = p.reshape(ny + 2, row)[1:-1, 1:-1][lat.active]
-    out = np.zeros(g.dims.shape)
-    out[lat.active] = _project_out_constants(lat.lab, x, lat.comps)
-    return ScalarGrid(g.dims, out)
+    return ScalarGrid(g.dims, _remove_closed_means(p.reshape(ny + 2, row)[1:-1, 1:-1], g))
 
 
 # ====== Preconditioned conjugate gradients ======
@@ -245,8 +224,8 @@ def _sparse(parts: list, shape, fmt=sp.csr_matrix):
     return fmt((v, (i, j)), shape=shape)
 
 
-def _build_hierarchy(lat: _Lattice):
-    """The multigrid preconditioner r -> M r of one lattice.
+def _build_hierarchy(g: OccupancyGrid):
+    """The multigrid preconditioner r -> M r on the active cells of one grid.
 
     A closed component of at most ``COARSE_SIZE`` cells is solved exactly
     by the pseudo-inverse of its block; the other cells get one symmetric
@@ -266,13 +245,14 @@ def _build_hierarchy(lat: _Lattice):
     that is a whole closed component gets an exactly empty row and smoother
     weight 0.  M approximates (h^2 A)^-1; CG ignores a positive scale.
     """
-    A = lat.A.copy()
-    A.data = np.rint(A.data / -lat.off)
-    closed = lat.comps.closed
-    live = ~(closed & (lat.comps.sizes <= COARSE_SIZE))[lat.lab]
+    A, lab = g.derived(_pcg_matrix)
+    A = A.copy()
+    A.data = np.rint(A.data * g.dims.h ** 2)
+    closed = g.components.closed
+    live = ~(closed & (g.components.sizes <= COARSE_SIZE))[lab]
     # the small closed components join the finest level's S
-    exact = _pinv_blocks(A, np.flatnonzero(~live), lat.lab, closed)
-    (y, x), lab = np.nonzero(lat.active), lat.lab
+    exact = _pinv_blocks(A, np.flatnonzero(~live), lab, closed)
+    y, x = np.nonzero(g.derived(_active_cells))
     levels = []
     while np.count_nonzero(live) > COARSE_SIZE:
         key = ((y // 2) * (x.max() // 2 + 1) + x // 2) * (lab.max() + 1) + lab
@@ -309,9 +289,9 @@ def solve_pcg(sys: PoissonSystem, tol: float = 1e-4,
               max_iter: int = 2000) -> tuple[ScalarGrid, PcgInfo]:
     """Conjugate gradients with a multigrid preconditioner (MGPCG).
 
-    A is the CSR matrix of the grid's lattice, which Jacobi shares.  The
-    hierarchy of :func:`_build_hierarchy` is built on the grid's first PCG
-    solve and kept on that lattice; each iteration applies one symmetric
+    A is the CSR matrix of :func:`_pcg_matrix` on the active cells.  It and
+    the hierarchy of :func:`_build_hierarchy` are built on the grid's first
+    PCG solve and kept on the grid; each iteration applies one symmetric
     V-cycle and A as a CSR product.  To 1e-4 the disc plume takes 7 to 10
     iterations from 32^2 to 256^2.
 
@@ -326,27 +306,29 @@ def solve_pcg(sys: PoissonSystem, tol: float = 1e-4,
     Returns the pressure and a :class:`PcgInfo`.
     """
     g = sys.g
-    lat = g.derived(_build_lattice)
+    active = g.derived(_active_cells)
+    A, lab = g.derived(_pcg_matrix)
+    comps = g.components
     out = np.zeros(g.dims.shape)
 
-    bv = sys.b.values[lat.active]
+    bv = sys.b.values[active]
     bnorm = float(np.linalg.norm(bv))
-    if lat.n == 0 or bnorm == 0.0:
+    if bnorm == 0.0:  # no active cell, or b vanishes on them
         return ScalarGrid(g.dims, out), PcgInfo(0, True, 0.0, "multigrid")
     if not math.isfinite(bnorm):
         return ScalarGrid(g.dims, out), PcgInfo(0, False, math.nan, "multigrid")
-    precond = lat.multigrid
+    precond = g.derived(_build_hierarchy)
 
-    x = np.zeros(lat.n)
+    x = np.zeros(A.shape[0])
     r = bv.copy()
-    z = _project_out_constants(lat.lab, precond(r), lat.comps)
+    z = _project_out_constants(lab, precond(r), comps)
     d = z.copy()
     rz = float(r @ z)
     converged = False
     relres = 1.0
     iterations = 0
     for _ in range(max_iter):
-        q = lat.A @ d
+        q = A @ d
         dq = float(d @ q)
         if dq <= 0.0:
             # search direction fell into the null space; only roundoff is left
@@ -357,20 +339,21 @@ def solve_pcg(sys: PoissonSystem, tol: float = 1e-4,
         iterations += 1
         relres = float(np.linalg.norm(r)) / bnorm
         if relres <= tol:
-            r_true = bv - lat.A @ x
+            r_true = bv - A @ x
             relres = float(np.linalg.norm(r_true)) / bnorm
             if relres <= tol:
                 converged = True
                 break
             r = r_true
-        z = _project_out_constants(lat.lab, precond(r), lat.comps)
+        z = _project_out_constants(lab, precond(r), comps)
         rz_new = float(r @ z)
         beta = rz_new / rz
         d = z + beta * d
         rz = rz_new
 
-    out[lat.active] = _project_out_constants(lat.lab, x, lat.comps)
-    return ScalarGrid(g.dims, out), PcgInfo(iterations, converged, relres, "multigrid")
+    out[active] = x
+    p = ScalarGrid(g.dims, _remove_closed_means(out, g))
+    return p, PcgInfo(iterations, converged, relres, "multigrid")
 
 
 # ====== Sparse direct ======

@@ -10,6 +10,7 @@ advection, forces and earlier projections are treated as constants.
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -230,8 +231,8 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.batch_size < 1:
             raise ValueError(f"batch size must be >= 1, got {self.batch_size}")
-        if not self.lr > 0.0:
-            raise ValueError(f"learning rate must be > 0, got {self.lr}")
+        if not (self.lr > 0.0 and math.isfinite(self.lr)):
+            raise ValueError(f"learning rate must be > 0 and finite, got {self.lr}")
         if not self.grad_clip >= 0.0:
             raise ValueError(f"grad clip must be >= 0 (0 disables), got {self.grad_clip}")
 

@@ -110,6 +110,22 @@ def test_nonfinite_input_exits_one(flag, value, message, tmp_path, capsys):
     assert not (out / "metrics.csv").exists()  # rejected before any frame runs
 
 
+def test_gen_data_with_infinite_dt_creates_nothing(tmp_path, capsys):
+    out = tmp_path / "x"
+    assert cli(["gen-data", "--res", "16", "--out", str(out), "--dt", "inf"]) == 1
+    assert "dt must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("lr", ["inf", "1e400"])
+def test_train_with_infinite_lr_writes_no_model(lr, dataset_dir, tmp_path, capsys):
+    model = tmp_path / "m.fnm"
+    assert cli(["train", "--data", str(dataset_dir), "--out", str(model), "--features", "2",
+                "--epochs", "1", "--lr", lr]) == 1
+    assert "learning rate must be > 0 and finite" in capsys.readouterr().err
+    assert not model.exists()
+
+
 def test_os_failure_exits_two(tmp_path):
     blocker = tmp_path / "sim"
     blocker.write_text("in the way")

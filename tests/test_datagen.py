@@ -188,6 +188,8 @@ def test_scene_config_validation():
         SceneConfig(boundary="periodic")
     with pytest.raises(ValueError):
         SceneConfig(dt=0.0)
+    with pytest.raises(ValueError, match="dt must be positive and finite"):
+        SceneConfig(dt=float("inf"))
 
 
 def test_build_scene_deterministic():

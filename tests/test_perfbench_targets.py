@@ -3,8 +3,9 @@
 ``perfbench/layers.py`` wraps ``macfluid`` functions by dotted name,
 reads some of their arguments by name and reads fields of the ``PcgInfo``
 that ``solve_pcg`` returns; ``perfbench/workloads.py`` passes keyword
-arguments.  A rename in the package would otherwise surface only when the
-benchmark runs.
+arguments and reads fields of ``FrameMetrics`` and ``EpochStats``.  A
+rename in the package would otherwise surface only when the benchmark
+runs.
 """
 
 import dataclasses
@@ -16,6 +17,8 @@ import pytest
 
 from macfluid import convnet, datagen, formats, pressure, sim
 from macfluid.pressure import PcgInfo
+from macfluid.sim import FrameMetrics
+from macfluid.training import EpochStats
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -31,9 +34,18 @@ def test_every_traced_name_is_a_callable_in_its_module(monkeypatch):
         assert callable(target), name
 
 
-def test_pcg_info_keeps_the_fields_perfbench_reads():
-    names = {f.name for f in dataclasses.fields(PcgInfo)}
-    assert {"iterations", "converged", "preconditioner"} <= names
+READ_FIELDS = [
+    # layers.py, of every PCG solve's report
+    (PcgInfo, ("iterations", "converged", "preconditioner")),
+    # workloads.py: Plume.episode and Train.episode
+    (FrameMetrics, ("residual",)),
+    (EpochStats, ("wall_ms", "mean_loss")),
+]
+
+
+@pytest.mark.parametrize("cls, names", READ_FIELDS, ids=[c.__name__ for c, _ in READ_FIELDS])
+def test_result_types_keep_the_fields_perfbench_reads(cls, names):
+    assert set(names) <= {f.name for f in dataclasses.fields(cls)}
 
 
 BOUND_NAMES = [

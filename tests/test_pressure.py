@@ -5,6 +5,7 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import macfluid.pressure as pr
 from macfluid.fdops import PoissonSystem, cell_stencil, divergence
@@ -12,7 +13,6 @@ from macfluid.forces import enforce_solid_velocities
 from macfluid.grids import (GridDims, MacVelocity, OccupancyGrid, ScalarGrid,
                             connected_components, disc_mask)
 from macfluid.pressure import (
-    _build_lattice,
     _remove_closed_means,
     make_compatible,
     solve_dense_direct,
@@ -365,20 +365,36 @@ def test_pcg_beats_unpreconditioned_iteration_counts(monkeypatch):
     sys = random_system(rng, nx=32, ny=32, p_solid=0.1)
     _, with_mg = solve_pcg(sys, tol=1e-8)
     with monkeypatch.context() as m:
-        m.setattr(pr, "_build_hierarchy", lambda lat: lambda r: r / lat.A.diagonal())
+        m.setattr(pr, "_build_hierarchy",
+                  lambda g: lambda r: r / g.derived(pr._pcg_matrix)[0].diagonal())
         _, without = solve_pcg(_same_geometry(sys), tol=1e-8)
     assert with_mg.converged and without.converged
     assert with_mg.iterations < without.iterations
 
 
+SETUP = ("_active_cells", "_jacobi_layout", "_pcg_matrix", "_build_hierarchy")
+
+
 def _count_setup_calls(monkeypatch):
-    calls = {"_build_lattice": 0, "_build_hierarchy": 0}
+    """Counts, in SETUP's order, of the calls to each per-grid builder."""
+    calls = dict.fromkeys(SETUP, 0)
     for name in calls:
-        def counted(lat_or_g, _name=name, _original=getattr(pr, name)):
+        def counted(g, _name=name, _original=getattr(pr, name)):
             calls[_name] += 1
-            return _original(lat_or_g)
+            return _original(g)
         monkeypatch.setattr(pr, name, counted)
-    return calls
+    return lambda: tuple(calls.values())
+
+
+def _kept(g):
+    """What ``g`` keeps through ``derived``, by builder."""
+    return {key[0]: value for key, value in vars(g).get("_derived", {}).items()}
+
+
+def _kept_values(g):
+    """Every object ``g`` keeps through ``derived``, tuples unpacked."""
+    return [v for value in _kept(g).values()
+            for v in (value if isinstance(value, tuple) else (value,))]
 
 
 @pytest.mark.parametrize("open_top", [False, True])
@@ -390,39 +406,51 @@ def test_pcg_setup_is_built_once_per_grid(monkeypatch, open_top):
     other = make_compatible(PoissonSystem(sys.g, ScalarGrid(
         sys.dims, rng.normal(size=sys.dims.shape) * sys.g.fluid)))
     p, info = solve_pcg(other, tol=1e-8)
-    assert calls == {"_build_lattice": 1, "_build_hierarchy": 1}
+    assert calls() == (1, 0, 1, 1)
     # the reused set-up gives, bit for bit, what a first solve gives
     p_fresh, info_fresh = solve_pcg(_same_geometry(other), tol=1e-8)
-    assert calls == {"_build_lattice": 2, "_build_hierarchy": 2}
+    assert calls() == (2, 0, 2, 2)
     assert np.array_equal(p.values, p_fresh.values)
     assert info == info_fresh
 
 
 @pytest.mark.parametrize("open_top", [False, True])
-def test_jacobi_shares_the_lattice_and_never_factors(monkeypatch, open_top):
+def test_jacobi_shares_the_active_cells_and_never_factors(monkeypatch, open_top):
     calls = _count_setup_calls(monkeypatch)
     rng = np.random.default_rng(76)
     sys = random_system(rng, nx=14, ny=11, p_solid=0.3, open_top=open_top)
     p = solve_jacobi(sys, 20)
-    assert calls == {"_build_lattice": 1, "_build_hierarchy": 0}
-    # a reused lattice gives, bit for bit, what a fresh grid gives
+    assert calls() == (1, 1, 0, 0)
+    # a reused layout gives, bit for bit, what a fresh grid gives
     assert np.array_equal(solve_jacobi(sys, 20).values, p.values)
-    assert calls == {"_build_lattice": 1, "_build_hierarchy": 0}
+    assert calls() == (1, 1, 0, 0)
     assert np.array_equal(solve_jacobi(_same_geometry(sys), 20).values, p.values)
-    assert calls == {"_build_lattice": 2, "_build_hierarchy": 0}
-    # PCG on the Jacobi grid builds its hierarchy once and no second lattice
+    assert calls() == (2, 2, 0, 0)
+    # PCG on the Jacobi grid builds its matrix and hierarchy once, and
+    # reuses the active cells
     solve_pcg(sys, tol=1e-8)
     solve_pcg(sys, tol=1e-8)
-    assert calls == {"_build_lattice": 2, "_build_hierarchy": 1}
+    assert calls() == (2, 2, 1, 1)
+
+
+@pytest.mark.parametrize("open_top", [False, True])
+def test_jacobi_only_grid_builds_no_sparse_matrix_and_no_hierarchy(open_top):
+    rng = np.random.default_rng(1001)
+    sys = random_system(rng, nx=14, ny=11, p_solid=0.3, open_top=open_top)
+    solve_jacobi(sys, 20)
+    kept = _kept(sys.g)
+    assert pr._jacobi_layout in kept
+    assert pr._pcg_matrix not in kept and pr._build_hierarchy not in kept
+    assert not any(sp.issparse(v) for v in _kept_values(sys.g))
 
 
 def test_pcg_on_a_fresh_grid_builds_no_jacobi_layout():
     rng = np.random.default_rng(1002)
     sys = random_system(rng, nx=16, ny=12, p_solid=0.2)
     solve_pcg(sys, tol=1e-8)
-    lat = sys.g.derived(_build_lattice)
-    assert "multigrid" in vars(lat)
-    assert "padded" not in vars(lat)
+    kept = _kept(sys.g)
+    assert pr._build_hierarchy in kept
+    assert pr._jacobi_layout not in kept
 
 
 @pytest.mark.parametrize("open_top", [False, True])
@@ -430,30 +458,39 @@ def test_jacobi_builds_its_read_only_layout_once_per_grid(open_top):
     rng = np.random.default_rng(1003)
     sys = random_system(rng, nx=14, ny=11, p_solid=0.3, open_top=open_top)
     solve_jacobi(sys, 5)
-    lat = sys.g.derived(_build_lattice)
-    layout = vars(lat)["padded"]
+    layout = _kept(sys.g)[pr._jacobi_layout]
     solve_jacobi(sys, 7)
     solve_pcg(sys, tol=1e-8)
-    assert vars(lat)["padded"] is layout
-    inactive, count = layout
+    assert _kept(sys.g)[pr._jacobi_layout] is layout
+    inactive, count, walled = layout
     assert inactive.shape == count.shape == (13 * 16,)
-    assert not inactive.flags.writeable and not count.flags.writeable
+    active = _kept(sys.g)[pr._active_cells]
+    assert not any(a.flags.writeable for a in (*layout, active))
     assert np.all(count[inactive] == 0.0)
+    np.testing.assert_array_equal(walled, np.flatnonzero(sys.g.fluid & ~active))
     # a fresh grid of the same geometry builds its own, with equal bytes
     fresh = _same_geometry(sys)
     solve_jacobi(fresh, 5)
-    other = vars(fresh.g.derived(_build_lattice))["padded"]
+    other = _kept(fresh.g)[pr._jacobi_layout]
     assert other is not layout
     assert all(a.tobytes() == c.tobytes() for a, c in zip(layout, other))
 
 
-def test_jacobi_result_shares_no_memory_with_the_lattice():
+def test_pcg_matrix_is_read_only():
+    rng = np.random.default_rng(1006)
+    sys = random_system(rng, nx=12, ny=9, p_solid=0.2)
+    solve_pcg(sys, tol=1e-8)
+    A, lab = _kept(sys.g)[pr._pcg_matrix]
+    assert not any(a.flags.writeable for a in (A.data, A.indices, A.indptr, lab))
+
+
+def test_jacobi_result_shares_no_memory_with_its_set_up():
     rng = np.random.default_rng(1004)
     sys = random_system(rng, nx=12, ny=9, p_solid=0.2)
     p = solve_jacobi(sys, 20).values
-    lat = sys.g.derived(_build_lattice)
-    kept = [v for v in vars(lat).values() if isinstance(v, np.ndarray)]
-    kept += [*lat.padded, lat.A.data, lat.stencil.solid_count, sys.b.values]
+    kept = _kept_values(sys.g)
+    assert len(kept) == 5  # active cells, the layout's three arrays, fluid labels
+    kept += [sys.g.stencil.solid_count, sys.b.values]
     assert not any(np.shares_memory(p, k) for k in kept)
     want = p.copy()
     p[...] = np.nan  # the caller may write it; the next solve is unaffected
@@ -479,9 +516,13 @@ def test_pcg_setup_is_not_shared_between_geometries():
     for solid in (solid_a, solid_b):
         sys = make_compatible(PoissonSystem(OccupancyGrid(dims, solid), b))
         p, info = solve_pcg(sys, tol=1e-8)
-        lat = sys.g.derived(_build_lattice)
-        assert "multigrid" in vars(lat)  # the hierarchy this solve built and kept
-        np.testing.assert_array_equal(lat.active, _build_lattice(sys.g).active)
+        kept = _kept(sys.g)
+        assert pr._build_hierarchy in kept  # the hierarchy this solve built and kept
+        # what the grid keeps is its own geometry's, not the other grid's
+        np.testing.assert_array_equal(kept[pr._active_cells], pr._active_cells(sys.g))
+        A, lab = pr._pcg_matrix(sys.g)
+        assert (kept[pr._pcg_matrix][0] != A).nnz == 0
+        np.testing.assert_array_equal(kept[pr._pcg_matrix][1], lab)
         assert info.converged
         assert residual_norm(sys, p) <= 1e-8 * np.linalg.norm(sys.b.values) * (1 + 1e-12)
     assert not np.array_equal(solid_a, solid_b)
@@ -492,13 +533,14 @@ def test_pcg_setup_dies_with_its_grid():
     sys = random_system(rng, nx=16, ny=16, p_solid=0.2)
     solve_pcg(sys, tol=1e-6)
     grid = weakref.ref(sys.g)
-    lat = sys.g.derived(_build_lattice)
-    assert "multigrid" in vars(lat)  # built on that solve, kept on the lattice
-    lattice = weakref.ref(lat)
-    del sys, lat
+    kept = _kept(sys.g)
+    assert pr._build_hierarchy in kept  # built on that solve, kept on the grid
+    setup = [weakref.ref(kept[pr._build_hierarchy]), weakref.ref(kept[pr._active_cells]),
+             weakref.ref(kept[pr._pcg_matrix][0])]
+    del sys, kept
     gc.collect()
     assert grid() is None
-    assert lattice() is None
+    assert all(ref() is None for ref in setup)
 
 
 def test_chain_component_converges_and_keeps_the_iteration_count(caplog):
@@ -561,7 +603,7 @@ def test_pcg_nonfinite_rhs_returns_the_zero_iterate_at_once(caplog):
     assert np.isnan(info.relres)
     assert np.array_equal(p.values, np.zeros(sys.dims.shape))
     # a solve that never ran builds no hierarchy
-    assert "multigrid" not in vars(sys.g.derived(_build_lattice))
+    assert pr._build_hierarchy not in _kept(sys.g)
     # the returned info reports it; the caller decides whether to raise
     assert not caplog.records
 
@@ -615,17 +657,18 @@ def test_stencil_diag_zero_only_for_isolated_cells():
     assert st.diag[2, 2] == 0
 
 
-# ====== The lattice matrix ======
+# ====== The PCG matrix ======
 
-def _lattice_grids(rng):
-    """Grids with random solids, open and closed top, h 1 and 0.37, one
-    with a closed one-cell channel; drawn from ``rng`` as iterated."""
+def _walled_grids(rng):
+    """Grids with random solids and one walled-in cell, open and closed
+    top, h 1 and 0.37, one with a closed one-cell channel; drawn from
+    ``rng`` as iterated."""
     for open_top in (False, True):
         for nx, ny, h, p_solid, chain in ((12, 10, 1.0, 0.2, False),
                                           (17, 13, 0.37, 0.3, False),
                                           (14, 12, 1.0, 0.1, True)):
             solid = rng.random((ny, nx)) < p_solid
-            # one fluid cell walled in on all four sides stays out of the lattice
+            # one fluid cell walled in on all four sides stays out of the matrix
             solid[1:4, 1:4] = True
             solid[2, 2] = False
             if chain:
@@ -634,15 +677,17 @@ def _lattice_grids(rng):
             yield OccupancyGrid(GridDims(nx, ny, h), solid, open_top)
 
 
-def test_lattice_matrix_is_the_matrix_free_operator():
+def test_pcg_matrix_is_the_matrix_free_operator():
     rng = np.random.default_rng(132)
-    for g in _lattice_grids(rng):
-        lat = _build_lattice(g)
-        assert not lat.active[2, 2]
+    for g in _walled_grids(rng):
+        A, lab = pr._pcg_matrix(g)
+        active = pr._active_cells(g)
+        assert not active[2, 2]
+        np.testing.assert_array_equal(lab, g.components.labels[active])
         x = np.zeros(g.dims.shape)
-        x[lat.active] = rng.normal(size=lat.n)
-        np.testing.assert_allclose(lat.A @ x[lat.active],
-                                   apply_poisson(g, ScalarGrid(g.dims, x)).values[lat.active],
+        x[active] = rng.normal(size=A.shape[0])
+        np.testing.assert_allclose(A @ x[active],
+                                   apply_poisson(g, ScalarGrid(g.dims, x)).values[active],
                                    rtol=1e-13, atol=1e-13 / g.dims.h ** 2)
 
 
@@ -737,18 +782,20 @@ def _reference_vcycle(A, cells, r):
     return z + dinv * (r - A @ z)
 
 
-def _reference_multigrid(lat, r):
+def _reference_multigrid(g, r):
     """The preconditioner on h^2 A: a pseudo-inverse per closed component of
     at most COARSE_SIZE cells, one V-cycle over the other cells."""
-    A = np.rint(lat.A.toarray() / -lat.off)
-    small = (lat.comps.closed & (lat.comps.sizes <= pr.COARSE_SIZE))[lat.lab]
-    z = np.zeros(lat.n)
-    for c in np.unique(lat.lab[small]):
-        k = np.flatnonzero(lat.lab == c)
+    A, lab = pr._pcg_matrix(g)
+    A = np.rint(A.toarray() * g.dims.h ** 2)
+    comps = g.components
+    small = (comps.closed & (comps.sizes <= pr.COARSE_SIZE))[lab]
+    z = np.zeros(len(lab))
+    for c in np.unique(lab[small]):
+        k = np.flatnonzero(lab == c)
         z[k] = np.linalg.pinv(A[np.ix_(k, k)]) @ r[k]
     keep = np.flatnonzero(~small)
-    jj, ii = np.nonzero(lat.active)
-    cells = list(zip(jj[keep], ii[keep], lat.lab[keep]))
+    jj, ii = np.nonzero(pr._active_cells(g))
+    cells = list(zip(jj[keep], ii[keep], lab[keep]))
     z[keep] = _reference_vcycle(A[np.ix_(keep, keep)], cells, r[keep])
     return z
 
@@ -761,11 +808,10 @@ def test_multigrid_matches_the_documented_vcycle_and_is_symmetric(open_top):
         solid[1:5, 1:6] = True
         solid[2:4, 2:5] = False  # a closed pocket of 6 cells
         g = OccupancyGrid(GridDims(nx, ny, h), solid, open_top)
-        lat = _build_lattice(g)
-        M = pr._build_hierarchy(lat)
-        a, b = rng.normal(size=(2, lat.n))
-        want = _reference_multigrid(lat, a)
+        M = pr._build_hierarchy(g)
+        a, b = rng.normal(size=(2, g.derived(pr._pcg_matrix)[0].shape[0]))
+        want = _reference_multigrid(g, a)
         assert np.linalg.norm(M(a) - want) <= 1e-11 * np.linalg.norm(want)
         assert abs(a @ M(b) - b @ M(a)) <= 1e-12 * np.linalg.norm(a) * np.linalg.norm(M(b))
-        a = pr._project_out_constants(lat.lab, a, lat.comps)
+        a = pr._project_out_constants(g.derived(pr._pcg_matrix)[1], a, g.components)
         assert a @ M(a) > 0

@@ -372,9 +372,11 @@ def test_train_empty_dataset_rejected():
         train([], _fast_cfg(), epochs=1, seed=0)
 
 
-@pytest.mark.parametrize("kw", [dict(grad_clip=-1.0), dict(lr=0.0), dict(lr=-1e-3)])
+@pytest.mark.parametrize("kw", [dict(grad_clip=-1.0), dict(lr=0.0), dict(lr=-1e-3),
+                                dict(lr=float("inf"))])
 def test_train_config_rejects_bad_step_settings(kw):
-    # a negative clip would flip the gradient: grad *= clip / norm
+    # a negative clip would flip the gradient: grad *= clip / norm; an
+    # infinite rate turns the first Adam step's parameters into NaN
     with pytest.raises(ValueError):
         TrainConfig(**kw)
 
