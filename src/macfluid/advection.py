@@ -20,21 +20,30 @@ would not do: it sees only solid cells and is +inf on a grid without
 solid.  A trace of zero displacement is skipped whatever its clearance;
 the face nodes on the right and top borders sit on the padded mask's ring.
 
-Each call of ``advect_scalar`` and ``self_advect`` runs one trace over
-all of its nodes: the cell lattice for a scalar, both face lattices, one
-after the other, for the velocity.  Where each node sits, its clearance
-and its bilinear weights on the ``ux`` and ``uy`` lattices form a
-sampling plan built once per grid and tuple of lattices, so a node's
-velocity costs two weighted gathers per frame.  The MacCormack scheme
-traces backward and forward, both scaled from that one velocity sample
-and stacked on a leading axis of 2, so the call takes at most one scan.
-Each trace is clamped on its own data alone (more traces in the scan
-only add probes past a trace's own count, which it masks out), so which
-traces share a call does not change a bit.  Per lattice, the scheme
-applies half the round-trip defect as a correction, and keeps the
-corrected value only while it stays inside the min/max of the four
-interpolation samples of the forward trace; otherwise it falls back to
-the plain value.
+A frame advects the density and both velocity components in one pass,
+:func:`advect`: one trace over the nodes of all three lattices, the cell
+lattice and then the two face lattices.  ``advect_scalar`` and
+``self_advect`` run the same pass over the cells alone or the faces alone.
+Where each node sits, its clearances and its bilinear weights on the
+``ux`` and ``uy`` lattices form a sampling plan built once per grid and
+tuple of lattices, so a node's velocity costs two weighted gathers per
+pass.  The MacCormack scheme traces backward and forward, +-dt times that
+one velocity sample, stacked on a leading axis of 2, so the pass takes at
+most one scan; the two traces share |d|^2 and the zero pattern, so the
+far test works those out once per node.  Each trace is clamped on its own
+data alone (more traces in the scan only add probes past a trace's own
+count, which it masks out), so which traces share a pass does not change
+a bit.  Per lattice, the scheme applies half the round-trip defect as a
+correction, and keeps the corrected value only while it stays inside the
+min/max of the four interpolation samples of the forward trace;
+otherwise it falls back to the plain value.
+
+Solid cells and solid faces keep their stored values, so the landing
+points of their traces are thrown away, but for one: a solid node's
+backward trace sets its sample of the advected field, which the MacCormack
+correction of the nodes around it interpolates.  Their forward traces,
+and their only trace under ``sl``, get clearance +inf and are not scanned
+unless their displacement is not finite.
 
 Advection writes into memory it already owns.  A trace's displacements,
 landing points and far-test temporaries live in work arrays kept per
@@ -166,66 +175,93 @@ def _clamp(g: OccupancyGrid, x0: np.ndarray, y0: np.ndarray, dx: np.ndarray,
 
 
 class _TraceWork(NamedTuple):
-    """Work arrays of one trace shape: the displacements ``dx``, ``dy`` that
-    ``_advect`` writes, the landing points ``x``, ``y`` and the far-test
-    temporaries that ``_trace`` writes."""
+    """Work arrays of one trace shape, (steps, nodes): the displacements
+    ``dx``, ``dy``, the landing points ``x``, ``y`` and the scan mask
+    ``scan``, one row per step, and the per-node far-test temporaries
+    ``d2``, ``dy2``, ``moves`` and ``moves_y``."""
 
     dx: np.ndarray
     dy: np.ndarray
     x: np.ndarray
     y: np.ndarray
-    dx2: np.ndarray
+    scan: np.ndarray
+    d2: np.ndarray
     dy2: np.ndarray
-    near: np.ndarray
     moves: np.ndarray
     moves_y: np.ndarray
 
 
-# cells and faces, one trace or two, at two grid sizes
+# one trace or two, over the nodes of one frame's pass or of a wrapper's
+# lattices, at two grid sizes
 @lru_cache(maxsize=8)
-def _trace_work(shape: tuple[int, ...]) -> _TraceWork:
+def _trace_work(shape: tuple[int, int]) -> _TraceWork:
     """The work arrays for traces of ``shape``, shared by every grid: each
-    call of ``_advect`` or ``_trace`` overwrites them, and none is ever
-    returned to a caller outside this module."""
-    floats = (np.empty(shape) for _ in range(6))
-    return _TraceWork(*floats, *(np.empty(shape, dtype=bool) for _ in range(3)))
+    call of ``_trace`` overwrites them, and none is ever returned to a
+    caller outside this module."""
+    rows = (np.empty(shape) for _ in range(4))
+    nodes = (np.empty(shape[1:]) for _ in range(2))
+    return _TraceWork(*rows, np.empty(shape, dtype=bool), *nodes,
+                      *(np.empty(shape[1:], dtype=bool) for _ in range(2)))
 
 
-def _trace(g: OccupancyGrid, x0: np.ndarray, y0: np.ndarray, dx: np.ndarray,
-           dy: np.ndarray, clear2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``_clamp`` for lattice nodes, with ``clear2`` from ``_clearance2``: a
-    trace shorter than its node's clearance meets no non-fluid point, and a
+def _trace(g: OccupancyGrid, x0: np.ndarray, y0: np.ndarray, vx: np.ndarray,
+           vy: np.ndarray, steps: np.ndarray, clear2: np.ndarray
+           ) -> tuple[np.ndarray, np.ndarray]:
+    """``_clamp`` of the traces of displacement (dx, dy) = s * (vx, vy) from
+    the nodes (x0, y0), one row per step s of ``steps``, which may differ
+    only in sign; ``clear2`` holds one squared clearance per row and node
+    (``_clearance2``, or +inf where a row's landing point is not used).
+
+    A trace shorter than its row's clearance meets no non-fluid point, and a
     trace of zero displacement goes nowhere, so both land at x0 + dx
     unscanned; only the rest (NaN and inf displacements among them, which
-    fail the comparison) are scanned.  The float64 displacements may carry
-    leading axes of their own.
+    fail the comparison) are scanned.  Since the rows are one velocity sample
+    times +-|s|, they share |d|^2 and the zero pattern, so the far test
+    works those out once per node.
 
-    The landing points are ``_trace_work(dx.shape)``'s ``x`` and ``y``,
-    valid until the next trace of that shape."""
-    w = _trace_work(dx.shape)
+    The landing points are ``_trace_work``'s ``x`` and ``y``, valid until the
+    next trace of that shape."""
+    w = _trace_work((len(steps), vx.size))
+    dx = np.multiply(steps[:, None], vx, out=w.dx)
+    dy = np.multiply(steps[:, None], vy, out=w.dy)
     out_x, out_y = np.add(x0, dx, out=w.x), np.add(y0, dy, out=w.y)
-    # far = ~(dx * dx + dy * dy < clear2) & ((dx != 0.0) | (dy != 0.0))
-    d2 = np.multiply(dx, dx, out=w.dx2)
-    d2 += np.multiply(dy, dy, out=w.dy2)
-    scan = np.less(d2, clear2, out=w.near)
+    # scan = ~(dx * dx + dy * dy < clear2) & ((dx != 0.0) | (dy != 0.0))
+    d2 = np.multiply(dx[0], dx[0], out=w.d2)
+    d2 += np.multiply(dy[0], dy[0], out=w.dy2)
+    scan = np.less(d2, clear2, out=w.scan)
     np.invert(scan, out=scan)
-    moves = np.not_equal(dx, 0.0, out=w.moves)
-    moves |= np.not_equal(dy, 0.0, out=w.moves_y)
+    moves = np.not_equal(dx[0], 0.0, out=w.moves)
+    moves |= np.not_equal(dy[0], 0.0, out=w.moves_y)
     scan &= moves
     far = np.nonzero(scan)
     if far[0].size:
-        out_x[far], out_y[far] = _clamp(
-            g, np.broadcast_to(x0, dx.shape)[far], np.broadcast_to(y0, dx.shape)[far],
-            dx[far], dy[far])
+        nodes = far[1]
+        out_x[far], out_y[far] = _clamp(g, x0[nodes], y0[nodes], dx[far], dy[far])
     return out_x, out_y
+
+
+def _kept_nodes(g: OccupancyGrid, offx: float, offy: float) -> np.ndarray:
+    """The nodes of a lattice that keep their stored values through
+    advection: the solid cells of the cell centers (0.5, 0.5), the solid
+    faces of the x faces (0, 0.5) and of the y faces (0.5, 0)."""
+    if offx == offy:
+        return g.solid
+    return g.faces.solid_x if offx == 0.0 else g.faces.solid_y
 
 
 @dataclass(frozen=True)
 class _SamplingPlan:
     """What a trace needs of the nodes of some lattices, lattice after
-    lattice: their world coordinates, their squared clearances
-    (``_clearance2``) and the ``_bilinear_weights`` of the ``ux`` and ``uy``
-    lattices at them; ``spans`` picks out each lattice's nodes."""
+    lattice: their world coordinates, their squared clearances per trace
+    row and the ``_bilinear_weights`` of the ``ux`` and ``uy`` lattices at
+    them; ``spans`` picks out each lattice's nodes.
+
+    ``clear2`` has two rows: row 0 is each node's ``_clearance2``, for the
+    MacCormack backward trace, and row 1 is the same with +inf on the kept
+    nodes (``_kept_nodes``), for the MacCormack forward trace and the one sl
+    trace.  A kept node's own value is overwritten, so of its traces only the
+    MacCormack backward one is ever read: it sets the node's sample of the
+    advected field, which the correction of its neighbors interpolates."""
 
     x: np.ndarray
     y: np.ndarray
@@ -239,78 +275,86 @@ def _sampling_plan(g: OccupancyGrid, lattices: tuple) -> _SamplingPlan:
     """The plan for lattices given as (shape, offx, offy); built once per
     grid and tuple of lattices with ``g.derived``."""
     h = g.dims.h
-    xs, ys, clear2, spans, n = [], [], [], [], 0
+    xs, ys, clear2, kept, spans, n = [], [], [], [], [], 0
     for shape, offx, offy in lattices:
         x, y = _lattice_xy(shape, offx, offy)
         x, y = np.broadcast_arrays(x * h, y * h)
         xs.append(x.ravel())
         ys.append(y.ravel())
         clear2.append(_clearance2(g, shape, offx, offy).ravel())
+        kept.append(_kept_nodes(g, offx, offy).ravel())
         spans.append(slice(n, n + x.size))
         n += x.size
     x, y = np.concatenate(xs), np.concatenate(ys)
+    clear2 = np.stack([np.concatenate(clear2)] * 2)
+    clear2[1, np.concatenate(kept)] = np.inf
     ux = tuple(map(_read_only, _bilinear_weights(g.dims.shape_ux, x, y, 0.0, 0.5, h)))
     uy = tuple(map(_read_only, _bilinear_weights(g.dims.shape_uy, x, y, 0.5, 0.0, h)))
-    return _read_only(_SamplingPlan(x, y, np.concatenate(clear2), ux, uy, tuple(spans)))
+    return _read_only(_SamplingPlan(x, y, clear2, ux, uy, tuple(spans)))
 
 
 def _advect(fields: list[tuple[np.ndarray, float, float]], u: MacVelocity, g: OccupancyGrid,
             dt: float, scheme: str) -> list[np.ndarray]:
     """Advect sample lattices, each given as (values, offx, offy), through u
-    with one trace over all of their nodes."""
+    with one trace over all of their nodes; kept nodes (``_kept_nodes``)
+    keep their values."""
+    _check_scheme(scheme)
+    if dt == 0.0:
+        return [values.copy() for values, _, _ in fields]
     h = g.dims.h
     plan = g.derived(_sampling_plan, tuple((v.shape, ox, oy) for v, ox, oy in fields))
     vx = _bilinear_apply(u.ux, *plan.ux)
     vy = _bilinear_apply(u.uy, *plan.uy)
-    # the backward trace, and for MacCormack the forward one beside it on a
-    # leading axis, so that one scan serves both
-    steps = np.array([-dt] if scheme == "sl" else [-dt, dt])[:, None]
-    w = _trace_work((len(steps), vx.size))
-    tx, ty = _trace(g, plan.x, plan.y, np.multiply(steps, vx, out=w.dx),
-                    np.multiply(steps, vy, out=w.dy), plan.clear2)
+    # the backward trace, and for MacCormack the forward one beside it, so
+    # that one scan serves both
+    if scheme == "sl":
+        tx, ty = _trace(g, plan.x, plan.y, vx, vy, np.array([-dt]), plan.clear2[1:])
+    else:
+        tx, ty = _trace(g, plan.x, plan.y, vx, vy, np.array([-dt, dt]), plan.clear2)
 
     out = []
     for (values, offx, offy), span in zip(fields, plan.spans):
         # views of this lattice's landing points, shape (steps, nrows, ncols)
         x, y = (t[:, span].reshape(-1, *values.shape) for t in (tx, ty))
         if scheme == "sl":
-            out.append(_bilinear(values, x[0], y[0], offx, offy, h))
-            continue
-        fwd, lo, hi = _bilinear(values, x[0], y[0], offx, offy, h, with_bounds=True)
-        # corrected = fwd + 0.5 * (values - bwd), in bwd's buffer
-        corrected = _bilinear(fwd, x[1], y[1], offx, offy, h)
-        np.subtract(values, corrected, out=corrected)
-        corrected *= 0.5
-        np.add(fwd, corrected, out=corrected)
-        inside = corrected >= lo
-        inside &= corrected <= hi
-        np.copyto(fwd, corrected, where=inside)
+            fwd = _bilinear(values, x[0], y[0], offx, offy, h)
+        else:
+            fwd, lo, hi = _bilinear(values, x[0], y[0], offx, offy, h, with_bounds=True)
+            # corrected = fwd + 0.5 * (values - bwd), in bwd's buffer
+            corrected = _bilinear(fwd, x[1], y[1], offx, offy, h)
+            np.subtract(values, corrected, out=corrected)
+            corrected *= 0.5
+            np.add(fwd, corrected, out=corrected)
+            inside = corrected >= lo
+            inside &= corrected <= hi
+            np.copyto(fwd, corrected, where=inside)
+        np.copyto(fwd, values, where=_kept_nodes(g, offx, offy))
         out.append(fwd)
     return out
 
 
+def advect(density: ScalarGrid, u: MacVelocity, g: OccupancyGrid, dt: float,
+           scheme: str = "maccormack") -> tuple[ScalarGrid, MacVelocity]:
+    """Advect a cell-centered density and both velocity components through
+    the frozen field u, in one pass; solid cells and solid faces keep their
+    stored values."""
+    rho, ux, uy = _advect([(density.values, 0.5, 0.5), (u.ux, 0.0, 0.5), (u.uy, 0.5, 0.0)],
+                          u, g, dt, scheme)
+    return ScalarGrid(density.dims, rho), MacVelocity(u.dims, ux, uy)
+
+
 def advect_scalar(q: ScalarGrid, u: MacVelocity, g: OccupancyGrid, dt: float,
                   scheme: str = "maccormack") -> ScalarGrid:
-    """Advect a cell-centered field through u; solid cells keep their values."""
-    _check_scheme(scheme)
-    if dt == 0.0:
-        return q.copy()
+    """Advect a cell-centered field through u; solid cells keep their values.
+    Bit for bit the density that :func:`advect` returns."""
     (out,) = _advect([(q.values, 0.5, 0.5)], u, g, dt, scheme)
-    out[g.solid] = q.values[g.solid]
     return ScalarGrid(q.dims, out)
 
 
 def self_advect(u: MacVelocity, g: OccupancyGrid, dt: float,
                 scheme: str = "maccormack") -> MacVelocity:
-    """Advect both velocity components through the frozen field u.
-
-    Solid faces keep their stored (enforced) values.
-    """
-    _check_scheme(scheme)
-    if dt == 0.0:
-        return u.copy()
-    fm = g.faces
+    """Advect both velocity components through the frozen field u; solid
+    faces keep their stored (enforced) values.  Bit for bit the velocity that
+    :func:`advect` returns."""
     ux, uy = _advect([(u.ux, 0.0, 0.5), (u.uy, 0.5, 0.0)], u, g, dt, scheme)
-    ux[fm.solid_x] = u.ux[fm.solid_x]
-    uy[fm.solid_y] = u.uy[fm.solid_y]
     return MacVelocity(u.dims, ux, uy)

@@ -25,7 +25,7 @@ from .convnet import SIDE_MULTIPLE
 from .forces import enforce_solid_velocities
 from .formats import read_frame, write_frame
 from .grids import (GridDims, MacVelocity, OccupancyGrid, ScalarGrid, _cone, _lattice_xy,
-                    box_mask, capsule_mask, disc_mask)
+                    _read_only, box_mask, capsule_mask, disc_mask)
 from .pressure import PcgInfo
 from .sim import PcgProjection, SimConfig, SimState, step
 
@@ -163,26 +163,36 @@ class EmitterParams:
             raise ValueError(f"emitter duration must be at least 1, got {self.duration}")
 
 
-def apply_emitters(u: MacVelocity, emitters, frame_index: int) -> MacVelocity:
+def _emitter_faces(g: OccupancyGrid, e: EmitterParams) -> tuple[np.ndarray, np.ndarray]:
+    """What one emitter adds to the x and the y faces while it is active: its
+    velocity times the cone (1 - r/R) clamped at zero; read-only, built once
+    per grid with ``g.derived``."""
+    dims = g.dims
+    cone_x = _cone(*_lattice_xy(dims.shape_ux, 0.0, 0.5), e.center, e.radius)
+    cone_y = _cone(*_lattice_xy(dims.shape_uy, 0.5, 0.0), e.center, e.radius)
+    return _read_only(e.velocity[0] * cone_x), _read_only(e.velocity[1] * cone_y)
+
+
+def apply_emitters(u: MacVelocity, g: OccupancyGrid, emitters,
+                   frame_index: int) -> MacVelocity:
     """Add each active emitter's velocity to nearby faces.
 
     The contribution falls off linearly, (1 - r/R) clamped at zero, and
     contributions are accumulated separately before the single add so
-    identical emitters superpose exactly.
+    identical emitters superpose exactly.  Each emitter's face arrays are
+    kept on the grid (:func:`_emitter_faces`), so a scene builds them once.
     """
     active = [e for e in emitters
               if e.start <= frame_index < e.start + e.duration]
     if not active:
         return u
-    dims = u.dims
-    fxx, fxy = _lattice_xy(dims.shape_ux, 0.0, 0.5)
-    fyx, fyy = _lattice_xy(dims.shape_uy, 0.5, 0.0)
-    add_x = np.zeros(dims.shape_ux)
-    add_y = np.zeros(dims.shape_uy)
+    add_x = np.zeros(u.dims.shape_ux)
+    add_y = np.zeros(u.dims.shape_uy)
     for e in active:
-        add_x += e.velocity[0] * _cone(fxx, fxy, e.center, e.radius)
-        add_y += e.velocity[1] * _cone(fyx, fyy, e.center, e.radius)
-    return MacVelocity(dims, u.ux + add_x, u.uy + add_y)
+        fx, fy = g.derived(_emitter_faces, e)
+        add_x += fx
+        add_y += fy
+    return MacVelocity(u.dims, u.ux + add_x, u.uy + add_y)
 
 
 # ====== Scene assembly ======
@@ -274,8 +284,8 @@ def _generate_scene(cfg: SceneConfig, frames: int, stride: int, scene_dir: Path,
     sim_cfg = SimConfig(dt=cfg.dt, projection=projection)
     written, recorded, flagged = [], [], []
     for _ in range(frames):
-        state = step(replace(state, u=apply_emitters(state.u, emitters, state.frame)),
-                     sim_cfg)
+        u = apply_emitters(state.u, state.g, emitters, state.frame)
+        state = step(replace(state, u=u), sim_cfg)
         if isinstance(state.report, PcgInfo) and not state.report.converged:
             log.warning("scene %s frame %d: projection did not converge "
                         "(relative residual %.3e)", scene_dir.name, state.frame,

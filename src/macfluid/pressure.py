@@ -112,20 +112,26 @@ def _jacobi_layout(g: OccupancyGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray
 
 def _pcg_matrix(g: OccupancyGrid) -> tuple[sp.csr_matrix, np.ndarray]:
     """A on the active cells, row-major, as CSR, and the component label of
-    each active cell; both read-only."""
+    each active cell; both read-only.
+
+    No two entries share a position, so the CSR arrays are written directly:
+    each row holds its south, west, diagonal, east and north entries, in
+    that (column) order, less the neighbors that are not active."""
     st, active = g.stencil, g.derived(_active_cells)
     n = int(np.count_nonzero(active))
     # solid, outside and walled-in cells all read -1
     idx = np.full(g.dims.shape, -1, dtype=np.intp)
     idx[active] = np.arange(n)
     pi = np.pad(idx, 1, constant_values=-1)
-    nbr = np.stack([pi[1:-1, :-2][active], pi[1:-1, 2:][active],
-                    pi[:-2, 1:-1][active], pi[2:, 1:-1][active]])
+    cols = np.stack([pi[:-2, 1:-1][active], pi[1:-1, :-2][active], np.arange(n),
+                     pi[1:-1, 2:][active], pi[2:, 1:-1][active]], axis=1)
     h2 = g.dims.h ** 2
-    rows, has = np.arange(n), nbr >= 0
-    A = _sparse([(st.diag[active] / h2, rows, rows),
-                 (np.full(np.count_nonzero(has), -1.0 / h2),
-                  np.broadcast_to(rows, nbr.shape)[has], nbr[has])], (n, n))
+    vals = np.full(cols.shape, -1.0 / h2)
+    vals[:, 2] = st.diag[active] / h2
+    has = cols >= 0
+    indptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.count_nonzero(has, axis=1), out=indptr[1:])
+    A = sp.csr_matrix((vals[has], cols[has], indptr), shape=(n, n))
     return _read_only(A), _read_only(g.components.labels[active])
 
 
@@ -209,13 +215,24 @@ def _pinv_blocks(A: sp.csr_matrix, cells: np.ndarray, lab: np.ndarray,
     """The pseudo-inverse of A on ``cells``, one dense block per component
     label, as (values, rows, columns) triplets: inv(block + J/m) - J/m, J/m
     the projector on the constants of a closed component, 0 on an open one.
-    numpy's ``inv`` stays on one thread; LAPACK's SVD wakes BLAS threads
-    that then spin beside every later solve."""
+    Each block is copied out of the CSR rows of its cells, which come in
+    ascending order.  numpy's ``inv`` stays on one thread; LAPACK's SVD
+    wakes BLAS threads that then spin beside every later solve."""
     cells = cells[np.argsort(lab[cells], kind="stable")]
     blocks = [c for c in np.split(cells, np.flatnonzero(np.diff(lab[cells])) + 1) if c.size]
-    shifts = [closed[lab[c[0]]] / c.size for c in blocks]
-    return [((np.linalg.inv(A[c][:, c].toarray() + k) - k).ravel(), np.repeat(c, c.size),
-             np.tile(c, c.size)) for c, k in zip(blocks, shifts)]
+    out = []
+    for c in blocks:
+        lo, count = A.indptr[c], np.diff(A.indptr)[c]
+        at = np.repeat(lo - np.cumsum(count) + count, count) + np.arange(count.sum())
+        rows, cols = np.repeat(np.arange(c.size), count), A.indices[at]
+        pos = np.minimum(np.searchsorted(c, cols), c.size - 1)
+        inside = c[pos] == cols
+        block = np.zeros((c.size, c.size))
+        block[rows[inside], pos[inside]] = A.data[at[inside]]
+        k = closed[lab[c[0]]] / c.size
+        out.append(((np.linalg.inv(block + k) - k).ravel(), np.repeat(c, c.size),
+                    np.tile(c, c.size)))
+    return out
 
 
 def _sparse(parts: list, shape, fmt=sp.csr_matrix):
@@ -240,10 +257,18 @@ def _build_hierarchy(g: OccupancyGrid):
     coarsening stops and a pseudo-inverse per component solves the level.
 
     Sweeps and correction add up to M r = S r + T M_c T^T r, with S =
-    2 D - D A D and T = sqrt(alpha) (I - D A) P: three sparse products per
-    level.  The levels use the integer entries of h^2 A, so an aggregate
-    that is a whole closed component gets an exactly empty row and smoother
-    weight 0.  M approximates (h^2 A)^-1; CG ignores a positive scale.
+    2 D - D A D and T = sqrt(alpha) (I - D A) P: two sparse products per
+    level, since S and T^T are stacked into one CSR matrix whose product
+    gives S r and T^T r on the way down.  The levels use the integer entries
+    of h^2 A, so an aggregate that is a whole closed component gets an
+    exactly empty row and smoother weight 0.  M approximates (h^2 A)^-1; CG
+    ignores a positive scale.
+
+    Where no small closed component joins a level, S has A's pattern and
+    each entry is one term, or two on the diagonal, so its CSR arrays are
+    written directly; T and the coarse A sum more terms per entry and are
+    left to scipy, whose summation order they keep.  So is the coarsest
+    operator, unless it is one block over every unknown.
     """
     A, lab = g.derived(_pcg_matrix)
     A = A.copy()
@@ -268,20 +293,42 @@ def _build_hierarchy(g: OccupancyGrid):
         i, j, a = np.repeat(ar, np.diff(A.indptr)), A.indices, A.data
         m = agg[j] >= 0  # a cell left out couples only to cells left out
         i, j, a, da = i[m], j[m], a[m], -dinv[i[m]] * a[m]
-        S = _sparse([(2 * dinv, ar, ar), (da * dinv[j], i, j), *exact], (n, n))
+        # S's CSR arrays; without a small closed component m keeps every entry
+        if exact:
+            S = _sparse([(2 * dinv, ar, ar), (da * dinv[j], i, j), *exact], (n, n))
+            s, s_indices, s_indptr = S.data, S.indices, S.indptr
+        else:
+            s, s_indices, s_indptr = da * dinv[j], A.indices, A.indptr
+            on = i == j
+            s[on] += 2 * dinv[i[on]]
         T = _sparse([(np.ones(fine.size), fine, agg_live), (da, i, agg[j])], (n, nc),
-                    sp.csc_matrix) * math.sqrt(COARSE_ALPHA)
-        levels.append((S, T, T.T))
+                    sp.csc_matrix)
+        T.data *= math.sqrt(COARSE_ALPHA)
+        # T's CSC arrays are the CSR arrays of T^T, the rows below S's
+        down = sp.csr_matrix((np.concatenate([s, T.data]),
+                              np.concatenate([s_indices, T.indices]),
+                              np.concatenate([s_indptr, s_indptr[-1] + T.indptr[1:]])),
+                             shape=(n + nc, n))
+        levels.append((down, T))
         A = _sparse([(a, agg[i], agg[j])], (nc, nc))
         fine = fine[first]
         y, x, lab, live, exact = y[fine] // 2, x[fine] // 2, lab[fine], np.ones(nc, bool), []
-    coarse = _sparse([*_pinv_blocks(A, np.flatnonzero(live), lab, closed), *exact], A.shape)
+    parts = [*_pinv_blocks(A, np.flatnonzero(live), lab, closed), *exact]
+    n = A.shape[0]
+    if len(parts) == 1 and parts[0][0].size == n * n:
+        # one block over every unknown, whose triplets are CSR rows in order
+        coarse = sp.csr_matrix((parts[0][0], parts[0][2], np.arange(0, n * n + 1, n)),
+                               shape=A.shape)
+    else:
+        coarse = _sparse(parts, A.shape)
 
     def vcycle(r, level=0):
         if level == len(levels):
             return coarse @ r
-        S, T, Tt = levels[level]
-        return S @ r + T @ vcycle(Tt @ r, level + 1)
+        down, T = levels[level]
+        y = down @ r  # S r, then T^T r
+        n = T.shape[0]
+        return y[:n] + T @ vcycle(y[n:], level + 1)
     return vcycle
 
 
@@ -335,7 +382,8 @@ def solve_pcg(sys: PoissonSystem, tol: float = 1e-4,
             break
         alpha = rz / dq
         x += alpha * d
-        r = r - alpha * q
+        q *= alpha
+        r -= q
         iterations += 1
         relres = float(np.linalg.norm(r)) / bnorm
         if relres <= tol:
@@ -348,7 +396,8 @@ def solve_pcg(sys: PoissonSystem, tol: float = 1e-4,
         z = _project_out_constants(lab, precond(r), comps)
         rz_new = float(r @ z)
         beta = rz_new / rz
-        d = z + beta * d
+        d *= beta
+        d += z
         rz = rz_new
 
     out[active] = x

@@ -1,7 +1,7 @@
 """Single-step velocity update and the multi-step simulation driver.
 
-A step executes, in order: inflow overwrite (when configured), density
-advection through the previous velocity, velocity self-advection, body
+A step executes, in order: inflow overwrite (when configured), advection
+of density and velocity through the previous velocity in one pass, body
 force, buoyancy, vorticity confinement, solid-face enforcement, and the
 pressure projection with the configured backend.  No backend writes a
 solid face, so the enforced zeros survive the projection.  The backend is
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .advection import advect_scalar, self_advect
+from .advection import advect
 from .convnet import SIDE_MULTIPLE, NetParams, learned_project
 from .fdops import divergence, subtract_pressure_gradient
 from .forces import (ForceConfig, add_body_force, add_buoyancy,
@@ -221,8 +221,7 @@ def step(state: SimState, cfg: SimConfig) -> SimState:
         raise SimulationError(f"non-finite fields in the input of frame {state.frame + 1}")
     if cfg.inflow:
         u, density = _apply_inflow(u, density, g, cfg.inflow)
-    density = advect_scalar(density, u, g, cfg.dt, cfg.advection)
-    u = self_advect(u, g, cfg.dt, cfg.advection)
+    density, u = advect(density, u, g, cfg.dt, cfg.advection)
     u = add_body_force(u, g, cfg.forces.gravity, cfg.dt)
     u = add_buoyancy(u, density, g, cfg.forces.buoyancy, cfg.forces.gravity, cfg.dt)
     u = vorticity_confinement(u, g, cfg.forces.confinement, cfg.dt)

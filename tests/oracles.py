@@ -5,13 +5,18 @@ kept here as an oracle: bilinear sampling at arbitrary positions and
 the clearance-skipping lattice trace, both out of place in fresh arrays
 (the package's in-place sampling and reused trace arrays reproduce them
 bit for bit), single backward traces, advection of one sample lattice at a time (each with its
-own velocity sampling, trace and scan, which the package's one trace per
-call reproduces bit for bit), cell-center positions, the residual norm of
+own velocity sampling, trace and scan, which the package's one pass per
+frame reproduces bit for bit), emitter fields built afresh on every call,
+which the fields the package keeps per grid reproduce bit for bit,
+cell-center positions, the residual norm of
 a pressure solve and the matrix-free Poisson operator it applies, Jacobi
 sweeps that gather each cell's four neighbors through one index on the
 compressed active cells, which the package's shifted slices of a padded
 iterate reproduce bit for bit, a dense least-squares pressure solve,
-which the package's sparse LU matches to roundoff,
+which the package's sparse LU matches to roundoff, the PCG matrix and the
+MGPCG V-cycle built through scipy's COO constructor with three sparse
+products per level, which the package's directly built CSR arrays and
+stacked down-sweep product reproduce bit for bit,
 convolution forward and backward through ``np.pad``, ``sliding_window_view``
 and ``tensordot``, which the package's window-matrix GEMM reproduces bit for
 bit, and the network's forward and backward passes unrolled stage by stage,
@@ -20,15 +25,20 @@ which the package's loop over resolution levels reproduces bit for bit.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+import scipy.sparse as sp
 from numpy.lib.stride_tricks import sliding_window_view
 
 from macfluid import convnet
 from macfluid.advection import _clamp, _clearance2
 from macfluid.convnet import NetParams, _replicate_pad_adjoint
 from macfluid.fdops import PoissonSystem
-from macfluid.pressure import _project_out_constants, _remove_closed_means
-from macfluid.grids import GridDims, MacVelocity, OccupancyGrid, ScalarGrid, _lattice_xy
+from macfluid.pressure import (COARSE_ALPHA, COARSE_SIZE, SMOOTH_OMEGA, _active_cells,
+                               _project_out_constants, _remove_closed_means)
+from macfluid.grids import (GridDims, MacVelocity, OccupancyGrid, ScalarGrid, _cone,
+                            _lattice_xy)
 
 
 def cell_centers(dims: GridDims) -> np.ndarray:
@@ -184,6 +194,39 @@ def advect_lattice(values: np.ndarray, offx: float, offy: float, u: MacVelocity,
     return np.where(inside, corrected, fwd)
 
 
+def advect_fields(density: ScalarGrid, u: MacVelocity, g: OccupancyGrid, dt: float,
+                  scheme: str) -> list[np.ndarray]:
+    """A step's advection one lattice at a time, as density then velocity
+    were once advected in two calls: the density, ux and uy through the
+    pre-step u, each solid cell and solid face keeping its stored value."""
+    fm = g.faces
+    out = []
+    for values, offx, offy, kept in ((density.values, 0.5, 0.5, g.solid),
+                                     (u.ux, 0.0, 0.5, fm.solid_x),
+                                     (u.uy, 0.5, 0.0, fm.solid_y)):
+        lattice = advect_lattice(values, offx, offy, u, g, dt, scheme)
+        lattice[kept] = values[kept]
+        out.append(lattice)
+    return out
+
+
+def apply_emitters_uncached(u: MacVelocity, emitters, frame_index: int) -> MacVelocity:
+    """Each active emitter's velocity times its cone, built afresh per call
+    and summed in order onto zeros before the one add."""
+    active = [e for e in emitters if e.start <= frame_index < e.start + e.duration]
+    if not active:
+        return u
+    dims = u.dims
+    fxx, fxy = _lattice_xy(dims.shape_ux, 0.0, 0.5)
+    fyx, fyy = _lattice_xy(dims.shape_uy, 0.5, 0.0)
+    add_x = np.zeros(dims.shape_ux)
+    add_y = np.zeros(dims.shape_uy)
+    for e in active:
+        add_x += e.velocity[0] * _cone(fxx, fxy, e.center, e.radius)
+        add_y += e.velocity[1] * _cone(fyx, fyy, e.center, e.radius)
+    return MacVelocity(dims, u.ux + add_x, u.uy + add_y)
+
+
 def apply_poisson(g: OccupancyGrid, p: ScalarGrid) -> ScalarGrid:
     """Matrix-free action A p of the pressure system; zero on solid cells."""
     st = g.stencil
@@ -276,6 +319,86 @@ def solve_dense_lstsq(sys: PoissonSystem) -> ScalarGrid:
     out = np.zeros(g.dims.shape)
     out[fluid] = x
     return ScalarGrid(g.dims, _remove_closed_means(out, g))
+
+
+def _sparse(parts: list, shape, fmt=sp.csr_matrix):
+    """The sum of (values, rows, columns) triplets as one sparse matrix."""
+    v, i, j = (np.concatenate(t) for t in zip(*parts))
+    return fmt((v, (i, j)), shape=shape)
+
+
+def pcg_matrix_coo(g: OccupancyGrid) -> tuple[sp.csr_matrix, np.ndarray]:
+    """A on the active cells, row-major, as CSR through scipy's COO
+    constructor, and the component label of each active cell."""
+    st, active = g.stencil, _active_cells(g)
+    n = int(np.count_nonzero(active))
+    idx = np.full(g.dims.shape, -1, dtype=np.intp)
+    idx[active] = np.arange(n)
+    pi = np.pad(idx, 1, constant_values=-1)
+    nbr = np.stack([pi[1:-1, :-2][active], pi[1:-1, 2:][active],
+                    pi[:-2, 1:-1][active], pi[2:, 1:-1][active]])
+    h2 = g.dims.h ** 2
+    rows, has = np.arange(n), nbr >= 0
+    A = _sparse([(st.diag[active] / h2, rows, rows),
+                 (np.full(np.count_nonzero(has), -1.0 / h2),
+                  np.broadcast_to(rows, nbr.shape)[has], nbr[has])], (n, n))
+    return A, g.components.labels[active]
+
+
+def _pinv_blocks_dense(A: sp.csr_matrix, cells: np.ndarray, lab: np.ndarray,
+                       closed: np.ndarray) -> list:
+    """The pseudo-inverse of A on ``cells``, one block per label, each block
+    sliced out of A by scipy indexing."""
+    cells = cells[np.argsort(lab[cells], kind="stable")]
+    blocks = [c for c in np.split(cells, np.flatnonzero(np.diff(lab[cells])) + 1) if c.size]
+    shifts = [closed[lab[c[0]]] / c.size for c in blocks]
+    return [((np.linalg.inv(A[c][:, c].toarray() + k) - k).ravel(), np.repeat(c, c.size),
+             np.tile(c, c.size)) for c, k in zip(blocks, shifts)]
+
+
+def build_hierarchy_three_products(g: OccupancyGrid):
+    """The MGPCG V-cycle with every matrix built through scipy's COO
+    constructor and three sparse products per level, S r, T^T r and
+    T (M_c T^T r), each with its own matrix."""
+    A, lab = pcg_matrix_coo(g)
+    A = A.copy()
+    A.data = np.rint(A.data * g.dims.h ** 2)
+    closed = g.components.closed
+    live = ~(closed & (g.components.sizes <= COARSE_SIZE))[lab]
+    exact = _pinv_blocks_dense(A, np.flatnonzero(~live), lab, closed)
+    y, x = np.nonzero(_active_cells(g))
+    levels = []
+    while np.count_nonzero(live) > COARSE_SIZE:
+        key = ((y // 2) * (x.max() // 2 + 1) + x // 2) * (lab.max() + 1) + lab
+        _, first, agg_live = np.unique(key[live], return_index=True, return_inverse=True)
+        if first.size == agg_live.size:
+            break
+        n, nc = A.shape[0], first.size
+        ar, fine = np.arange(n), np.flatnonzero(live)
+        agg = np.full(n, -1)
+        agg[fine] = agg_live
+        d = A.diagonal()
+        dinv = np.divide(SMOOTH_OMEGA, d, out=np.zeros_like(d), where=live & (d > 0))
+        i, j, a = np.repeat(ar, np.diff(A.indptr)), A.indices, A.data
+        m = agg[j] >= 0
+        i, j, a, da = i[m], j[m], a[m], -dinv[i[m]] * a[m]
+        S = _sparse([(2 * dinv, ar, ar), (da * dinv[j], i, j), *exact], (n, n))
+        T = _sparse([(np.ones(fine.size), fine, agg_live), (da, i, agg[j])], (n, nc),
+                    sp.csc_matrix) * math.sqrt(COARSE_ALPHA)
+        levels.append((S, T, T.T))
+        A = _sparse([(a, agg[i], agg[j])], (nc, nc))
+        fine = fine[first]
+        y, x, lab, live, exact = y[fine] // 2, x[fine] // 2, lab[fine], np.ones(nc, bool), []
+    coarse = _sparse([*_pinv_blocks_dense(A, np.flatnonzero(live), lab, closed), *exact],
+                     A.shape)
+
+    def vcycle(r, level=0):
+        if level == len(levels):
+            return coarse @ r
+        S, T, Tt = levels[level]
+        return S @ r + T @ vcycle(Tt @ r, level + 1)
+    return vcycle
+
 
 def _replicate_pad(x: np.ndarray, p: int) -> np.ndarray:
     if p == 0:

@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 from macfluid import advection, grids, sim
-from macfluid.advection import _fluid_at_points, advect_scalar, self_advect
+from macfluid.advection import _fluid_at_points, advect, advect_scalar, self_advect
 from macfluid.datagen import SceneConfig, apply_emitters, build_scene
 from macfluid.grids import (GridDims, MacVelocity, OccupancyGrid, ScalarGrid, _bilinear,
                             _bilinear_apply)
 import oracles
-from oracles import advect_lattice, cell_centers, sample_scalar, sample_velocity, trace_back
+from oracles import (advect_fields, advect_lattice, cell_centers, sample_scalar,
+                     sample_velocity, trace_back)
 
 
 def _gaussian(dims, cx, cy, sigma):
@@ -263,19 +264,14 @@ def test_advection_equals_the_per_lattice_oracle_bit_for_bit(monkeypatch, scheme
 
     monkeypatch.setattr(advection, "_clamp", spy)
     monkeypatch.setattr(oracles, "_clamp", spy)
-    fm = g.faces
-    want = []
-    for values, offx, offy, kept in ((q.values, 0.5, 0.5, g.solid), (u.ux, 0.0, 0.5, fm.solid_x),
-                                     (u.uy, 0.5, 0.0, fm.solid_y)):
-        lattice = advect_lattice(values, offx, offy, u, g, dt, scheme)
-        lattice[kept] = values[kept]
-        want.append(lattice)
+    want = advect_fields(q, u, g, dt, scheme)
     assert sum(clamped) > 0
-    v = self_advect(u, g, dt, scheme)
-    got = [advect_scalar(q, u, g, dt, scheme).values, v.ux, v.uy]
-    for a, b in zip(got, want):
-        assert (a.dtype, a.shape) == (b.dtype, b.shape)
-        assert a.tobytes() == b.tobytes()  # raw bytes: -0.0 differs from 0.0
+    rho, v = advect(q, u, g, dt, scheme)
+    w = self_advect(u, g, dt, scheme)
+    for got in ([rho.values, v.ux, v.uy], [advect_scalar(q, u, g, dt, scheme).values, w.ux, w.uy]):
+        for a, b in zip(got, want):
+            assert (a.dtype, a.shape) == (b.dtype, b.shape)
+            assert a.tobytes() == b.tobytes()  # raw bytes: -0.0 differs from 0.0
 
 
 def test_maccormack_samples_values_twice_per_lattice(monkeypatch):
@@ -325,8 +321,12 @@ def test_the_sampling_plan_is_built_once_per_grid_and_read_only(monkeypatch):
             x, y = np.broadcast_arrays(*grids._lattice_xy(shape, offx, offy))
             np.testing.assert_array_equal(plan.x[span].reshape(shape), x * h)
             np.testing.assert_array_equal(plan.y[span].reshape(shape), y * h)
-            np.testing.assert_array_equal(plan.clear2[span].reshape(shape),
-                                          advection._clearance2(g, shape, offx, offy))
+            clear2 = advection._clearance2(g, shape, offx, offy)
+            np.testing.assert_array_equal(plan.clear2[0, span].reshape(shape), clear2)
+            # the row of forward and sl traces skips the kept nodes
+            kept = advection._kept_nodes(g, offx, offy)
+            np.testing.assert_array_equal(plan.clear2[1, span].reshape(shape),
+                                          np.where(kept, np.inf, clear2))
         # the kept weights sample node velocities as fresh ones would
         u = MacVelocity(g.dims, np.random.default_rng(57).normal(size=g.dims.shape_ux),
                         np.random.default_rng(58).normal(size=g.dims.shape_uy))
@@ -416,11 +416,26 @@ def test_datagen_bytes_match_the_golden_digest(boundary):
     for seed in range(4):
         state, emitters = build_scene(SceneConfig(seed=seed, boundary=boundary))
         for _ in range(8):
-            state = sim.step(replace(state, u=apply_emitters(state.u, emitters, state.frame)),
-                             cfg)
+            u = apply_emitters(state.u, state.g, emitters, state.frame)
+            state = sim.step(replace(state, u=u), cfg)
         for arr in (state.u.ux, state.u.uy, state.density.values):
             digest.update(np.ascontiguousarray(arr).tobytes())
     assert digest.hexdigest() == _GOLDEN_DATAGEN[boundary]
+
+
+@pytest.mark.parametrize("boundary", ["closed", "open-top"])
+@pytest.mark.parametrize("scheme", ["sl", "maccormack"])
+def test_advect_equals_the_two_call_oracle_on_datagen_scenes(scheme, boundary):
+    cfg = sim.SimConfig(advection=scheme, projection=sim.PcgProjection(1e-6))
+    for seed in range(4):
+        state, emitters = build_scene(SceneConfig(seed=seed, boundary=boundary))
+        for _ in range(8):
+            state = replace(state, u=apply_emitters(state.u, state.g, emitters, state.frame))
+            want = advect_fields(state.density, state.u, state.g, cfg.dt, scheme)
+            rho, u = advect(state.density, state.u, state.g, cfg.dt, scheme)
+            for a, b in zip([rho.values, u.ux, u.uy], want):
+                assert a.tobytes() == b.tobytes()
+            state = sim.step(state, cfg)
 
 
 def _clearance_scene(geometry, open_top, h):
@@ -442,38 +457,49 @@ def _clearance_scene(geometry, open_top, h):
 def test_clearance_skip_lands_where_the_full_scan_does(geometry, h, open_top):
     rng = np.random.default_rng(51)
     g = _clearance_scene(geometry, open_top, h)
+    steps = np.array([1.0, -1.0])  # both rows: one sample, opposite signs
     for shape, offx, offy in ((g.dims.shape, 0.5, 0.5), (g.dims.shape_ux, 0.0, 0.5),
                               (g.dims.shape_uy, 0.5, 0.0)):
-        x, y = grids._lattice_xy(shape, offx, offy)
+        x, y = (a.ravel() for a in np.broadcast_arrays(*grids._lattice_xy(shape, offx, offy)))
         x, y = x * h, y * h
-        clear2 = g.derived(advection._clearance2, shape, offx, offy)
+        clear2 = g.derived(advection._clearance2, shape, offx, offy).ravel()
         clamped = 0
         for cfl in (0.05, 0.7, 3.0, 20.0):
-            d = rng.normal(size=(2, *shape))
+            d = rng.normal(size=(2, x.size))
             d *= cfl * h / np.abs(d).max()
-            skipped = d[0] * d[0] + d[1] * d[1] < clear2
             if cfl == 0.05:
-                assert skipped.mean() >= 0.8
+                assert (d[0] * d[0] + d[1] * d[1] < clear2).mean() >= 0.8
                 # these fail the comparison and take the scan
-                r, c = np.unravel_index(np.argmax(clear2), shape)
-                d[0, r, c], d[1, r, c + 1] = np.nan, np.inf
-            for sign in (1.0, -1.0):
-                dx, dy = sign * d[0], sign * d[1]
-                with np.errstate(invalid="ignore"):
-                    got = advection._trace(g, x, y, dx, dy, clear2)
-                    want = advection._clamp(g, x, y, dx, dy)
-                np.testing.assert_array_equal(got[0], want[0])
-                np.testing.assert_array_equal(got[1], want[1])
-                clamped += np.count_nonzero((want[0] != x + dx) | (want[1] != y + dy))
+                at = np.argmax(clear2)
+                d[0, at], d[1, at + 1] = np.nan, np.inf
+            with np.errstate(invalid="ignore"):
+                got = advection._trace(g, x, y, d[0], d[1], steps, np.stack([clear2] * 2))
+                for row, s in enumerate(steps):
+                    want = advection._clamp(g, x, y, s * d[0], s * d[1])
+                    np.testing.assert_array_equal(got[0][row], want[0])
+                    np.testing.assert_array_equal(got[1][row], want[1])
+                    clamped += np.count_nonzero((want[0] != x + s * d[0])
+                                                | (want[1] != y + s * d[1]))
+                # a row whose clearance is +inf lands unscanned, unless its
+                # displacement is not finite
+                skip = rng.random(x.size) < 0.5
+                rows = np.stack([clear2, np.where(skip, np.inf, clear2)])
+                got = advection._trace(g, x, y, d[0], d[1], steps, rows)
+                want = advection._clamp(g, x, y, -d[0], -d[1])
+                free = skip & np.isfinite(d[0] * d[0] + d[1] * d[1])
+                want[0][free], want[1][free] = x[free] - d[0][free], y[free] - d[1][free]
+                np.testing.assert_array_equal(got[0][1], want[0])
+                np.testing.assert_array_equal(got[1][1], want[1])
         # traces within 1e-9 of each node's clearance, along both axes both ways
         for eps in (-1e-9, 0.0, 1e-9):
             length = np.sqrt(clear2) + eps
-            for ux, uy in ((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)):
-                dx, dy = ux * length, uy * length
-                got = advection._trace(g, x, y, dx, dy, clear2)
-                want = advection._clamp(g, x, y, dx, dy)
-                np.testing.assert_array_equal(got[0], want[0])
-                np.testing.assert_array_equal(got[1], want[1])
+            for ux, uy in ((1.0, 0.0), (0.0, 1.0)):
+                got = advection._trace(g, x, y, ux * length, uy * length, steps,
+                                       np.stack([clear2] * 2))
+                for row, s in enumerate(steps):
+                    want = advection._clamp(g, x, y, s * ux * length, s * uy * length)
+                    np.testing.assert_array_equal(got[0][row], want[0])
+                    np.testing.assert_array_equal(got[1][row], want[1])
         assert clamped > 0
 
 
@@ -537,17 +563,46 @@ def test_still_nodes_are_not_scanned(monkeypatch, open_top):
         assert np.all((dx != 0.0) | (dy != 0.0))
 
 
-def test_maccormack_scans_once_per_call(monkeypatch):
+def test_maccormack_scans_once_per_frame(monkeypatch):
     _, g, u = _random_flow(49, False)
     q = ScalarGrid(g.dims, np.ones(g.dims.shape))
     seen = _spy_clamp(monkeypatch)
-    for values, offx, offy in ((u.ux, 0.0, 0.5), (u.uy, 0.5, 0.0)):
-        advect_lattice(values, offx, offy, u, g, 0.3, "maccormack")
+    advect_fields(q, u, g, 0.3, "maccormack")
+    assert len(seen) == 3  # the oracle scans each lattice on its own
     per_lattice = sum(dx.size for dx, _ in seen)
+    # the oracle's scanned forward traces from solid cells and faces, whose
+    # landing points are thrown away
+    h, fm, wasted = g.dims.h, g.faces, 0
+    for shape, offx, offy, kept in ((g.dims.shape, 0.5, 0.5, g.solid),
+                                    (g.dims.shape_ux, 0.0, 0.5, fm.solid_x),
+                                    (g.dims.shape_uy, 0.5, 0.0, fm.solid_y)):
+        x, y = grids._lattice_xy(shape, offx, offy)
+        dx = 0.3 * _bilinear(u.ux, x * h, y * h, 0.0, 0.5, h)
+        dy = 0.3 * _bilinear(u.uy, x * h, y * h, 0.5, 0.0, h)
+        far = ~(dx * dx + dy * dy < advection._clearance2(g, shape, offx, offy))
+        wasted += np.count_nonzero(far & ((dx != 0.0) | (dy != 0.0)) & kept)
     del seen[:]
-    advect_scalar(q, u, g, 0.3, "maccormack")
-    self_advect(u, g, 0.3, "maccormack")
-    # strong flow among solid cells: each call has traces to clamp, and the
-    # one scan of self_advect takes those of both face lattices
-    assert len(seen) == 2
-    assert seen[1][0].size == per_lattice
+    advect(q, u, g, 0.3, "maccormack")
+    # strong flow among solid cells: the one scan of a frame takes every
+    # lattice's traces but those
+    assert len(seen) == 1
+    assert wasted > 0
+    assert seen[0][0].size == per_lattice - wasted
+
+
+@pytest.mark.parametrize("n, scanned", [(32, 160), (128, 640)])
+def test_settled_disc_plume_scans_no_forward_trace_of_a_solid_face(monkeypatch, n, scanned):
+    state, cfg = sim.plume_scenario(GridDims(n, n), obstacle="disc",
+                                    projection=sim.JacobiProjection(34))
+    for _ in range(24):
+        state = sim.step(state, cfg)
+    seen = _spy_clamp(monkeypatch)
+    want = advect_fields(state.density, state.u, state.g, cfg.dt, cfg.advection)
+    # the oracle scans both traces of a node, the one pass only the backward
+    # trace of a solid face: every node scanned is a solid face
+    assert sum(dx.size for dx, _ in seen) == 2 * scanned
+    del seen[:]
+    rho, u = advect(state.density, state.u, state.g, cfg.dt, cfg.advection)
+    assert [dx.size for dx, _ in seen] == [scanned]
+    for a, b in zip([rho.values, u.ux, u.uy], want):
+        assert a.tobytes() == b.tobytes()

@@ -1,10 +1,13 @@
 """Scene generation and dataset round-trip tests."""
 
+import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from macfluid import datagen
 from macfluid.datagen import (EMITTER_COUNT_RANGE, NOISE_AMPLITUDE, EmitterParams,
                               GeometryConfig, LoadedScene, SceneConfig,
                               apply_emitters, box_mask, build_scene,
@@ -13,7 +16,8 @@ from macfluid.datagen import (EMITTER_COUNT_RANGE, NOISE_AMPLITUDE, EmitterParam
                               scene_seed)
 from macfluid.fdops import divergence, face_masks
 from macfluid.grids import GridDims, MacVelocity, OccupancyGrid
-from macfluid.sim import PcgProjection
+from macfluid.sim import JacobiProjection, PcgProjection, SimConfig, step
+from oracles import apply_emitters_uncached
 
 
 # ====== Curl noise ======
@@ -129,17 +133,19 @@ def test_geometry_config_validation():
 
 def test_apply_emitters_inactive_is_identity():
     u = MacVelocity.zeros(GridDims(8, 8))
+    g = OccupancyGrid.empty(u.dims)
     e = EmitterParams((4.0, 4.0), 2.0, (1.0, 0.0), start=2, duration=3)
-    assert apply_emitters(u, [e], 0) is u
-    assert apply_emitters(u, [e], 5) is u
-    assert apply_emitters(u, [], 2) is u
+    assert apply_emitters(u, g, [e], 0) is u
+    assert apply_emitters(u, g, [e], 5) is u
+    assert apply_emitters(u, g, [], 2) is u
 
 
 def test_apply_emitters_active_window():
     u = MacVelocity.zeros(GridDims(8, 8))
+    g = OccupancyGrid.empty(u.dims)
     e = EmitterParams((4.0, 4.0), 2.0, (1.0, 0.0), start=2, duration=3)
     for frame in (2, 3, 4):
-        assert apply_emitters(u, [e], frame) is not u
+        assert apply_emitters(u, g, [e], frame) is not u
 
 
 def test_apply_emitters_center_face_full_strength():
@@ -147,7 +153,7 @@ def test_apply_emitters_center_face_full_strength():
     u = MacVelocity.zeros(dims)
     # ux face (j=2, i=3) sits at (3.0, 2.5)
     e = EmitterParams((3.0, 2.5), 2.0, (1.2, 0.0))
-    out = apply_emitters(u, [e], 0)
+    out = apply_emitters(u, OccupancyGrid.empty(dims), [e], 0)
     assert out.ux[2, 3] == pytest.approx(1.2)
 
 
@@ -155,7 +161,7 @@ def test_apply_emitters_linear_falloff():
     dims = GridDims(8, 8)
     u = MacVelocity.zeros(dims)
     e = EmitterParams((4.0, 2.5), 2.0, (1.0, 0.0))
-    out = apply_emitters(u, [e], 0)
+    out = apply_emitters(u, OccupancyGrid.empty(dims), [e], 0)
     # face (j=2, i=5) is one cell away, half the radius from the center
     assert out.ux[2, 5] == pytest.approx(0.5)
     # faces beyond the radius are untouched
@@ -165,11 +171,81 @@ def test_apply_emitters_linear_falloff():
 def test_apply_emitters_superposition_exact():
     dims = GridDims(12, 8)
     u = MacVelocity.zeros(dims)
+    g = OccupancyGrid.empty(dims)
     e = EmitterParams((5.0, 4.0), 3.0, (0.8, -0.6))
-    one = apply_emitters(u, [e], 0)
-    two = apply_emitters(u, [e, e], 0)
+    one = apply_emitters(u, g, [e], 0)
+    two = apply_emitters(u, g, [e, e], 0)
     np.testing.assert_array_equal(two.ux, 2.0 * one.ux)
     np.testing.assert_array_equal(two.uy, 2.0 * one.uy)
+
+
+@pytest.mark.parametrize("boundary", ["closed", "open-top"])
+def test_apply_emitters_equals_the_uncached_oracle_bit_for_bit(boundary):
+    cfg = SimConfig(projection=JacobiProjection(34))
+    for seed in range(6):
+        state, emitters = build_scene(SceneConfig(seed=seed, boundary=boundary))
+        assert emitters
+        for _ in range(20):  # past every emitter's window
+            want = apply_emitters_uncached(state.u, emitters, state.frame)
+            got = apply_emitters(state.u, state.g, emitters, state.frame)
+            assert (got is state.u) == (want is state.u)
+            assert got.ux.tobytes() == want.ux.tobytes()
+            assert got.uy.tobytes() == want.uy.tobytes()
+            state = step(replace(state, u=got), cfg)
+    # three overlapping emitters, where the order of the sum shows in roundoff
+    dims = GridDims(12, 10, h=0.7)
+    rng = np.random.default_rng(33)
+    u = MacVelocity(dims, rng.normal(size=dims.shape_ux), rng.normal(size=dims.shape_uy))
+    g = OccupancyGrid.empty(dims, boundary == "open-top")
+    emitters = (EmitterParams((5.3, 4.1), 3.7, (0.83, -0.61), 0, 3),
+                EmitterParams((6.1, 4.4), 2.9, (-0.37, 1.13), 1, 3),
+                EmitterParams((5.7, 3.6), 3.3, (1.71, 0.29), 2, 3))
+    for frame in range(6):
+        want = apply_emitters_uncached(u, emitters, frame)
+        got = apply_emitters(u, g, emitters, frame)
+        assert got.ux.tobytes() == want.ux.tobytes()
+        assert got.uy.tobytes() == want.uy.tobytes()
+
+
+def test_emitter_fields_are_built_once_per_scene_and_read_only(monkeypatch, tmp_path):
+    built = []
+    build = datagen._emitter_faces
+
+    def spy(g, e):
+        built.append((g, e))
+        return build(g, e)
+
+    monkeypatch.setattr(datagen, "_emitter_faces", spy)
+    generate_dataset(SceneConfig(seed=5), 2, frames_per_scene=20, stride=10, out_dir=tmp_path)
+    scenes = [build_scene(SceneConfig(seed=scene_seed(5, "train", i)))[1] for i in range(2)]
+    # one build per emitter and scene, whatever the number of active frames
+    assert len(built) == sum(len(emitters) for emitters in scenes)
+    per_grid = {}
+    for g, e in built:
+        per_grid.setdefault(id(g), set()).add(e)
+    assert list(per_grid.values()) == [set(emitters) for emitters in scenes]
+    for g, e in built:
+        fx, fy = g.derived(spy, e)
+        assert not fx.flags.writeable and not fy.flags.writeable
+
+
+_GOLDEN_PCG_CORPUS = {
+    "closed": "dec697f871d19658a35749232aa63cf7cff7e3f79b44271a5bee458a8e12d264",
+    "open-top": "81a7e066d0503ead064e6abba01fd6ad1c3861b2258f88465325aba40fee49ee",
+}
+
+
+@pytest.mark.parametrize("boundary", sorted(_GOLDEN_PCG_CORPUS))
+def test_pcg_corpus_matches_the_golden_digest(tmp_path, boundary):
+    # sha256 of every file of a three-scene PCG(1e-6) corpus: advection, the
+    # emitters and the MGPCG solve, sped up, must leave these bytes as they are
+    generate_dataset(SceneConfig(seed=2026, boundary=boundary), 3, frames_per_scene=8,
+                     stride=4, out_dir=tmp_path)
+    h = hashlib.sha256()
+    for path in sorted(p for p in tmp_path.rglob("*") if p.is_file()):
+        h.update(path.relative_to(tmp_path).as_posix().encode() + b"\0")
+        h.update(path.read_bytes())
+    assert h.hexdigest() == _GOLDEN_PCG_CORPUS[boundary]
 
 
 def test_emitter_validation():

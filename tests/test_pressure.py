@@ -19,9 +19,10 @@ from macfluid.pressure import (
     solve_jacobi,
     solve_pcg,
 )
-from macfluid.datagen import GeometryConfig, random_geometry
+from macfluid.datagen import GeometryConfig, SceneConfig, build_scene, random_geometry
 from macfluid.sim import ExactProjection, JacobiProjection, plume_scenario, step
-from oracles import apply_poisson, residual_norm, solve_dense_lstsq, solve_jacobi_gather
+from oracles import (apply_poisson, build_hierarchy_three_products, pcg_matrix_coo,
+                     residual_norm, solve_dense_lstsq, solve_jacobi_gather)
 
 
 def random_system(rng, nx=8, ny=8, p_solid=0.2, open_top=False, compatible=True):
@@ -815,3 +816,42 @@ def test_multigrid_matches_the_documented_vcycle_and_is_symmetric(open_top):
         assert abs(a @ M(b) - b @ M(a)) <= 1e-12 * np.linalg.norm(a) * np.linalg.norm(M(b))
         a = pr._project_out_constants(g.derived(pr._pcg_matrix)[1], a, g.components)
         assert a @ M(a) > 0
+
+
+def _setup_grids(rng):
+    """Grids for the set-up oracles: the walled grids, grids with a closed
+    pocket of 6 cells, datagen scenes and the 64^2 disc plume, open and closed."""
+    yield from _walled_grids(rng)
+    for open_top in (False, True):
+        for nx, ny, h, p_solid in ((24, 20, 1.0, 0.15), (37, 30, 0.37, 0.25)):
+            solid = rng.random((ny, nx)) < p_solid
+            solid[1:5, 1:6] = True
+            solid[2:4, 2:5] = False
+            yield OccupancyGrid(GridDims(nx, ny, h), solid, open_top)
+        for seed in range(6):
+            boundary = "open-top" if open_top else "closed"
+            yield build_scene(SceneConfig(seed=seed, boundary=boundary))[0].g
+        yield plume_scenario(GridDims(64, 64), open_top=open_top, obstacle="disc")[0].g
+
+
+def test_pcg_matrix_is_the_coo_oracle_bit_for_bit():
+    for g in _setup_grids(np.random.default_rng(137)):
+        (A, lab), (B, lab_b) = pr._pcg_matrix(g), pcg_matrix_coo(g)
+        assert A.has_canonical_format
+        for a, b in ((A.data, B.data), (A.indices, B.indices), (A.indptr, B.indptr),
+                     (lab, lab_b)):
+            assert (a.dtype, a.shape) == (b.dtype, b.shape)
+            assert a.tobytes() == b.tobytes()
+
+
+def test_vcycle_is_the_three_product_oracle_bit_for_bit():
+    rng = np.random.default_rng(138)
+    small = []
+    for g in _setup_grids(rng):
+        comps = g.components
+        small.append(bool(np.any(comps.closed & (comps.sizes <= pr.COARSE_SIZE))))
+        M, want = pr._build_hierarchy(g), build_hierarchy_three_products(g)
+        for r in rng.normal(size=(3, g.derived(pr._pcg_matrix)[0].shape[0])):
+            assert M(r).tobytes() == want(r).tobytes()
+    # levels with and without a small closed component, built both ways
+    assert any(small) and not all(small)

@@ -75,8 +75,8 @@ def test_second_projection_is_nearly_free():
 
 def test_step_ordering_trace(monkeypatch):
     trace = []
-    for attr, name in (("_apply_inflow", "inflow"), ("advect_scalar", "advect_density"),
-                       ("self_advect", "advect_velocity"), ("add_body_force", "body_force"),
+    for attr, name in (("_apply_inflow", "inflow"), ("advect", "advect"),
+                       ("add_body_force", "body_force"),
                        ("add_buoyancy", "buoyancy"), ("vorticity_confinement", "confinement"),
                        ("enforce_solid_velocities", "enforce_solids"),
                        ("_project", "project")):
@@ -89,14 +89,13 @@ def test_step_ordering_trace(monkeypatch):
     inlet = InflowRegion(center=(4.0, 2.0), radius=1.5, velocity=(0.0, 1.0))
     cfg = SimConfig(projection=PcgProjection(), inflow=(inlet,))
     step(state, cfg)
-    assert trace == ["inflow", "advect_density", "advect_velocity",
-                     "body_force", "buoyancy", "confinement",
+    assert trace == ["inflow", "advect", "body_force", "buoyancy", "confinement",
                      "enforce_solids", "project"]
 
     trace.clear()
     step(state, dataclasses.replace(cfg, inflow=(), projection=NoProjection()))
-    assert trace == ["advect_density", "advect_velocity", "body_force",
-                     "buoyancy", "confinement", "enforce_solids", "project"]
+    assert trace == ["advect", "body_force", "buoyancy", "confinement", "enforce_solids",
+                     "project"]
 
 
 _BACKENDS = {"jacobi": JacobiProjection(34), "pcg": PcgProjection(1e-6),
