@@ -8,7 +8,11 @@ clamped to the fluid side of the first crossing: a coarse scan at
 evenly spaced parameters along the trace, at least four and at most half
 a cell apart, finds the first non-fluid sample, then bisection refines
 the crossing.  At that spacing no trace steps over a straight wall one
-cell thick, at any CFL number.
+cell thick, at any CFL number.  The scan looks its probes up in blocks of
+four, each block one lookup of x and y together over every trace it
+scans, and keeps each trace's first hit; each bisection step is one such
+lookup too.  So a long trace costs one lookup per four probes, and memory
+stays at four probes per trace.
 
 Only a trace that can reach a non-fluid point is scanned; every other one
 lands at x0 + dx, bit for bit what the scan gives.  A trace is skipped
@@ -82,27 +86,21 @@ def _check_scheme(scheme: str) -> None:
         raise ValueError(f"unknown advection scheme {scheme!r}")
 
 
-def _padded_cell(g: OccupancyGrid, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Flat index into ``g.fluid_padded`` of the cell holding each point: a
-    cell index shifted by one and clamped to the ring of False cells stands
-    for every point outside the grid."""
-    nx, ny = g.dims.nx, g.dims.ny
-    i = np.floor(x / g.dims.h).astype(np.int64)
-    j = np.floor(y / g.dims.h).astype(np.int64)
-    i += 1
-    j += 1
-    np.maximum(i, 0, out=i)
-    np.minimum(i, nx + 1, out=i)
-    np.maximum(j, 0, out=j)
-    np.minimum(j, ny + 1, out=j)
-    j *= nx + 2
+def _fluid_at(g: OccupancyGrid, p: np.ndarray) -> np.ndarray:
+    """True where a point lies inside a fluid cell, for points stacked as
+    ``p = (x, y)`` on a leading axis of 2: one lookup in ``g.fluid_padded``,
+    whose ring of False cells stands for every point outside the grid.  Both
+    axes are floored, cast and shifted by one together, then each is
+    clamped into the padded mask."""
+    ij = np.floor(p / g.dims.h).astype(np.int64)
+    ij += 1
+    np.maximum(ij, 0, out=ij)
+    i, j = ij
+    np.minimum(i, g.dims.nx + 1, out=i)
+    np.minimum(j, g.dims.ny + 1, out=j)
+    j *= g.dims.nx + 2
     j += i
-    return j
-
-
-def _fluid_at_points(g: OccupancyGrid, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """True where the point lies inside a fluid cell (one padded-mask lookup)."""
-    return g.fluid_padded.ravel().take(_padded_cell(g, x, y))
+    return g.fluid_padded.ravel().take(j)
 
 
 def _clearance2(g: OccupancyGrid, shape: tuple[int, int], offx: float,
@@ -116,7 +114,7 @@ def _clearance2(g: OccupancyGrid, shape: tuple[int, int], offx: float,
     less ``_CLEARANCE_MARGIN``.  Every non-fluid point lies in such a
     square, points outside the padded mask lie behind its ring, and the
     margin covers the roundoff of the probe positions x0 + i * (dx / k) and
-    of ``_padded_cell``'s x / h.  So a cell-center node beside a wall has a
+    of ``_fluid_at``'s x / h.  So a cell-center node beside a wall has a
     clearance of just under half a cell.
     """
     nrows, ncols = shape
@@ -143,34 +141,46 @@ def _half_cell_distance(g: OccupancyGrid) -> np.ndarray:
 
 def _clamp(g: OccupancyGrid, x0: np.ndarray, y0: np.ndarray, dx: np.ndarray,
            dy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Landing points (x0 + dx, y0 + dy), each clamped to the fluid side of
-    its first crossing; the start points broadcast against the displacements."""
+    """Landing points (x0 + dx, y0 + dy) of traces given as arrays of one
+    axis, each clamped to the fluid side of its first crossing; the start
+    points broadcast against the displacements."""
     # coarse scan for the first probe that left the fluid: k probes per
     # trace at fractions i/k; a probe past the domain is never fluid, so no
     # trace needs more than ``reach`` of them, however long it is
     k = np.maximum(_MIN_PROBES, np.ceil(2.0 * np.sqrt(dx * dx + dy * dy) / g.dims.h))
     reach = math.ceil(2.0 * math.hypot(g.dims.nx, g.dims.ny)) + 4
-    pdx, pdy = dx / k, dy / k
-    first = np.zeros(k.shape, dtype=np.int64)  # 0: every probe in fluid
-    for i in range(int(min(reach, k.max(initial=0.0))), 0, -1):
-        left = ~_fluid_at_points(g, x0 + i * pdx, y0 + i * pdy)
-        first[left & (i <= k)] = i
+    start = np.stack(np.broadcast_arrays(x0, y0, dx)[:2])
+    delta = np.stack([dx, dy])
+    step = delta / k
+    # probes i = 1, 2, ... in blocks of at most _MIN_PROBES rows, each block
+    # one stacked lookup; the smallest i <= k that left the fluid, +inf if none
+    first = np.full(k.shape, np.inf)
+    probe_i = np.arange(1.0, int(min(reach, k.max(initial=0.0))) + 1.0)[:, None]
+    for at in range(0, len(probe_i), _MIN_PROBES):
+        i = probe_i[at:at + _MIN_PROBES]
+        probes = step[:, None] * i
+        probes += start[:, None]
+        hit = ~_fluid_at(g, probes)
+        hit &= i <= k
+        np.minimum(first, np.where(hit, i, np.inf).min(axis=0), out=first)
     out_x, out_y = x0 + dx, y0 + dy
-    sel = np.nonzero(first)
-    if sel[0].size == 0:
+    sel = np.flatnonzero(first < np.inf)
+    if sel.size == 0:
         return out_x, out_y
 
     f, ks = first[sel], k[sel]
     lo, hi = (f - 1) / ks, f / ks
-    sx, sy = np.broadcast_to(x0, k.shape)[sel], np.broadcast_to(y0, k.shape)[sel]
-    sdx, sdy = dx[sel], dy[sel]
+    start, delta = start[:, sel], delta[:, sel]
     for _ in range(_BISECT_ITERS):
         mid = 0.5 * (lo + hi)
-        ok = _fluid_at_points(g, sx + mid * sdx, sy + mid * sdy)
+        probes = delta * mid
+        probes += start
+        ok = _fluid_at(g, probes)
         lo = np.where(ok, mid, lo)
         hi = np.where(ok, hi, mid)
-    out_x[sel] = sx + lo * sdx
-    out_y[sel] = sy + lo * sdy
+    land = delta * lo
+    land += start
+    out_x[sel], out_y[sel] = land
     return out_x, out_y
 
 

@@ -36,7 +36,9 @@ def _face_gradient(p: ScalarGrid, g: OccupancyGrid) -> tuple[np.ndarray, np.ndar
     """
     h = p.dims.h
     fm = g.faces
-    pp = np.pad(p.values, 1, constant_values=0.0)
+    ny, nx = p.values.shape
+    pp = np.zeros((ny + 2, nx + 2), dtype=p.values.dtype)
+    pp[1:-1, 1:-1] = p.values
     gx = np.where(fm.free_x, pp[1:-1, 1:] - pp[1:-1, :-1], 0.0)
     gy = np.where(fm.free_y, pp[1:, 1:-1] - pp[:-1, 1:-1], 0.0)
     return gx / h, gy / h

@@ -50,8 +50,10 @@ def add_body_force(u: MacVelocity, g: OccupancyGrid, force: tuple[float, float],
 
 def _to_faces(cx: np.ndarray, cy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Average cell-centered vector components onto faces, zero beyond the border."""
-    px = np.pad(cx, ((0, 0), (1, 1)))
-    py = np.pad(cy, ((1, 1), (0, 0)))
+    px = np.zeros((cx.shape[0], cx.shape[1] + 2), dtype=cx.dtype)
+    px[:, 1:-1] = cx
+    py = np.zeros((cy.shape[0] + 2, cy.shape[1]), dtype=cy.dtype)
+    py[1:-1] = cy
     return 0.5 * (px[:, :-1] + px[:, 1:]), 0.5 * (py[:-1, :] + py[1:, :])
 
 

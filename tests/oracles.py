@@ -4,7 +4,9 @@ Each is the plain form of something the package computes a faster way,
 kept here as an oracle: bilinear sampling at arbitrary positions and
 the clearance-skipping lattice trace, both out of place in fresh arrays
 (the package's in-place sampling and reused trace arrays reproduce them
-bit for bit), single backward traces, advection of one sample lattice at a time (each with its
+bit for bit), the trace clamp one probe and one axis at a time, which the
+package's blocks of probes on stacked x and y reproduce bit for bit,
+single backward traces, advection of one sample lattice at a time (each with its
 own velocity sampling, trace and scan, which the package's one pass per
 frame reproduces bit for bit), emitter fields built afresh on every call,
 which the fields the package keeps per grid reproduce bit for bit,
@@ -16,8 +18,11 @@ iterate reproduce bit for bit, a dense least-squares pressure solve,
 which the package's sparse LU matches to roundoff, the PCG matrix and the
 MGPCG V-cycle built through scipy's COO constructor with three sparse
 products per level, which the package's directly built CSR arrays and
-stacked down-sweep product reproduce bit for bit,
-convolution forward and backward through ``np.pad``, ``sliding_window_view``
+stacked down-sweep product reproduce bit for bit, MGPCG with every
+product through scipy's ``@``, which the package's direct calls of
+scipy's kernels reproduce bit for bit, the face averages and face
+gradient through ``np.pad``, which the package's zeroed arrays reproduce
+bit for bit, convolution forward and backward through ``np.pad``, ``sliding_window_view``
 and ``tensordot``, which the package's window-matrix GEMM reproduces bit for
 bit, and the network's forward and backward passes unrolled stage by stage,
 which the package's loop over resolution levels reproduces bit for bit.
@@ -32,10 +37,11 @@ import scipy.sparse as sp
 from numpy.lib.stride_tricks import sliding_window_view
 
 from macfluid import convnet
-from macfluid.advection import _clamp, _clearance2
+from macfluid.advection import _BISECT_ITERS, _MIN_PROBES, _clearance2
 from macfluid.convnet import NetParams, _replicate_pad_adjoint
 from macfluid.fdops import PoissonSystem
-from macfluid.pressure import (COARSE_ALPHA, COARSE_SIZE, SMOOTH_OMEGA, _active_cells,
+from macfluid.pressure import (COARSE_ALPHA, COARSE_SIZE, SMOOTH_OMEGA, PcgInfo,
+                               _active_cells, _build_hierarchy, _pcg_matrix,
                                _project_out_constants, _remove_closed_means)
 from macfluid.grids import (GridDims, MacVelocity, OccupancyGrid, ScalarGrid, _cone,
                             _lattice_xy)
@@ -115,6 +121,61 @@ def _bilinear_apply(values: np.ndarray, k: np.ndarray, tx: np.ndarray,
     lo = np.minimum(np.minimum(v00, v01), np.minimum(v10, v11))
     hi = np.maximum(np.maximum(v00, v01), np.maximum(v10, v11))
     return out, lo, hi
+
+
+def _padded_cell(g: OccupancyGrid, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Flat index into ``g.fluid_padded`` of the cell holding each point: a
+    cell index shifted by one and clamped to the ring of False cells stands
+    for every point outside the grid.  One axis at a time."""
+    nx, ny = g.dims.nx, g.dims.ny
+    i = np.floor(x / g.dims.h).astype(np.int64)
+    j = np.floor(y / g.dims.h).astype(np.int64)
+    i += 1
+    j += 1
+    np.maximum(i, 0, out=i)
+    np.minimum(i, nx + 1, out=i)
+    np.maximum(j, 0, out=j)
+    np.minimum(j, ny + 1, out=j)
+    j *= nx + 2
+    j += i
+    return j
+
+
+def _fluid_at_points(g: OccupancyGrid, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """True where the point lies inside a fluid cell (one padded-mask lookup)."""
+    return g.fluid_padded.ravel().take(_padded_cell(g, x, y))
+
+
+def _clamp(g: OccupancyGrid, x0: np.ndarray, y0: np.ndarray, dx: np.ndarray,
+           dy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Landing points (x0 + dx, y0 + dy), each clamped to the fluid side of
+    its first crossing, one probe and one axis at a time: the coarse scan
+    visits every probe index from the last down to 1, each a lookup over
+    all traces, and bisection looks x and y up separately."""
+    k = np.maximum(_MIN_PROBES, np.ceil(2.0 * np.sqrt(dx * dx + dy * dy) / g.dims.h))
+    reach = math.ceil(2.0 * math.hypot(g.dims.nx, g.dims.ny)) + 4
+    pdx, pdy = dx / k, dy / k
+    first = np.zeros(k.shape, dtype=np.int64)  # 0: every probe in fluid
+    for i in range(int(min(reach, k.max(initial=0.0))), 0, -1):
+        left = ~_fluid_at_points(g, x0 + i * pdx, y0 + i * pdy)
+        first[left & (i <= k)] = i
+    out_x, out_y = x0 + dx, y0 + dy
+    sel = np.nonzero(first)
+    if sel[0].size == 0:
+        return out_x, out_y
+
+    f, ks = first[sel], k[sel]
+    lo, hi = (f - 1) / ks, f / ks
+    sx, sy = np.broadcast_to(x0, k.shape)[sel], np.broadcast_to(y0, k.shape)[sel]
+    sdx, sdy = dx[sel], dy[sel]
+    for _ in range(_BISECT_ITERS):
+        mid = 0.5 * (lo + hi)
+        ok = _fluid_at_points(g, sx + mid * sdx, sy + mid * sdy)
+        lo = np.where(ok, mid, lo)
+        hi = np.where(ok, hi, mid)
+    out_x[sel] = sx + lo * sdx
+    out_y[sel] = sy + lo * sdy
+    return out_x, out_y
 
 
 def _trace(g: OccupancyGrid, x0: np.ndarray, y0: np.ndarray, dx: np.ndarray,
@@ -225,6 +286,25 @@ def apply_emitters_uncached(u: MacVelocity, emitters, frame_index: int) -> MacVe
         add_x += e.velocity[0] * _cone(fxx, fxy, e.center, e.radius)
         add_y += e.velocity[1] * _cone(fyx, fyy, e.center, e.radius)
     return MacVelocity(dims, u.ux + add_x, u.uy + add_y)
+
+
+def to_faces_pad(cx: np.ndarray, cy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cell-centered components averaged onto faces, zero beyond the
+    border, with the zero ring added by ``np.pad``."""
+    px = np.pad(cx, ((0, 0), (1, 1)))
+    py = np.pad(cy, ((1, 1), (0, 0)))
+    return 0.5 * (px[:, :-1] + px[:, 1:]), 0.5 * (py[:-1, :] + py[1:, :])
+
+
+def face_gradient_pad(p: ScalarGrid, g: OccupancyGrid) -> tuple[np.ndarray, np.ndarray]:
+    """The pressure difference across each free face over h, zero elsewhere,
+    with the zero ring of the open top added by ``np.pad``."""
+    h = p.dims.h
+    fm = g.faces
+    pp = np.pad(p.values, 1, constant_values=0.0)
+    gx = np.where(fm.free_x, pp[1:-1, 1:] - pp[1:-1, :-1], 0.0)
+    gy = np.where(fm.free_y, pp[1:, 1:-1] - pp[:-1, 1:-1], 0.0)
+    return gx / h, gy / h
 
 
 def apply_poisson(g: OccupancyGrid, p: ScalarGrid) -> ScalarGrid:
@@ -398,6 +478,80 @@ def build_hierarchy_three_products(g: OccupancyGrid):
         S, T, Tt = levels[level]
         return S @ r + T @ vcycle(Tt @ r, level + 1)
     return vcycle
+
+
+def vcycle_matmul(M, r: np.ndarray, level: int = 0) -> np.ndarray:
+    """The package's V-cycle ``M`` applied with scipy's ``@`` on its matrices."""
+    if level == len(M.levels):
+        return M.coarse @ r
+    down, T = M.levels[level]
+    y = down @ r  # S r, then T^T r
+    n = T.shape[0]
+    return y[:n] + T @ vcycle_matmul(M, y[n:], level + 1)
+
+
+def _project_out_constants_index(lab: np.ndarray, x: np.ndarray, comps) -> np.ndarray:
+    """x minus its mean over each closed component, gathered by ``[lab]``."""
+    if not comps.closed.any():
+        return x
+    sums = np.bincount(lab, weights=x, minlength=len(comps.sizes))
+    return x - np.where(comps.closed, sums / comps.sizes, 0.0)[lab]
+
+
+def solve_pcg_matmul(sys: PoissonSystem, tol: float = 1e-4,
+                     max_iter: int = 2000) -> tuple[ScalarGrid, PcgInfo]:
+    """MGPCG through scipy's ``@``: A d, the true residual and the V-cycle's
+    products (:func:`vcycle_matmul`) on the grid's matrices, residual norms
+    by ``np.linalg.norm`` and the component means gathered by ``[lab]``."""
+    g = sys.g
+    active = _active_cells(g)
+    A, lab = g.derived(_pcg_matrix)
+    comps = g.components
+    out = np.zeros(g.dims.shape)
+    bv = sys.b.values[active]
+    bnorm = float(np.linalg.norm(bv))
+    if bnorm == 0.0:
+        return ScalarGrid(g.dims, out), PcgInfo(0, True, 0.0, "multigrid")
+    if not math.isfinite(bnorm):
+        return ScalarGrid(g.dims, out), PcgInfo(0, False, math.nan, "multigrid")
+    M = g.derived(_build_hierarchy)
+
+    def precond(r):
+        return _project_out_constants_index(lab, vcycle_matmul(M, r), comps)
+
+    x = np.zeros(A.shape[0])
+    r = bv.copy()
+    z = precond(r)
+    d = z.copy()
+    rz = float(r @ z)
+    converged, relres, iterations = False, 1.0, 0
+    for _ in range(max_iter):
+        q = A @ d
+        dq = float(d @ q)
+        if dq <= 0.0:
+            break
+        alpha = rz / dq
+        x += alpha * d
+        q *= alpha
+        r -= q
+        iterations += 1
+        relres = float(np.linalg.norm(r)) / bnorm
+        if relres <= tol:
+            r_true = bv - A @ x
+            relres = float(np.linalg.norm(r_true)) / bnorm
+            if relres <= tol:
+                converged = True
+                break
+            r = r_true
+        z = precond(r)
+        rz_new = float(r @ z)
+        beta = rz_new / rz
+        d *= beta
+        d += z
+        rz = rz_new
+    out[active] = x
+    return (ScalarGrid(g.dims, _remove_closed_means(out, g)),
+            PcgInfo(iterations, converged, relres, "multigrid"))
 
 
 def _replicate_pad(x: np.ndarray, p: int) -> np.ndarray:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from macfluid import advection, grids, sim
-from macfluid.advection import _fluid_at_points, advect, advect_scalar, self_advect
+from macfluid.advection import _fluid_at, advect, advect_scalar, self_advect
 from macfluid.datagen import SceneConfig, apply_emitters, build_scene
 from macfluid.grids import (GridDims, MacVelocity, OccupancyGrid, ScalarGrid, _bilinear,
                             _bilinear_apply)
@@ -201,9 +201,11 @@ def test_fluid_at_points_matches_bounds_checked_lookup(open_top):
     border = np.array([(x, y) for x in (0.0, w, -0.0, w / 2, np.nextafter(w, 0.0))
                        for y in (0.0, t, t / 2, np.nextafter(t, 0.0), t + 1e-9)])
     pts = np.concatenate([near, far, border, [(1e6, 1e6), (-1e6, -1e6)]])
-    got = _fluid_at_points(g, pts[:, 0], pts[:, 1])
     want = _fluid_at_points_reference(g, pts[:, 0], pts[:, 1])
-    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(_fluid_at(g, pts.T), want)
+    # any stacking of the points looks up the same cells
+    np.testing.assert_array_equal(_fluid_at(g, pts[:4200].T.reshape(2, 3, 1400)),
+                                  want[:4200].reshape(3, 1400))
     assert want.any() and not want.all()
 
 
@@ -501,6 +503,53 @@ def test_clearance_skip_lands_where_the_full_scan_does(geometry, h, open_top):
                     np.testing.assert_array_equal(got[0][row], want[0])
                     np.testing.assert_array_equal(got[1][row], want[1])
         assert clamped > 0
+
+
+def _clamp_cases(rng, g):
+    """Traces from random start points: short and long (k > 4, several probe
+    blocks), with NaN and +-inf displacements among them."""
+    w, t = g.dims.nx * g.dims.h, g.dims.ny * g.dims.h
+    n = 3000
+    x0, y0 = rng.uniform(-0.1 * w, 1.1 * w, n), rng.uniform(-0.1 * t, 1.1 * t, n)
+    length = g.dims.h * rng.choice([0.1, 1.0, 3.0, 12.0, 60.0], n) * rng.random(n)
+    angle = rng.uniform(0.0, 2 * np.pi, n)
+    dx, dy = length * np.cos(angle), length * np.sin(angle)
+    dx[:40:4], dy[1:40:4], dx[2:40:4], dy[3:40:4] = np.nan, np.inf, -np.inf, np.nan
+    dy[2:40:8] = 0.0
+    return x0, y0, dx, dy
+
+
+@pytest.mark.parametrize("open_top", [False, True])
+@pytest.mark.parametrize("geometry, h", [("disc", 1.0), ("box", 0.37), ("random", 2.5)])
+def test_clamp_is_the_per_probe_oracle_bit_for_bit(monkeypatch, geometry, h, open_top):
+    rng = np.random.default_rng(55)
+    g = _clearance_scene(geometry, open_top, h)
+    rows = []
+    lookup = advection._fluid_at
+
+    def spy(g, p):
+        rows.append(p.shape[1] if p.ndim == 3 else 0)
+        return lookup(g, p)
+
+    monkeypatch.setattr(advection, "_fluid_at", spy)
+    x0, y0, dx, dy = _clamp_cases(rng, g)
+    # one inf trace among 10k finite ones scans every probe up to the reach
+    many = rng.normal(scale=0.3 * h, size=(2, 10_000))
+    many[0, 1234] = np.inf
+    cx, cy = rng.uniform(0.0, 64 * h, size=(2, 10_000))
+    cases = [(x0, y0, dx, dy), (cx, cy, many[0], many[1]),
+             (np.float64(20.5 * h), np.float64(30.5 * h), dx, dy)]  # start points broadcast
+    with np.errstate(invalid="ignore"):
+        for case in cases:
+            got, want = advection._clamp(g, *case), oracles._clamp(g, *case)
+            for a, b in zip(got, want):
+                assert (a.dtype, a.shape) == (b.dtype, b.shape)
+                assert a.tobytes() == b.tobytes()
+    # several probe blocks, none of more than _MIN_PROBES rows
+    assert max(rows) == advection._MIN_PROBES
+    assert rows.count(advection._MIN_PROBES) > 3 * len(cases)
+    moved = (want[0] != cases[-1][0] + dx) | (want[1] != cases[-1][1] + dy)
+    assert moved.any() and not moved.all()
 
 
 def _clearance_reference(g, shape, offx, offy):

@@ -10,7 +10,8 @@ from macfluid.fdops import (
     vorticity,
 )
 from macfluid.grids import GridDims, MacVelocity, OccupancyGrid, ScalarGrid
-from oracles import apply_poisson
+from macfluid.fdops import _face_gradient
+from oracles import apply_poisson, face_gradient_pad
 
 
 def random_geometry(rng, nx, ny, p_solid=0.2, open_top=False):
@@ -243,3 +244,19 @@ def test_apply_poisson_zero_on_solid():
     p = ScalarGrid(g.dims, rng.normal(size=g.dims.shape))
     out = apply_poisson(g, p)
     assert np.all(out.values[g.solid] == 0.0)
+
+
+@pytest.mark.parametrize("open_top", [False, True])
+def test_face_gradient_is_the_np_pad_oracle_bit_for_bit(open_top):
+    rng = np.random.default_rng(31)
+    for nx, ny in ((9, 7), (4, 4), (32, 32)):
+        g = random_geometry(rng, nx, ny, 0.2, open_top)
+        p = rng.normal(size=g.dims.shape)
+        p.flat[::5], p.flat[1::17], p.flat[2::23], p.flat[3::29] = -0.0, np.inf, -np.inf, np.nan
+        p[-1, ::2], p[-1, 1::2] = -0.0, 0.0  # the top row, beside the open top's zero ring
+        with np.errstate(invalid="ignore"):
+            got, want = _face_gradient(ScalarGrid(g.dims, p), g), face_gradient_pad(
+                ScalarGrid(g.dims, p), g)
+        for a, b in zip(got, want):
+            assert (a.dtype, a.shape) == (b.dtype, b.shape)
+            assert a.tobytes() == b.tobytes()

@@ -9,7 +9,9 @@ from macfluid.forces import (
     enforce_solid_velocities,
     vorticity_confinement,
 )
+from macfluid.forces import _to_faces
 from macfluid.grids import GridDims, MacVelocity, OccupancyGrid, ScalarGrid
+from oracles import to_faces_pad
 
 
 def _scene(rng, nx=10, ny=9, p_solid=0.2):
@@ -152,3 +154,22 @@ def test_force_config_defaults_are_inert():
     assert cfg.gravity == (0.0, 0.0)
     assert cfg.buoyancy == 0.0
     assert cfg.confinement == 0.0
+
+
+def _special_cells(rng, shape):
+    """Random values with -0.0, +-inf and NaN among them."""
+    c = rng.normal(size=shape)
+    c.flat[::5], c.flat[1::17], c.flat[2::23], c.flat[3::29] = -0.0, np.inf, -np.inf, np.nan
+    c[:, 0], c[-1, :] = -0.0, -0.0  # border cells, next to the zero ring
+    return c
+
+
+@pytest.mark.parametrize("shape", [(9, 10), (4, 4), (32, 32)])
+def test_to_faces_is_the_np_pad_oracle_bit_for_bit(shape):
+    rng = np.random.default_rng(58)
+    cx, cy = _special_cells(rng, shape), _special_cells(rng, shape)
+    with np.errstate(invalid="ignore"):
+        got, want = _to_faces(cx, cy), to_faces_pad(cx, cy)
+    for a, b in zip(got, want):
+        assert (a.dtype, a.shape) == (b.dtype, b.shape)
+        assert a.tobytes() == b.tobytes()

@@ -22,7 +22,8 @@ from macfluid.pressure import (
 from macfluid.datagen import GeometryConfig, SceneConfig, build_scene, random_geometry
 from macfluid.sim import ExactProjection, JacobiProjection, plume_scenario, step
 from oracles import (apply_poisson, build_hierarchy_three_products, pcg_matrix_coo,
-                     residual_norm, solve_dense_lstsq, solve_jacobi_gather)
+                     residual_norm, solve_dense_lstsq, solve_jacobi_gather, solve_pcg_matmul,
+                     vcycle_matmul)
 
 
 def random_system(rng, nx=8, ny=8, p_solid=0.2, open_top=False, compatible=True):
@@ -853,5 +854,60 @@ def test_vcycle_is_the_three_product_oracle_bit_for_bit():
         M, want = pr._build_hierarchy(g), build_hierarchy_three_products(g)
         for r in rng.normal(size=(3, g.derived(pr._pcg_matrix)[0].shape[0])):
             assert M(r).tobytes() == want(r).tobytes()
+            assert M(r).tobytes() == vcycle_matmul(M, r).tobytes()
     # levels with and without a small closed component, built both ways
     assert any(small) and not all(small)
+
+
+def test_matvec_is_scipy_matmul_on_every_matrix_of_the_hierarchy():
+    # pins the direct kernel calls to what ``@`` computes with this scipy
+    rng = np.random.default_rng(139)
+    formats = set()
+    for g in _setup_grids(rng):
+        M = pr._build_hierarchy(g)
+        mats = [g.derived(pr._pcg_matrix)[0], M.coarse, *(m for lvl in M.levels for m in lvl)]
+        for A in mats:
+            formats.add(A.format)
+            x = rng.normal(size=A.shape[1])
+            x[::7] = -0.0
+            got, want = pr._matvec(A, x), A @ x
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes()
+    assert formats == {"csr", "csc"}
+
+
+def test_pcg_is_the_matmul_oracle_bit_for_bit():
+    rng = np.random.default_rng(140)
+    small, unconverged = [], 0
+    for g in _setup_grids(rng):
+        comps = g.components
+        small.append(bool(np.any(comps.closed & (comps.sizes <= pr.COARSE_SIZE))))
+        b = np.where(g.fluid, rng.normal(size=g.dims.shape), 0.0)
+        sys = make_compatible(PoissonSystem(g, ScalarGrid(g.dims, b)))
+        for tol, max_iter in ((1e-6, 2000), (1e-10, 2000), (1e-14, 3)):
+            p, info = solve_pcg(sys, tol, max_iter)
+            q, want = solve_pcg_matmul(sys, tol, max_iter)
+            assert p.values.tobytes() == q.values.tobytes()
+            assert info == want
+            unconverged += not info.converged
+    assert any(small) and not all(small)
+    assert unconverged > 0
+
+
+@pytest.mark.parametrize("tol", [float("nan"), 0.0, -1.0, float("inf"), -float("inf")])
+def test_pcg_rejects_a_tolerance_that_is_not_positive_and_finite(tol):
+    sys = random_system(np.random.default_rng(141), nx=16, ny=16, p_solid=0.15)
+    with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+        solve_pcg(sys, tol=tol)
+    # refused before any set-up is built
+    assert pr._build_hierarchy not in _kept(sys.g)
+
+
+def test_pcg_rejects_a_negative_iteration_cap():
+    sys = random_system(np.random.default_rng(142), nx=16, ny=16, p_solid=0.15)
+    with pytest.raises(ValueError, match="iteration cap must be nonnegative"):
+        solve_pcg(sys, tol=1e-6, max_iter=-5)
+    # a cap of zero still returns the zero iterate, unconverged
+    p, info = solve_pcg(sys, tol=1e-6, max_iter=0)
+    assert (info.iterations, info.converged) == (0, False)
+    assert not p.values.any()
