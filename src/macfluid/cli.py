@@ -22,7 +22,8 @@ from .convnet import SIDE_MULTIPLE, NetArch, init_params
 from .datagen import SceneConfig, build_scene, generate_dataset, load_dataset
 from .evaluate import (WARMUP_FRAMES, BenchRow, bench, eval_divergence_curves,
                        match_divergence, parse_backend)
-from .formats import csv_text, format_row, load_model, save_model, write_frame, write_pgm
+from .formats import (check_model_arch, csv_text, format_row, load_model, save_model,
+                      write_frame, write_pgm)
 from .grids import GridDims
 from .sim import ConvnetProjection, FrameMetrics, SimulationError, plume_scenario, run
 from .training import (EpochStats, LossConfig, TrainConfig, gradient_check,
@@ -127,6 +128,7 @@ def _cmd_train(args) -> int:
     cfg = TrainConfig(arch=NetArch(features=args.features, kernel=args.kernel),
                       loss=LossConfig(single_frame=args.single_frame_loss),
                       batch_size=args.batch_size, lr=args.lr, grad_clip=args.grad_clip)
+    check_model_arch(cfg.arch)
     scenes = load_dataset(data)
     dataset = [frame for scene in scenes for frame in scene.frames]
     for path in (out, args.log):

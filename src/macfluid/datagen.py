@@ -23,7 +23,7 @@ from scipy.ndimage import gaussian_filter
 
 from .convnet import SIDE_MULTIPLE
 from .forces import enforce_solid_velocities
-from .formats import read_frame, write_frame
+from .formats import check_frame_dt, read_frame, write_frame
 from .grids import (GridDims, MacVelocity, OccupancyGrid, ScalarGrid, _cone, _lattice_xy,
                     _read_only, box_mask, capsule_mask, disc_mask)
 from .pressure import PcgInfo
@@ -326,6 +326,7 @@ def generate_dataset(cfg: SceneConfig, scene_count: int, frames_per_scene: int =
     if not 1 <= stride <= frames_per_scene:
         raise ValueError(f"frames and stride must satisfy 1 <= stride <= frames, "
                          f"got {frames_per_scene} and {stride}")
+    check_frame_dt(cfg.dt)
     projection = projection if projection is not None else PcgProjection(tol=1e-6)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -29,7 +29,8 @@ FNM1 layout::
 
 Cell size and the open-top flag are runtime configuration, not frame
 data; readers take the boundary mode as an argument and grids come back
-with h = 1.
+with h = 1.  :func:`check_frame_dt` and :func:`check_model_arch` refuse
+what the headers cannot store, so commands check before any work.
 """
 
 from __future__ import annotations
@@ -51,6 +52,22 @@ class FormatError(ValueError):
 _FRAME_HEADER = struct.Struct("<4sHBIIfB")
 _MODEL_HEADER = struct.Struct("<4sHB")
 _STAGE_DESC = struct.Struct("<HHBB")
+# the widest a stage entry stores: channels as u16, the kernel as u8
+MAX_CHANNELS, MAX_KERNEL = 2 ** 16 - 1, 2 ** 8 - 1
+
+
+def check_frame_dt(dt: float) -> None:
+    """Raise FormatError unless FNF1's f32 header field stores ``dt`` finite:
+    from 2^128 - 2^103 up, a double rounds to the float32 inf."""
+    if not abs(dt) < 2.0 ** 128 - 2.0 ** 103:
+        raise FormatError(f"frame dt must be a finite float32, got {dt}")
+
+
+def check_model_arch(arch: NetArch) -> None:
+    """Raise FormatError unless FNM1's stage table stores ``arch``."""
+    if arch.features > MAX_CHANNELS or arch.kernel > MAX_KERNEL:
+        raise FormatError(f"a model stores at most {MAX_CHANNELS} features and a kernel of "
+                          f"at most {MAX_KERNEL}, got {arch.features} and {arch.kernel}")
 
 
 @dataclass
@@ -66,6 +83,7 @@ class FrameData:
 
 def write_frame(path, g: OccupancyGrid, u: MacVelocity, density: ScalarGrid,
                 dt: float, pressure: ScalarGrid | None = None) -> None:
+    check_frame_dt(dt)
     nx, ny = g.dims.nx, g.dims.ny
     flags = 1 if pressure is not None else 0
     parts = [_FRAME_HEADER.pack(b"FNF1", 1, 2, nx, ny, dt, flags)]
@@ -123,6 +141,7 @@ def read_frame(path, open_top: bool = False) -> FrameData:
 
 
 def save_model(path, params: NetParams) -> None:
+    check_model_arch(params.arch)
     specs = params.arch.stage_specs()
     Path(path).write_bytes(b"".join([_MODEL_HEADER.pack(b"FNM1", 1, len(specs)),
                                      *(_STAGE_DESC.pack(*spec) for spec in specs),

@@ -155,10 +155,6 @@ class OccupancyGrid:
         return _read_only(np.pad(self.fluid, 1, constant_values=False))
 
     @cached_property
-    def n_fluid(self) -> int:
-        return int(np.count_nonzero(self.fluid))
-
-    @cached_property
     def faces(self) -> "FaceMasks":
         return _read_only(face_masks(self))
 
@@ -311,44 +307,31 @@ def _read_only(obj):
     return obj
 
 
-def _padded_masks(g: OccupancyGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Solid and fluid masks padded with one border ring.
-
-    The ring is solid wall everywhere except above the top row in open-top
-    mode, where it is air (neither solid nor fluid).
-    """
+def _padded_solid(g: OccupancyGrid) -> np.ndarray:
+    """The solid mask padded with one border ring: solid wall, but air
+    (neither solid nor fluid) above the top row in open-top mode."""
     psolid = np.pad(g.solid, 1, constant_values=True)
     if g.open_top:
         psolid[-1, 1:-1] = False
-    return psolid, g.fluid_padded
+    return psolid
 
 
 @dataclass(frozen=True)
 class CellStencil:
-    """Per-cell neighbor masks for the 5-point pressure stencil.
-
-    ``fluid_*`` flag a fluid neighbor in each direction, ``solid_count``
+    """Per-cell counts for the 5-point pressure stencil: ``solid_count``
     counts solid neighbors (border included) and ``diag`` counts non-solid
-    neighbors, which is the diagonal of the pressure system.
+    neighbors, which is h^2 times the diagonal of the pressure system.
     """
 
-    fluid_w: np.ndarray
-    fluid_e: np.ndarray
-    fluid_s: np.ndarray
-    fluid_n: np.ndarray
     solid_count: np.ndarray
     diag: np.ndarray
 
 
 def cell_stencil(g: OccupancyGrid) -> CellStencil:
-    psolid, pfluid = _padded_masks(g)
-    fw = pfluid[1:-1, :-2]
-    fe = pfluid[1:-1, 2:]
-    fs = pfluid[:-2, 1:-1]
-    fn = pfluid[2:, 1:-1]
+    psolid = _padded_solid(g)
     sc = (psolid[1:-1, :-2].astype(np.int64) + psolid[1:-1, 2:]
           + psolid[:-2, 1:-1] + psolid[2:, 1:-1])
-    return CellStencil(fw, fe, fs, fn, sc, 4 - sc)
+    return CellStencil(sc, 4 - sc)
 
 
 @dataclass(frozen=True)
@@ -368,7 +351,7 @@ class FaceMasks:
 
 
 def face_masks(g: OccupancyGrid) -> FaceMasks:
-    psolid, pfluid = _padded_masks(g)
+    psolid, pfluid = _padded_solid(g), g.fluid_padded
     solid_x = psolid[1:-1, :-1] | psolid[1:-1, 1:]
     solid_y = psolid[:-1, 1:-1] | psolid[1:, 1:-1]
     fluid_x = pfluid[1:-1, :-1] | pfluid[1:-1, 1:]

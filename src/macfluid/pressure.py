@@ -11,10 +11,11 @@ Three routes with very different cost/accuracy trade-offs.  Each solver
 builds what it reads on the grid's first solve by it and keeps it on the
 grid itself through :meth:`~macfluid.grids.OccupancyGrid.derived`, so it
 lives exactly as long as the grid and no solver builds what only another
-reads.  Jacobi and PCG share the mask of active cells, the fluid cells with
-a non-solid neighbor; a fluid cell walled in on all sides stays out of
-both.  Every route returns through :func:`_remove_closed_means` on the
-fluid cells.
+reads.  All three routes solve for the active cells, the fluid cells with
+a non-solid neighbor; a fluid cell walled in on all sides stays out and
+keeps +0.0.  PCG and the direct route read one matrix, A on the active
+cells (:func:`_system_matrix`).  Every route returns through
+:func:`_remove_closed_means` on the fluid cells.
 
 * :func:`solve_jacobi`: fixed iteration count, cheap, smooth error decay.
   The update mirrors the pressure across solid faces and sees zero beyond
@@ -27,8 +28,8 @@ fluid cells.
   matrix on the active cells.  Every sparse product, A's and the V-cycle's,
   is one call of scipy's CSR or CSC kernel (:func:`_matvec`), bit for bit
   what ``@`` computes without its dispatch.
-* :func:`solve_dense_direct`: a direct solve by a sparse LU of the pinned
-  matrix on every fluid cell, assembled independently of PCG's.
+* :func:`solve_dense_direct`: a direct solve by a sparse LU of that
+  matrix, pinned on each closed component.
 """
 
 from __future__ import annotations
@@ -87,14 +88,14 @@ def make_compatible(sys: PoissonSystem) -> PoissonSystem:
     return PoissonSystem(sys.g, ScalarGrid(sys.dims, b))
 
 
-# ====== What Jacobi and PCG derive per grid ======
+# ====== What the solvers derive per grid ======
 
 def _active_cells(g: OccupancyGrid) -> np.ndarray:
-    """The unknowns of Jacobi and PCG: every fluid cell with a non-solid
+    """The unknowns of every route: each fluid cell with a non-solid
     neighbor, as a read-only mask.
 
     A fluid cell walled in on all four sides has an empty matrix row and
-    no fluid neighbor; it stays out of both solves and keeps pressure +0.0.
+    no fluid neighbor; it stays out of every solve and keeps pressure +0.0.
     """
     return _read_only(g.fluid & (g.stencil.diag > 0))
 
@@ -113,9 +114,9 @@ def _jacobi_layout(g: OccupancyGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return _read_only(inactive.ravel()), _read_only(count.ravel()), _read_only(walled)
 
 
-def _pcg_matrix(g: OccupancyGrid) -> tuple[sp.csr_matrix, np.ndarray]:
+def _system_matrix(g: OccupancyGrid) -> tuple[sp.csr_matrix, np.ndarray]:
     """A on the active cells, row-major, as CSR, and the component label of
-    each active cell; both read-only.
+    each active cell; both read-only.  PCG and the direct LU both read it.
 
     No two entries share a position, so the CSR arrays are written directly:
     each row holds its south, west, diagonal, east and north entries, in
@@ -305,7 +306,7 @@ def _build_hierarchy(g: OccupancyGrid) -> _VCycle:
     left to scipy, whose summation order they keep.  So is the coarsest
     operator, unless it is one block over every unknown.
     """
-    A, lab = g.derived(_pcg_matrix)
+    A, lab = g.derived(_system_matrix)
     A = A.copy()
     A.data = np.rint(A.data * g.dims.h ** 2)
     closed = g.components.closed
@@ -363,7 +364,7 @@ def solve_pcg(sys: PoissonSystem, tol: float = 1e-4,
               max_iter: int = 2000) -> tuple[ScalarGrid, PcgInfo]:
     """Conjugate gradients with a multigrid preconditioner (MGPCG).
 
-    A is the CSR matrix of :func:`_pcg_matrix` on the active cells.  It and
+    A is the CSR matrix of :func:`_system_matrix` on the active cells.  It and
     the hierarchy of :func:`_build_hierarchy` are built on the grid's first
     PCG solve and kept on the grid; each iteration applies one symmetric
     V-cycle and A, every product one :func:`_matvec` call.  To 1e-4 the
@@ -386,7 +387,7 @@ def solve_pcg(sys: PoissonSystem, tol: float = 1e-4,
         raise ValueError(f"iteration cap must be nonnegative, got {max_iter}")
     g = sys.g
     active = g.derived(_active_cells)
-    A, lab = g.derived(_pcg_matrix)
+    A, lab = g.derived(_system_matrix)
     comps = g.components
     out = np.zeros(g.dims.shape)
 
@@ -441,9 +442,9 @@ def solve_pcg(sys: PoissonSystem, tol: float = 1e-4,
 # ====== Sparse direct ======
 
 def _direct_factor(g: OccupancyGrid):
-    """The sparse LU of A on every fluid cell, pinned: the first cell of
-    each closed component, a walled-in cell included, gets +1/h^2 on its
-    diagonal.  Built on the grid's first direct solve and kept on the grid.
+    """The sparse LU of :func:`_system_matrix`, pinned: the first active cell
+    of each closed component gets +1/h^2 on its diagonal, which every row
+    stores.  A is symmetric, so its CSR arrays are also its CSC arrays.
 
     The pinned matrix is nonsingular.  Against a compatible right hand side
     the pinned cell solves to 0, since A is symmetric and its rows sum to
@@ -451,33 +452,25 @@ def _direct_factor(g: OccupancyGrid):
     """
     # importing scipy.sparse.linalg costs ~80 ms, which only exact solves pay
     from scipy.sparse.linalg import splu
-    st = g.stencil
-    fluid = g.fluid
-    n = g.n_fluid
-    idx = np.full(g.dims.shape, -1, dtype=np.int64)
-    idx[fluid] = np.arange(n)
-    h2 = g.dims.h ** 2
-    diag = st.diag[fluid] / h2
-    _, first = np.unique(g.derived(_fluid_labels), return_index=True)
-    diag[first[g.components.closed]] += 1.0 / h2
-    parts = [(diag, np.arange(n), np.arange(n))]
-    pi = np.pad(idx, 1, constant_values=-1)
-    for mask, nbr in ((st.fluid_w, pi[1:-1, :-2]), (st.fluid_e, pi[1:-1, 2:]),
-                      (st.fluid_s, pi[:-2, 1:-1]), (st.fluid_n, pi[2:, 1:-1])):
-        m = mask & fluid
-        parts.append((np.full(np.count_nonzero(m), -1.0 / h2), idx[m], nbr[m]))
-    A = _sparse(parts, (n, n), sp.csc_matrix)
-    return splu(A, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
+    A, lab = g.derived(_system_matrix)
+    data = A.data.copy()
+    on = A.indices == np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+    comp, first = np.unique(lab, return_index=True)
+    data[np.flatnonzero(on)[first[g.components.closed[comp]]]] += 1.0 / g.dims.h ** 2
+    pinned = sp.csc_matrix((data, A.indices, A.indptr), shape=A.shape)
+    return splu(pinned, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
 
 
 def solve_dense_direct(sys: PoissonSystem) -> ScalarGrid:
-    """Solve A p = b directly, by the grid's sparse LU (:func:`_direct_factor`).
+    """Solve A p = b directly on the active cells, by the grid's sparse LU
+    (:func:`_direct_factor`); a walled-in cell keeps +0.0.
 
     Expects a compatible right hand side (:func:`make_compatible`); returns
     zero mean on each closed component.  Criterion 1 imports this name as
     its oracle, so it stays although the solve is no longer dense.
     """
     g = sys.g
+    active = g.derived(_active_cells)
     out = np.zeros(g.dims.shape)
-    out[g.fluid] = g.derived(_direct_factor).solve(sys.b.values[g.fluid])
+    out[active] = g.derived(_direct_factor).solve(sys.b.values[active])
     return ScalarGrid(g.dims, _remove_closed_means(out, g))

@@ -15,7 +15,9 @@ a pressure solve and the matrix-free Poisson operator it applies, Jacobi
 sweeps that gather each cell's four neighbors through one index on the
 compressed active cells, which the package's shifted slices of a padded
 iterate reproduce bit for bit, a dense least-squares pressure solve,
-which the package's sparse LU matches to roundoff, the PCG matrix and the
+which the package's sparse LU matches to roundoff, a sparse LU of A
+assembled on its own on every fluid cell, which the package's LU of the
+active-cell matrix reproduces bit for bit, the PCG matrix and the
 MGPCG V-cycle built through scipy's COO constructor with three sparse
 products per level, which the package's directly built CSR arrays and
 stacked down-sweep product reproduce bit for bit, MGPCG with every
@@ -41,7 +43,7 @@ from macfluid.advection import _BISECT_ITERS, _MIN_PROBES, _clearance2
 from macfluid.convnet import NetParams, _replicate_pad_adjoint
 from macfluid.fdops import PoissonSystem
 from macfluid.pressure import (COARSE_ALPHA, COARSE_SIZE, SMOOTH_OMEGA, PcgInfo,
-                               _active_cells, _build_hierarchy, _pcg_matrix,
+                               _active_cells, _build_hierarchy, _system_matrix,
                                _project_out_constants, _remove_closed_means)
 from macfluid.grids import (GridDims, MacVelocity, OccupancyGrid, ScalarGrid, _cone,
                             _lattice_xy)
@@ -309,14 +311,14 @@ def face_gradient_pad(p: ScalarGrid, g: OccupancyGrid) -> tuple[np.ndarray, np.n
 
 def apply_poisson(g: OccupancyGrid, p: ScalarGrid) -> ScalarGrid:
     """Matrix-free action A p of the pressure system; zero on solid cells."""
-    st = g.stencil
+    st, pf = g.stencil, g.fluid_padded
     h2 = g.dims.h ** 2
     pv = p.values
     pp = np.pad(pv, 1, constant_values=0.0)
-    nbr = (np.where(st.fluid_w, pp[1:-1, :-2], 0.0)
-           + np.where(st.fluid_e, pp[1:-1, 2:], 0.0)
-           + np.where(st.fluid_s, pp[:-2, 1:-1], 0.0)
-           + np.where(st.fluid_n, pp[2:, 1:-1], 0.0))
+    nbr = (np.where(pf[1:-1, :-2], pp[1:-1, :-2], 0.0)
+           + np.where(pf[1:-1, 2:], pp[1:-1, 2:], 0.0)
+           + np.where(pf[:-2, 1:-1], pp[:-2, 1:-1], 0.0)
+           + np.where(pf[2:, 1:-1], pp[2:, 1:-1], 0.0))
     out = (st.diag * pv - nbr) / h2
     out[g.solid] = 0.0
     return ScalarGrid(p.dims, out)
@@ -382,18 +384,14 @@ def solve_dense_lstsq(sys: PoissonSystem) -> ScalarGrid:
     g = sys.g
     st = g.stencil
     fluid = g.fluid
-    n = g.n_fluid
-    idx = np.full(g.dims.shape, -1, dtype=np.int64)
-    idx[fluid] = np.arange(n)
+    idx, pi = _fluid_index(g)
+    n = int(np.count_nonzero(fluid))
     h2 = g.dims.h ** 2
     A = np.zeros((n, n))
     rows = idx[fluid]
     A[rows, rows] = st.diag[fluid] / h2
-    pi = np.pad(idx, 1, constant_values=-1)
-    for mask, nbr in ((st.fluid_w, pi[1:-1, :-2]), (st.fluid_e, pi[1:-1, 2:]),
-                      (st.fluid_s, pi[:-2, 1:-1]), (st.fluid_n, pi[2:, 1:-1])):
-        m = mask & fluid
-        A[idx[m], nbr[m]] = -1.0 / h2
+    for mask, nbr in _fluid_neighbors(g, pi):
+        A[idx[mask], nbr[mask]] = -1.0 / h2
     bv = sys.b.values[fluid]
     x, *_ = np.linalg.lstsq(A, bv, rcond=None)
     out = np.zeros(g.dims.shape)
@@ -401,10 +399,52 @@ def solve_dense_lstsq(sys: PoissonSystem) -> ScalarGrid:
     return ScalarGrid(g.dims, _remove_closed_means(out, g))
 
 
+def _fluid_index(g: OccupancyGrid) -> tuple[np.ndarray, np.ndarray]:
+    """The row-major index of each fluid cell, -1 elsewhere, and that index
+    padded with a ring of -1."""
+    idx = np.full(g.dims.shape, -1, dtype=np.int64)
+    idx[g.fluid] = np.arange(np.count_nonzero(g.fluid))
+    return idx, np.pad(idx, 1, constant_values=-1)
+
+
+def _fluid_neighbors(g: OccupancyGrid, pi: np.ndarray) -> list:
+    """Per direction (west, east, south, north), the fluid cells with a fluid
+    neighbor there, from slices of ``g.fluid_padded``, and the slice of the
+    padded index ``pi`` that reads that neighbor."""
+    pf = g.fluid_padded
+    return [(pf[sl] & g.fluid, pi[sl]) for sl in (np.s_[1:-1, :-2], np.s_[1:-1, 2:],
+                                                  np.s_[:-2, 1:-1], np.s_[2:, 1:-1])]
+
+
 def _sparse(parts: list, shape, fmt=sp.csr_matrix):
     """The sum of (values, rows, columns) triplets as one sparse matrix."""
     v, i, j = (np.concatenate(t) for t in zip(*parts))
     return fmt((v, (i, j)), shape=shape)
+
+
+def solve_direct_fluid(sys: PoissonSystem) -> ScalarGrid:
+    """The sparse direct solve on every fluid cell, walled-in cells included,
+    with A assembled on its own through scipy's COO constructor: the first
+    cell of each closed component gets +1/h^2 on its diagonal, and the
+    pinned matrix is factored by ``splu`` with the package's options.  The
+    package's LU of the active-cell matrix reproduces it bit for bit."""
+    from scipy.sparse.linalg import splu
+    g = sys.g
+    fluid = g.fluid
+    idx, pi = _fluid_index(g)
+    n = int(np.count_nonzero(fluid))
+    h2 = g.dims.h ** 2
+    diag = g.stencil.diag[fluid] / h2
+    _, first = np.unique(g.components.labels[fluid], return_index=True)
+    diag[first[g.components.closed]] += 1.0 / h2
+    parts = [(diag, np.arange(n), np.arange(n))]
+    for mask, nbr in _fluid_neighbors(g, pi):
+        parts.append((np.full(np.count_nonzero(mask), -1.0 / h2), idx[mask], nbr[mask]))
+    A = _sparse(parts, (n, n), sp.csc_matrix)
+    lu = splu(A, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
+    out = np.zeros(g.dims.shape)
+    out[fluid] = lu.solve(sys.b.values[fluid])
+    return ScalarGrid(g.dims, _remove_closed_means(out, g))
 
 
 def pcg_matrix_coo(g: OccupancyGrid) -> tuple[sp.csr_matrix, np.ndarray]:
@@ -505,7 +545,7 @@ def solve_pcg_matmul(sys: PoissonSystem, tol: float = 1e-4,
     by ``np.linalg.norm`` and the component means gathered by ``[lab]``."""
     g = sys.g
     active = _active_cells(g)
-    A, lab = g.derived(_pcg_matrix)
+    A, lab = g.derived(_system_matrix)
     comps = g.components
     out = np.zeros(g.dims.shape)
     bv = sys.b.values[active]

@@ -117,6 +117,27 @@ def test_gen_data_with_infinite_dt_creates_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_gen_data_with_a_dt_float32_cannot_store_creates_nothing(tmp_path, capsys):
+    out = tmp_path / "x"
+    assert cli(["gen-data", "--res", "16", "--out", str(out), "--dt", "1e39"]) == 1
+    assert capsys.readouterr().err == "error: frame dt must be a finite float32, got 1e+39\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("arch, message", [
+    (["--features", "1", "--kernel", "257"], "1 and 257"),
+    (["--features", "65536"], "65536 and 3"),
+], ids=["kernel-257", "features-65536"])
+def test_train_with_an_arch_a_model_cannot_store_writes_nothing(arch, message, dataset_dir,
+                                                               tmp_path, capsys):
+    model, log = tmp_path / "out" / "m.fnm", tmp_path / "logs" / "train.csv"
+    assert cli(["train", "--data", str(dataset_dir), "--out", str(model), "--log", str(log),
+                "--epochs", "0", *arch]) == 1
+    assert capsys.readouterr().err == ("error: a model stores at most 65535 features and a "
+                                       f"kernel of at most 255, got {message}\n")
+    assert not model.parent.exists() and not log.parent.exists()
+
+
 @pytest.mark.parametrize("lr", ["inf", "1e400"])
 def test_train_with_infinite_lr_writes_no_model(lr, dataset_dir, tmp_path, capsys):
     model = tmp_path / "m.fnm"

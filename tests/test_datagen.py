@@ -93,7 +93,7 @@ def test_random_geometry_zero_shapes_all_fluid():
     dims = GridDims(16, 16)
     g = random_geometry(dims, np.random.default_rng(0),
                         cfg=GeometryConfig(count_range=(0, 0)))
-    assert g.n_fluid == dims.n_cells
+    assert np.count_nonzero(g.fluid) == dims.n_cells
 
 
 def test_random_geometry_fluid_fraction():
@@ -102,7 +102,7 @@ def test_random_geometry_fluid_fraction():
     cfg = GeometryConfig(count_range=(1, 4), size_range=(0.1, 0.3))
     for _ in range(1000):
         g = random_geometry(dims, rng, cfg=cfg)
-        assert g.n_fluid * 2 >= dims.n_cells
+        assert np.count_nonzero(g.fluid) * 2 >= dims.n_cells
 
 
 def test_random_geometry_pools_disjoint():

@@ -65,17 +65,18 @@ def test_cell_stencil_counts_match_oracle():
     rng = np.random.default_rng(22)
     for open_top in (False, True):
         g = random_geometry(rng, 6, 9, 0.35, open_top)
-        st = cell_stencil(g)
+        st, pf = cell_stencil(g), g.fluid_padded
         for j in range(g.dims.ny):
             for i in range(g.dims.nx):
                 nbrs = [(i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)]
                 n_solid = sum(_solid_at(g, a, b) for a, b in nbrs)
                 assert st.solid_count[j, i] == n_solid
                 assert st.diag[j, i] == 4 - n_solid
-                assert st.fluid_w[j, i] == _fluid_at(g, i - 1, j)
-                assert st.fluid_e[j, i] == _fluid_at(g, i + 1, j)
-                assert st.fluid_s[j, i] == _fluid_at(g, i, j - 1)
-                assert st.fluid_n[j, i] == _fluid_at(g, i, j + 1)
+                # the neighbor masks are slices of the padded fluid mask
+                assert pf[j + 1, i] == _fluid_at(g, i - 1, j)
+                assert pf[j + 1, i + 2] == _fluid_at(g, i + 1, j)
+                assert pf[j, i + 1] == _fluid_at(g, i, j - 1)
+                assert pf[j + 2, i + 1] == _fluid_at(g, i, j + 1)
 
 
 # ====== Divergence ======

@@ -1,11 +1,13 @@
 """Frame and model file formats: bitwise round-trips and strict validation."""
 
+import math
+
 import numpy as np
 import pytest
 
 from macfluid.convnet import NetArch, init_params
-from macfluid.formats import (FormatError, load_model, read_frame, save_model,
-                              write_frame, write_pgm)
+from macfluid.formats import (MAX_CHANNELS, MAX_KERNEL, FormatError, check_model_arch,
+                              load_model, read_frame, save_model, write_frame, write_pgm)
 from macfluid.grids import GridDims, MacVelocity, OccupancyGrid, ScalarGrid
 
 
@@ -85,6 +87,38 @@ def test_frame_validation_errors(tmp_path):
     bad.write_bytes(bytes(fl))
     with pytest.raises(FormatError, match="flags"):
         read_frame(bad)
+
+
+# from 2^128 - 2^103 up, a double rounds to the float32 inf
+F32_OVERFLOW = 2.0 ** 128 - 2.0 ** 103
+
+
+@pytest.mark.parametrize("dt", [1e39, -1e39, F32_OVERFLOW, -F32_OVERFLOW, float("inf"),
+                                float("nan")])
+def test_write_frame_refuses_a_dt_float32_cannot_store(dt, tmp_path):
+    g, u, rho, _ = _random_frame(0)
+    path = tmp_path / "a.fnf"
+    with pytest.raises(FormatError, match="finite float32"):
+        write_frame(path, g, u, rho, dt)
+    assert not path.exists()
+    # the largest doubles below it round to the largest float32, and are stored
+    for below in (math.nextafter(F32_OVERFLOW, 0.0), -math.nextafter(F32_OVERFLOW, 0.0)):
+        write_frame(path, g, u, rho, below)
+        assert read_frame(path).dt == math.copysign(float(np.finfo(np.float32).max), below)
+
+
+def test_save_model_refuses_an_arch_the_stage_table_cannot_store(tmp_path):
+    path = tmp_path / "m.fnm"
+    with pytest.raises(FormatError, match="got 1 and 257"):
+        save_model(path, init_params(NetArch(features=1, kernel=MAX_KERNEL + 2), seed=0))
+    assert not path.exists()
+    with pytest.raises(FormatError, match="got 65536 and 3"):
+        check_model_arch(NetArch(features=MAX_CHANNELS + 1))
+    check_model_arch(NetArch(features=MAX_CHANNELS, kernel=MAX_KERNEL))
+    # the widest kernel a stage entry stores round-trips
+    params = init_params(NetArch(features=1, kernel=MAX_KERNEL), seed=0)
+    save_model(path, params)
+    assert load_model(path).arch == params.arch
 
 
 def test_model_roundtrip_bitwise(tmp_path):

@@ -66,9 +66,9 @@ def test_occupancy_grid_is_immutable():
 def test_occupancy_grid_caches_read_only_geometry():
     rng = np.random.default_rng(5)
     g = OccupancyGrid(GridDims(9, 7), rng.random((7, 9)) < 0.3, open_top=True)
-    for name in ("fluid", "n_fluid", "faces", "stencil", "components", "distance"):
+    for name in ("fluid", "fluid_padded", "faces", "stencil", "components", "distance"):
         assert getattr(g, name) is getattr(g, name), name
-    for arr in (g.faces.free_x, g.faces.solid_y, g.stencil.fluid_w,
+    for arr in (g.fluid_padded, g.faces.free_x, g.faces.solid_y, g.stencil.solid_count,
                 g.stencil.diag, g.components.labels, g.components.sizes,
                 g.distance.d):
         with pytest.raises(ValueError):

@@ -22,8 +22,8 @@ from macfluid.pressure import (
 from macfluid.datagen import GeometryConfig, SceneConfig, build_scene, random_geometry
 from macfluid.sim import ExactProjection, JacobiProjection, plume_scenario, step
 from oracles import (apply_poisson, build_hierarchy_three_products, pcg_matrix_coo,
-                     residual_norm, solve_dense_lstsq, solve_jacobi_gather, solve_pcg_matmul,
-                     vcycle_matmul)
+                     residual_norm, solve_dense_lstsq, solve_direct_fluid, solve_jacobi_gather,
+                     solve_pcg_matmul, vcycle_matmul)
 
 
 def random_system(rng, nx=8, ny=8, p_solid=0.2, open_top=False, compatible=True):
@@ -140,15 +140,15 @@ def test_jacobi_converges_to_dense_solution():
 def _reference_jacobi(sys, iters):
     """The documented sweep on the padded grid, one full-grid pass each."""
     g = sys.g
-    st = cell_stencil(g)
+    st, pf = cell_stencil(g), g.fluid_padded
     hb = g.dims.h ** 2 * sys.b.values
     p = np.zeros(g.dims.shape)
     for _ in range(iters):
         pp = np.pad(p, 1)
-        nbr = (np.where(st.fluid_w, pp[1:-1, :-2], 0.0)
-               + np.where(st.fluid_e, pp[1:-1, 2:], 0.0)
-               + np.where(st.fluid_s, pp[:-2, 1:-1], 0.0)
-               + np.where(st.fluid_n, pp[2:, 1:-1], 0.0))
+        nbr = (np.where(pf[1:-1, :-2], pp[1:-1, :-2], 0.0)
+               + np.where(pf[1:-1, 2:], pp[1:-1, 2:], 0.0)
+               + np.where(pf[:-2, 1:-1], pp[:-2, 1:-1], 0.0)
+               + np.where(pf[2:, 1:-1], pp[2:, 1:-1], 0.0))
         p = np.where(g.fluid, 0.25 * (hb + nbr + st.solid_count * p), 0.0)
     return _remove_closed_means(p, g)
 
@@ -296,6 +296,69 @@ def test_direct_factor_is_built_once_per_grid_and_only_by_direct_solves():
     assert not np.array_equal(first.values, second.values)
 
 
+def _direct_oracle_grids(rng):
+    """The walled grids, pocketed solids and criterion 1's geometry, open
+    and closed top, h 1 and 0.37, and two grids with no active cell: all
+    solid, and two walled-in cells."""
+    yield from _walled_grids(rng)
+    only_walled = np.ones((6, 6), dtype=bool)
+    only_walled[2, 2] = only_walled[4, 4] = False
+    for solid in (np.ones((6, 6), dtype=bool), only_walled):
+        yield OccupancyGrid(GridDims(6, 6), solid)
+    geometry = GeometryConfig(count_range=(1, 3), size_range=(0.15, 0.4))
+    for open_top in (False, True):
+        for trial in range(16):
+            nx, ny = (int(k) for k in rng.integers(8, 17, size=2))
+            dims = GridDims(nx, ny, 1.0 if trial % 2 else 0.37)
+            if trial % 4 < 2:
+                solid = random_geometry(dims, rng, pool="oracle", cfg=geometry).solid
+            else:
+                solid = _pocketed_solid(rng, nx, ny)
+            yield OccupancyGrid(dims, solid, open_top)
+
+
+def test_direct_is_the_fluid_cell_oracle_bit_for_bit():
+    # the LU of the active-cell matrix against A assembled on every fluid cell
+    rng = np.random.default_rng(1104)
+    walled = 0
+    for g in _direct_oracle_grids(rng):
+        out = g.fluid & ~pr._active_cells(g)
+        walled += bool(out.any())
+        for _ in range(2):
+            b = ScalarGrid(g.dims, rng.standard_normal(g.dims.shape) * g.fluid)
+            sys = make_compatible(PoissonSystem(g, b))
+            got = solve_dense_direct(sys).values
+            _assert_same_bytes(got, solve_direct_fluid(sys).values, (g.dims, g.open_top))
+            assert not np.signbit(got[out]).any() and not got[out].any()
+    assert walled >= 7
+
+
+def test_exact_reads_the_matrix_pcg_built(monkeypatch):
+    calls = _count_setup_calls(monkeypatch)
+    rng = np.random.default_rng(1105)
+    sys = random_system(rng, nx=14, ny=11, p_solid=0.25)
+    solve_pcg(sys, tol=1e-8)
+    matrix = _kept(sys.g)[pr._system_matrix]
+    assert calls() == (1, 0, 1, 1)
+    solve_dense_direct(sys)
+    assert calls() == (1, 0, 1, 1)
+    assert _kept(sys.g)[pr._system_matrix] is matrix
+    assert pr._direct_factor in _kept(sys.g)
+
+
+@pytest.mark.parametrize("open_top", [False, True])
+def test_exact_only_grid_builds_no_hierarchy_and_no_jacobi_layout(monkeypatch, open_top):
+    calls = _count_setup_calls(monkeypatch)
+    rng = np.random.default_rng(1106)
+    sys = random_system(rng, nx=14, ny=11, p_solid=0.3, open_top=open_top)
+    solve_dense_direct(sys)
+    solve_dense_direct(sys)
+    assert calls() == (1, 0, 1, 0)
+    kept = _kept(sys.g)
+    assert pr._direct_factor in kept and pr._system_matrix in kept
+    assert pr._build_hierarchy not in kept and pr._jacobi_layout not in kept
+
+
 def test_exact_projection_of_the_settled_128_plume_is_divergence_free():
     state, cfg = plume_scenario(GridDims(128, 128), obstacle="disc",
                                 projection=JacobiProjection(34))
@@ -368,13 +431,13 @@ def test_pcg_beats_unpreconditioned_iteration_counts(monkeypatch):
     _, with_mg = solve_pcg(sys, tol=1e-8)
     with monkeypatch.context() as m:
         m.setattr(pr, "_build_hierarchy",
-                  lambda g: lambda r: r / g.derived(pr._pcg_matrix)[0].diagonal())
+                  lambda g: lambda r: r / g.derived(pr._system_matrix)[0].diagonal())
         _, without = solve_pcg(_same_geometry(sys), tol=1e-8)
     assert with_mg.converged and without.converged
     assert with_mg.iterations < without.iterations
 
 
-SETUP = ("_active_cells", "_jacobi_layout", "_pcg_matrix", "_build_hierarchy")
+SETUP = ("_active_cells", "_jacobi_layout", "_system_matrix", "_build_hierarchy")
 
 
 def _count_setup_calls(monkeypatch):
@@ -442,7 +505,7 @@ def test_jacobi_only_grid_builds_no_sparse_matrix_and_no_hierarchy(open_top):
     solve_jacobi(sys, 20)
     kept = _kept(sys.g)
     assert pr._jacobi_layout in kept
-    assert pr._pcg_matrix not in kept and pr._build_hierarchy not in kept
+    assert pr._system_matrix not in kept and pr._build_hierarchy not in kept
     assert not any(sp.issparse(v) for v in _kept_values(sys.g))
 
 
@@ -482,7 +545,7 @@ def test_pcg_matrix_is_read_only():
     rng = np.random.default_rng(1006)
     sys = random_system(rng, nx=12, ny=9, p_solid=0.2)
     solve_pcg(sys, tol=1e-8)
-    A, lab = _kept(sys.g)[pr._pcg_matrix]
+    A, lab = _kept(sys.g)[pr._system_matrix]
     assert not any(a.flags.writeable for a in (A.data, A.indices, A.indptr, lab))
 
 
@@ -522,9 +585,9 @@ def test_pcg_setup_is_not_shared_between_geometries():
         assert pr._build_hierarchy in kept  # the hierarchy this solve built and kept
         # what the grid keeps is its own geometry's, not the other grid's
         np.testing.assert_array_equal(kept[pr._active_cells], pr._active_cells(sys.g))
-        A, lab = pr._pcg_matrix(sys.g)
-        assert (kept[pr._pcg_matrix][0] != A).nnz == 0
-        np.testing.assert_array_equal(kept[pr._pcg_matrix][1], lab)
+        A, lab = pr._system_matrix(sys.g)
+        assert (kept[pr._system_matrix][0] != A).nnz == 0
+        np.testing.assert_array_equal(kept[pr._system_matrix][1], lab)
         assert info.converged
         assert residual_norm(sys, p) <= 1e-8 * np.linalg.norm(sys.b.values) * (1 + 1e-12)
     assert not np.array_equal(solid_a, solid_b)
@@ -538,7 +601,7 @@ def test_pcg_setup_dies_with_its_grid():
     kept = _kept(sys.g)
     assert pr._build_hierarchy in kept  # built on that solve, kept on the grid
     setup = [weakref.ref(kept[pr._build_hierarchy]), weakref.ref(kept[pr._active_cells]),
-             weakref.ref(kept[pr._pcg_matrix][0])]
+             weakref.ref(kept[pr._system_matrix][0])]
     del sys, kept
     gc.collect()
     assert grid() is None
@@ -682,7 +745,7 @@ def _walled_grids(rng):
 def test_pcg_matrix_is_the_matrix_free_operator():
     rng = np.random.default_rng(132)
     for g in _walled_grids(rng):
-        A, lab = pr._pcg_matrix(g)
+        A, lab = pr._system_matrix(g)
         active = pr._active_cells(g)
         assert not active[2, 2]
         np.testing.assert_array_equal(lab, g.components.labels[active])
@@ -787,7 +850,7 @@ def _reference_vcycle(A, cells, r):
 def _reference_multigrid(g, r):
     """The preconditioner on h^2 A: a pseudo-inverse per closed component of
     at most COARSE_SIZE cells, one V-cycle over the other cells."""
-    A, lab = pr._pcg_matrix(g)
+    A, lab = pr._system_matrix(g)
     A = np.rint(A.toarray() * g.dims.h ** 2)
     comps = g.components
     small = (comps.closed & (comps.sizes <= pr.COARSE_SIZE))[lab]
@@ -811,11 +874,11 @@ def test_multigrid_matches_the_documented_vcycle_and_is_symmetric(open_top):
         solid[2:4, 2:5] = False  # a closed pocket of 6 cells
         g = OccupancyGrid(GridDims(nx, ny, h), solid, open_top)
         M = pr._build_hierarchy(g)
-        a, b = rng.normal(size=(2, g.derived(pr._pcg_matrix)[0].shape[0]))
+        a, b = rng.normal(size=(2, g.derived(pr._system_matrix)[0].shape[0]))
         want = _reference_multigrid(g, a)
         assert np.linalg.norm(M(a) - want) <= 1e-11 * np.linalg.norm(want)
         assert abs(a @ M(b) - b @ M(a)) <= 1e-12 * np.linalg.norm(a) * np.linalg.norm(M(b))
-        a = pr._project_out_constants(g.derived(pr._pcg_matrix)[1], a, g.components)
+        a = pr._project_out_constants(g.derived(pr._system_matrix)[1], a, g.components)
         assert a @ M(a) > 0
 
 
@@ -837,7 +900,7 @@ def _setup_grids(rng):
 
 def test_pcg_matrix_is_the_coo_oracle_bit_for_bit():
     for g in _setup_grids(np.random.default_rng(137)):
-        (A, lab), (B, lab_b) = pr._pcg_matrix(g), pcg_matrix_coo(g)
+        (A, lab), (B, lab_b) = pr._system_matrix(g), pcg_matrix_coo(g)
         assert A.has_canonical_format
         for a, b in ((A.data, B.data), (A.indices, B.indices), (A.indptr, B.indptr),
                      (lab, lab_b)):
@@ -852,7 +915,7 @@ def test_vcycle_is_the_three_product_oracle_bit_for_bit():
         comps = g.components
         small.append(bool(np.any(comps.closed & (comps.sizes <= pr.COARSE_SIZE))))
         M, want = pr._build_hierarchy(g), build_hierarchy_three_products(g)
-        for r in rng.normal(size=(3, g.derived(pr._pcg_matrix)[0].shape[0])):
+        for r in rng.normal(size=(3, g.derived(pr._system_matrix)[0].shape[0])):
             assert M(r).tobytes() == want(r).tobytes()
             assert M(r).tobytes() == vcycle_matmul(M, r).tobytes()
     # levels with and without a small closed component, built both ways
@@ -865,7 +928,7 @@ def test_matvec_is_scipy_matmul_on_every_matrix_of_the_hierarchy():
     formats = set()
     for g in _setup_grids(rng):
         M = pr._build_hierarchy(g)
-        mats = [g.derived(pr._pcg_matrix)[0], M.coarse, *(m for lvl in M.levels for m in lvl)]
+        mats = [g.derived(pr._system_matrix)[0], M.coarse, *(m for lvl in M.levels for m in lvl)]
         for A in mats:
             formats.add(A.format)
             x = rng.normal(size=A.shape[1])
