@@ -22,8 +22,8 @@ from .convnet import SIDE_MULTIPLE, NetArch, init_params
 from .datagen import SceneConfig, build_scene, generate_dataset, load_dataset
 from .evaluate import (WARMUP_FRAMES, BenchRow, bench, eval_divergence_curves,
                        match_divergence, parse_backend)
-from .formats import (check_model_arch, csv_text, format_row, load_model, save_model,
-                      write_frame, write_pgm)
+from .formats import (FormatError, check_model_arch, csv_text, format_row, load_model,
+                      save_model, write_frame, write_pgm)
 from .grids import GridDims
 from .sim import ConvnetProjection, FrameMetrics, SimulationError, plume_scenario, run
 from .training import (EpochStats, LossConfig, TrainConfig, gradient_check,
@@ -172,8 +172,12 @@ def _cmd_simulate(args) -> int:
                 state, metrics = run(state, cfg, args.frames, (write,))
         except SimulationError as e:  # the initial state is finite, so e.state is set
             dump = out / "blowup.fnf"
-            write_frame(dump, e.state.g, e.state.u, e.state.density, cfg.dt)
-            raise SimulationError(f"{e}; frame dumped to {dump}", e.state) from None
+            try:
+                write_frame(dump, e.state.g, e.state.u, e.state.density, cfg.dt)
+                where = f"frame dumped to {dump}"
+            except FormatError as f:  # a dt FNF1 cannot store; the blow-up still wins
+                where = f"frame not dumped: {f}"
+            raise SimulationError(f"{e}; {where}", e.state) from None
     m = metrics[-1]
     bad = sum(f.pcg_converged is False for f in metrics)
     note = f"; PCG did not converge on {bad} of {len(metrics)} frames" if bad else ""

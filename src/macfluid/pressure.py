@@ -27,7 +27,10 @@ cells (:func:`_system_matrix`).  Every route returns through
   V-cycle per iteration, iterated to a residual tolerance, with A as a CSR
   matrix on the active cells.  Every sparse product, A's and the V-cycle's,
   is one call of scipy's CSR or CSC kernel (:func:`_matvec`), bit for bit
-  what ``@`` computes without its dispatch.
+  what ``@`` computes without its dispatch.  The V-cycle's set-up likewise
+  sums its matrices by scipy's own kernels called directly (:func:`_sparse`)
+  and keeps them as plain arrays (:class:`_Compressed`), so a fresh grid's
+  first solve builds no scipy matrix object beyond A.
 * :func:`solve_dense_direct`: a direct solve by a sparse LU of that
   matrix, pinned on each closed component.
 """
@@ -36,6 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -214,19 +218,32 @@ class PcgInfo:
     preconditioner: str
 
 
-def _matvec(M: sp.csr_matrix | sp.csc_matrix, x: np.ndarray) -> np.ndarray:
-    """M @ x for a float64 CSR or CSC matrix, by the scipy kernel that ``@``
-    runs: ``csr_matvec`` or ``csc_matvec`` adds the products of each stored
-    row or column into a fresh zero vector, in storage order, so the result
-    is bit for bit ``M @ x``.  On MGPCG's few hundred unknowns the checks
-    and dispatch of ``@`` cost about as much as the kernel itself."""
+class _Compressed(NamedTuple):
+    """A CSR or CSC matrix as the arrays scipy's kernels read: what
+    :func:`_matvec` and :func:`_pinv_blocks` use of a scipy matrix, and no
+    scipy object to construct, validate or dispatch through."""
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    shape: tuple[int, int]
+    format: str  # "csr" or "csc"
+
+
+def _matvec(M: sp.csr_matrix | _Compressed, x: np.ndarray) -> np.ndarray:
+    """M @ x for a float64 CSR or CSC matrix, a scipy one or its arrays, by
+    the scipy kernel that ``@`` runs: ``csr_matvec`` or ``csc_matvec`` adds
+    the products of each stored row or column into a fresh zero vector, in
+    storage order, so the result is bit for bit ``M @ x``.  On MGPCG's few
+    hundred unknowns the checks and dispatch of ``@`` cost about as much as
+    the kernel itself."""
     y = np.zeros(M.shape[0])
     kernel = _sparsetools.csr_matvec if M.format == "csr" else _sparsetools.csc_matvec
     kernel(*M.shape, M.indptr, M.indices, M.data, x, y)
     return y
 
 
-def _pinv_blocks(A: sp.csr_matrix, cells: np.ndarray, lab: np.ndarray,
+def _pinv_blocks(A: _Compressed, cells: np.ndarray, lab: np.ndarray,
                  closed: np.ndarray) -> list:
     """The pseudo-inverse of A on ``cells``, one dense block per component
     label, as (values, rows, columns) triplets: inv(block + J/m) - J/m, J/m
@@ -251,20 +268,43 @@ def _pinv_blocks(A: sp.csr_matrix, cells: np.ndarray, lab: np.ndarray,
     return out
 
 
-def _sparse(parts: list, shape, fmt=sp.csr_matrix):
-    """The sum of (values, rows, columns) triplets as one sparse matrix."""
+def _sparse(parts: list, shape: tuple[int, int], fmt: str = "csr") -> _Compressed:
+    """The sum of (values, rows, columns) triplets as one CSR or CSC matrix.
+
+    The arrays are bit for bit ``sp.csr_matrix((v, (i, j)), shape)`` (or
+    ``csc_matrix``), computed by the compiled kernels that constructor runs,
+    in its order: ``coo_tocsr`` (on swapped coordinates for CSC), then, only
+    if that is not canonical, ``csr_sort_indices`` where unsorted and
+    ``csr_sum_duplicates``, which keeps the first ``indptr[-1]`` entries.
+    The sort is scipy's ``std::sort``, not stable, so the order in which
+    duplicates are summed, and with it the rounding, can only come from
+    scipy's own kernel.  The index dtype is scipy's choice for these sizes.
+    """
     v, i, j = (np.concatenate(t) for t in zip(*parts))
-    return fmt((v, (i, j)), shape=shape)
+    major, minor = (i, j) if fmt == "csr" else (j, i)
+    M, N = shape if fmt == "csr" else shape[::-1]
+    nnz = v.size
+    idx = sp.get_index_dtype(maxval=max(nnz, *shape))
+    indptr, indices, data = np.empty(M + 1, idx), np.empty(nnz, idx), np.empty_like(v)
+    _sparsetools.coo_tocsr(M, N, nnz, major.astype(idx), minor.astype(idx), v,
+                           indptr, indices, data)
+    if not _sparsetools.csr_has_canonical_format(M, indptr, indices):
+        if not _sparsetools.csr_has_sorted_indices(M, indptr, indices):
+            _sparsetools.csr_sort_indices(M, indptr, indices, data)
+        _sparsetools.csr_sum_duplicates(M, N, indptr, indices, data)
+        indices, data = indices[:indptr[-1]], data[:indptr[-1]]
+    return _Compressed(data, indices, indptr, shape, fmt)
 
 
 @dataclass(frozen=True)
 class _VCycle:
     """M r for the multigrid preconditioner of :func:`_build_hierarchy`:
     per level the stacked down-sweep matrix (S over T^T, CSR) and T (CSC),
-    then the coarsest operator (CSR).  Every product is one :func:`_matvec`."""
+    then the coarsest operator (CSR), each kept as its plain arrays
+    (:class:`_Compressed`).  Every product is one :func:`_matvec`."""
 
-    levels: tuple[tuple[sp.csr_matrix, sp.csc_matrix], ...]
-    coarse: sp.csr_matrix
+    levels: tuple[tuple[_Compressed, _Compressed], ...]
+    coarse: _Compressed
 
     def __call__(self, r: np.ndarray, level: int = 0) -> np.ndarray:
         if level == len(self.levels):
@@ -302,13 +342,15 @@ def _build_hierarchy(g: OccupancyGrid) -> _VCycle:
 
     Where no small closed component joins a level, S has A's pattern and
     each entry is one term, or two on the diagonal, so its CSR arrays are
-    written directly; T and the coarse A sum more terms per entry and are
-    left to scipy, whose summation order they keep.  So is the coarsest
-    operator, unless it is one block over every unknown.
+    written directly; T and the coarse A sum more terms per entry, through
+    scipy's own compiled kernels called directly (:func:`_sparse`), whose
+    summation order they keep.  So does the coarsest operator.  Every
+    matrix is kept as its plain arrays: the set-up builds no scipy matrix
+    object, and so runs none of scipy's per-matrix checks, which the tests
+    run on every level instead.
     """
     A, lab = g.derived(_system_matrix)
-    A = A.copy()
-    A.data = np.rint(A.data * g.dims.h ** 2)
+    A = _Compressed(np.rint(A.data * g.dims.h ** 2), A.indices, A.indptr, A.shape, "csr")
     closed = g.components.closed
     live = ~(closed & (g.components.sizes <= COARSE_SIZE))[lab]
     # the small closed components join the finest level's S
@@ -324,7 +366,8 @@ def _build_hierarchy(g: OccupancyGrid) -> _VCycle:
         ar, fine = np.arange(n), np.flatnonzero(live)
         agg = np.full(n, -1)
         agg[fine] = agg_live
-        d = A.diagonal()
+        d = np.empty(n)  # A.diagonal(), by the kernel it runs
+        _sparsetools.csr_diagonal(0, n, n, A.indptr, A.indices, A.data, d)
         dinv = np.divide(SMOOTH_OMEGA, d, out=np.zeros_like(d), where=live & (d > 0))
         i, j, a = np.repeat(ar, np.diff(A.indptr)), A.indices, A.data
         m = agg[j] >= 0  # a cell left out couples only to cells left out
@@ -337,26 +380,17 @@ def _build_hierarchy(g: OccupancyGrid) -> _VCycle:
             s, s_indices, s_indptr = da * dinv[j], A.indices, A.indptr
             on = i == j
             s[on] += 2 * dinv[i[on]]
-        T = _sparse([(np.ones(fine.size), fine, agg_live), (da, i, agg[j])], (n, nc),
-                    sp.csc_matrix)
-        T.data *= math.sqrt(COARSE_ALPHA)
+        T = _sparse([(np.ones(fine.size), fine, agg_live), (da, i, agg[j])], (n, nc), "csc")
+        np.multiply(T.data, math.sqrt(COARSE_ALPHA), out=T.data)
         # T's CSC arrays are the CSR arrays of T^T, the rows below S's
-        down = sp.csr_matrix((np.concatenate([s, T.data]),
-                              np.concatenate([s_indices, T.indices]),
-                              np.concatenate([s_indptr, s_indptr[-1] + T.indptr[1:]])),
-                             shape=(n + nc, n))
+        down = _Compressed(np.concatenate([s, T.data]), np.concatenate([s_indices, T.indices]),
+                           np.concatenate([s_indptr, s_indptr[-1] + T.indptr[1:]]),
+                           (n + nc, n), "csr")
         levels.append((down, T))
         A = _sparse([(a, agg[i], agg[j])], (nc, nc))
         fine = fine[first]
         y, x, lab, live, exact = y[fine] // 2, x[fine] // 2, lab[fine], np.ones(nc, bool), []
-    parts = [*_pinv_blocks(A, np.flatnonzero(live), lab, closed), *exact]
-    n = A.shape[0]
-    if len(parts) == 1 and parts[0][0].size == n * n:
-        # one block over every unknown, whose triplets are CSR rows in order
-        coarse = sp.csr_matrix((parts[0][0], parts[0][2], np.arange(0, n * n + 1, n)),
-                               shape=A.shape)
-    else:
-        coarse = _sparse(parts, A.shape)
+    coarse = _sparse([*_pinv_blocks(A, np.flatnonzero(live), lab, closed), *exact], A.shape)
     return _VCycle(tuple(levels), coarse)
 
 

@@ -8,7 +8,9 @@ bit for bit), the trace clamp one probe and one axis at a time, which the
 package's blocks of probes on stacked x and y reproduce bit for bit,
 single backward traces, advection of one sample lattice at a time (each with its
 own velocity sampling, trace and scan, which the package's one pass per
-frame reproduces bit for bit), emitter fields built afresh on every call,
+frame reproduces bit for bit), the clearance lattice's marks of non-fluid
+cell squares by a binary dilation, which the package's strided slices
+reproduce bit for bit, emitter fields built afresh on every call,
 which the fields the package keeps per grid reproduce bit for bit,
 cell-center positions, the residual norm of
 a pressure solve and the matrix-free Poisson operator it applies, Jacobi
@@ -19,8 +21,9 @@ which the package's sparse LU matches to roundoff, a sparse LU of A
 assembled on its own on every fluid cell, which the package's LU of the
 active-cell matrix reproduces bit for bit, the PCG matrix and the
 MGPCG V-cycle built through scipy's COO constructor with three sparse
-products per level, which the package's directly built CSR arrays and
-stacked down-sweep product reproduce bit for bit, MGPCG with every
+products per level, which the package's directly built CSR arrays, its
+direct calls of scipy's summing kernels and its stacked down-sweep
+product reproduce bit for bit, MGPCG with every
 product through scipy's ``@``, which the package's direct calls of
 scipy's kernels reproduce bit for bit, the face averages and face
 gradient through ``np.pad``, which the package's zeroed arrays reproduce
@@ -33,10 +36,12 @@ which the package's loop over resolution levels reproduces bit for bit.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 from numpy.lib.stride_tricks import sliding_window_view
+from scipy import ndimage
 
 from macfluid import convnet
 from macfluid.advection import _BISECT_ITERS, _MIN_PROBES, _clearance2
@@ -195,6 +200,17 @@ def _trace(g: OccupancyGrid, x0: np.ndarray, y0: np.ndarray, dx: np.ndarray,
             g, np.broadcast_to(x0, dx.shape)[far], np.broadcast_to(y0, dx.shape)[far],
             dx[far], dy[far])
     return out_x, out_y
+
+
+def half_cell_distance_dilation(g: OccupancyGrid) -> np.ndarray:
+    """``_half_cell_distance`` with the corners, edge midpoints and centers
+    of the non-fluid padded cells marked by a 3x3 binary dilation of their
+    centers, which the package's nine strided slices reproduce bit for bit."""
+    ny2, nx2 = g.fluid_padded.shape
+    marked = np.zeros((2 * ny2 + 1, 2 * nx2 + 1), dtype=bool)
+    marked[1::2, 1::2] = ~g.fluid_padded
+    marked = ndimage.binary_dilation(marked, np.ones((3, 3), dtype=bool))
+    return 0.5 * ndimage.distance_transform_edt(~marked)
 
 
 def sample_scalar(grid: ScalarGrid, pos) -> np.ndarray | float:
@@ -476,10 +492,25 @@ def _pinv_blocks_dense(A: sp.csr_matrix, cells: np.ndarray, lab: np.ndarray,
              np.tile(c, c.size)) for c, k in zip(blocks, shifts)]
 
 
-def build_hierarchy_three_products(g: OccupancyGrid):
+@dataclass
+class ThreeProductVCycle:
+    """A V-cycle applied with three sparse products per level, S r, T^T r
+    and T (M_c T^T r): ``levels`` holds scipy's (S, T, T^T) per level and
+    ``coarse`` the coarsest operator."""
+
+    levels: list
+    coarse: sp.csr_matrix
+
+    def __call__(self, r: np.ndarray, level: int = 0) -> np.ndarray:
+        if level == len(self.levels):
+            return self.coarse @ r
+        S, T, Tt = self.levels[level]
+        return S @ r + T @ self(Tt @ r, level + 1)
+
+
+def build_hierarchy_three_products(g: OccupancyGrid) -> ThreeProductVCycle:
     """The MGPCG V-cycle with every matrix built through scipy's COO
-    constructor and three sparse products per level, S r, T^T r and
-    T (M_c T^T r), each with its own matrix."""
+    constructor, each product with its own matrix."""
     A, lab = pcg_matrix_coo(g)
     A = A.copy()
     A.data = np.rint(A.data * g.dims.h ** 2)
@@ -511,23 +542,25 @@ def build_hierarchy_three_products(g: OccupancyGrid):
         y, x, lab, live, exact = y[fine] // 2, x[fine] // 2, lab[fine], np.ones(nc, bool), []
     coarse = _sparse([*_pinv_blocks_dense(A, np.flatnonzero(live), lab, closed), *exact],
                      A.shape)
+    return ThreeProductVCycle(levels, coarse)
 
-    def vcycle(r, level=0):
-        if level == len(levels):
-            return coarse @ r
-        S, T, Tt = levels[level]
-        return S @ r + T @ vcycle(Tt @ r, level + 1)
-    return vcycle
+
+def scipy_matrix(M) -> sp.csr_matrix | sp.csc_matrix:
+    """The scipy matrix over the arrays of one of the package's V-cycle
+    matrices, which keep only data, indices, indptr, shape and format."""
+    fmt = sp.csr_matrix if M.format == "csr" else sp.csc_matrix
+    return fmt((M.data, M.indices, M.indptr), shape=M.shape)
 
 
 def vcycle_matmul(M, r: np.ndarray, level: int = 0) -> np.ndarray:
-    """The package's V-cycle ``M`` applied with scipy's ``@`` on its matrices."""
+    """The package's V-cycle ``M`` applied with scipy's ``@`` on scipy
+    matrices over its arrays."""
     if level == len(M.levels):
-        return M.coarse @ r
+        return scipy_matrix(M.coarse) @ r
     down, T = M.levels[level]
-    y = down @ r  # S r, then T^T r
+    y = scipy_matrix(down) @ r  # S r, then T^T r
     n = T.shape[0]
-    return y[:n] + T @ vcycle_matmul(M, y[n:], level + 1)
+    return y[:n] + scipy_matrix(T) @ vcycle_matmul(M, y[n:], level + 1)
 
 
 def _project_out_constants_index(lab: np.ndarray, x: np.ndarray, comps) -> np.ndarray:

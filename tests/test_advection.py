@@ -581,6 +581,30 @@ def test_clearance_is_the_distance_to_the_nearest_non_fluid_square(h, open_top):
     assert np.sqrt(got[0, 1]) == pytest.approx((0.5 - advection._CLEARANCE_MARGIN) * h)
 
 
+def _marking_grids():
+    """Datagen scenes, closed and open-top, the disc and box plumes at 16,
+    64 and 128^2, an all-solid grid and a solid-free one."""
+    for boundary in ("closed", "open-top"):
+        for seed in range(20):
+            yield build_scene(SceneConfig(seed=seed, boundary=boundary))[0].g
+    for n in (16, 64, 128):
+        for obstacle in ("disc", "box"):
+            for open_top in (False, True):
+                yield sim.plume_scenario(GridDims(n, n), open_top=open_top,
+                                         obstacle=obstacle)[0].g
+    dims = GridDims(13, 9)
+    for solid in (np.ones(dims.shape, bool), np.zeros(dims.shape, bool)):
+        for open_top in (False, True):
+            yield OccupancyGrid(dims, solid, open_top)
+
+
+def test_half_cell_marks_are_the_dilation_oracle_bit_for_bit():
+    for g in _marking_grids():
+        got, want = advection._half_cell_distance(g), oracles.half_cell_distance_dilation(g)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
+
+
 def _spy_clamp(monkeypatch):
     """Record the displacements of every trace that reaches ``_clamp``."""
     seen = []

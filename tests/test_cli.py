@@ -329,6 +329,21 @@ def test_simulate_blowup_exits_two_and_dumps_the_frame(solver, tmp_path, capsys)
     assert len((out / "metrics.csv").read_text().splitlines()) == 1  # header only
 
 
+def test_simulate_blowup_at_a_dt_fnf1_cannot_store_reports_the_blowup(tmp_path, capsys):
+    out = tmp_path / "sim"
+    rc = cli(["simulate", "--res", "16", "--frames", "3", "--buoyancy", "1e308",
+              "--dt", "1e39", "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.strip() == (
+        "error: non-finite fields after frame 1; frame not dumped: "
+        "frame dt must be a finite float32, got 1e+39")
+    assert not (out / "blowup.fnf").exists()
+    assert len((out / "metrics.csv").read_text().splitlines()) == 1  # header only
+    # the same dt without a blow-up runs to the end
+    assert cli(["simulate", "--res", "16", "--frames", "2", "--dt", "1e39",
+                "--out", str(tmp_path / "calm")]) == 0
+
+
 def _fresh_cli(*args: str) -> subprocess.CompletedProcess:
     """The CLI in a fresh process, where no logging handler is configured."""
     code = "import sys; from macfluid.cli import cli; sys.exit(cli(sys.argv[1:]))"

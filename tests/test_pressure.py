@@ -21,9 +21,10 @@ from macfluid.pressure import (
 )
 from macfluid.datagen import GeometryConfig, SceneConfig, build_scene, random_geometry
 from macfluid.sim import ExactProjection, JacobiProjection, plume_scenario, step
+from oracles import _sparse as sparse_coo
 from oracles import (apply_poisson, build_hierarchy_three_products, pcg_matrix_coo,
-                     residual_norm, solve_dense_lstsq, solve_direct_fluid, solve_jacobi_gather,
-                     solve_pcg_matmul, vcycle_matmul)
+                     residual_norm, scipy_matrix, solve_dense_lstsq, solve_direct_fluid,
+                     solve_jacobi_gather, solve_pcg_matmul, vcycle_matmul)
 
 
 def random_system(rng, nx=8, ny=8, p_solid=0.2, open_top=False, compatible=True):
@@ -922,18 +923,106 @@ def test_vcycle_is_the_three_product_oracle_bit_for_bit():
     assert any(small) and not all(small)
 
 
+def _vcycle_matrices(M):
+    return [M.coarse, *(m for lvl in M.levels for m in lvl)]
+
+
+def _assert_same_arrays(got, want):
+    """The CSR or CSC arrays of ``got`` are ``want``'s, in dtype and bytes."""
+    assert (got.shape, got.format) == (want.shape, want.format)
+    for a, b in ((got.data, want.data), (got.indices, want.indices),
+                 (got.indptr, want.indptr)):
+        assert (a.dtype, a.shape) == (b.dtype, b.shape)
+        assert a.tobytes() == b.tobytes()
+
+
+def _triplet_cases(rng):
+    """(values, rows, columns) triplet lists on a 9 x 7 matrix: duplicates in
+    unsorted order, empty rows and columns, one row with 40 entries (more
+    than the 16 that ``std::sort`` sorts by insertion), an already canonical
+    list and no triplet at all.  The values span 16 decades, so the order in
+    which duplicates are summed shows in their rounding."""
+    def vals(k):
+        return rng.normal(size=k) * 10.0 ** rng.integers(-8, 8, size=k)
+
+    k = 60
+    rows = rng.choice([0, 2, 3, 5, 8], size=k)  # rows 1, 4, 6, 7 empty
+    cols = rng.choice([0, 1, 3, 4, 6], size=k)  # columns 2 and 5 empty
+    yield [(vals(k), rows, cols)]
+    yield [(vals(40), np.full(40, 4), rng.integers(0, 7, size=40)),
+           (vals(k), rows, cols), (vals(3), np.array([8, 0, 8]), np.array([6, 6, 6]))]
+    yield [(vals(5), np.array([0, 1, 1, 4, 8]), np.array([3, 0, 6, 2, 6]))]
+    yield [(np.zeros(0), np.zeros(0, np.intp), np.zeros(0, np.intp))]
+
+
+@pytest.mark.parametrize("fmt", ["csr", "csc"])
+def test_sparse_is_scipys_coo_constructor_bit_for_bit(fmt):
+    # a scipy whose summing kernels change their order fails here
+    rng = np.random.default_rng(143)
+    cls = sp.csr_matrix if fmt == "csr" else sp.csc_matrix
+    for parts in _triplet_cases(rng):
+        got = pr._sparse(parts, (9, 7), fmt)
+        want = sparse_coo(parts, (9, 7), cls)
+        assert isinstance(got, pr._Compressed)
+        _assert_same_arrays(got, want)
+
+
+def test_vcycle_arrays_are_the_three_product_oracles_bit_for_bit():
+    rng = np.random.default_rng(144)
+    for g in _setup_grids(rng):
+        M, want = pr._build_hierarchy(g), build_hierarchy_three_products(g)
+        assert len(M.levels) == len(want.levels)
+        for (down, T), (S, T_want, Tt) in zip(M.levels, want.levels):
+            _assert_same_arrays(down, sp.vstack([S, Tt], format="csr"))
+            _assert_same_arrays(T, T_want)
+        _assert_same_arrays(M.coarse, want.coarse)
+
+
+def test_every_vcycle_matrix_passes_scipys_full_format_check():
+    # scipy's constructor would check each matrix; the set-up calls its
+    # kernels directly, so the check runs here
+    for g in _setup_grids(np.random.default_rng(145)):
+        for m in _vcycle_matrices(pr._build_hierarchy(g)):
+            assert m.data.dtype == np.float64 and m.indices.dtype == m.indptr.dtype
+            A = scipy_matrix(pr._Compressed(m.data.copy(), m.indices.copy(),
+                                            m.indptr.copy(), m.shape, m.format))
+            A.check_format(full_check=True)
+            assert A.has_canonical_format
+            _assert_same_arrays(A, m)
+
+
+def test_hierarchy_builds_no_scipy_sparse_matrix(monkeypatch):
+    made = []
+    init = sp._base._spbase.__init__
+
+    def spy(self, *args, **kwargs):
+        made.append(type(self).__name__)
+        init(self, *args, **kwargs)
+
+    grids = list(_setup_grids(np.random.default_rng(146)))
+    for g in grids:
+        g.derived(pr._system_matrix)  # the one scipy matrix a grid keeps
+    monkeypatch.setattr(sp._base._spbase, "__init__", spy)
+    for g in grids:
+        M = pr._build_hierarchy(g)
+        assert all(type(m) is pr._Compressed for m in _vcycle_matrices(M))
+    assert made == []
+    build_hierarchy_three_products(grids[0])  # the spy sees scipy's constructors
+    assert made
+
+
 def test_matvec_is_scipy_matmul_on_every_matrix_of_the_hierarchy():
     # pins the direct kernel calls to what ``@`` computes with this scipy
     rng = np.random.default_rng(139)
     formats = set()
     for g in _setup_grids(rng):
         M = pr._build_hierarchy(g)
-        mats = [g.derived(pr._system_matrix)[0], M.coarse, *(m for lvl in M.levels for m in lvl)]
+        mats = [g.derived(pr._system_matrix)[0], *_vcycle_matrices(M)]
         for A in mats:
             formats.add(A.format)
             x = rng.normal(size=A.shape[1])
             x[::7] = -0.0
-            got, want = pr._matvec(A, x), A @ x
+            got, want = pr._matvec(A, x), scipy_matrix(A) @ x
             assert (got.dtype, got.shape) == (want.dtype, want.shape)
             assert got.tobytes() == want.tobytes()
     assert formats == {"csr", "csc"}
