@@ -129,6 +129,8 @@ def _cmd_train(args) -> int:
                       loss=LossConfig(single_frame=args.single_frame_loss),
                       batch_size=args.batch_size, lr=args.lr, grad_clip=args.grad_clip)
     check_model_arch(cfg.arch)
+    if args.epochs < 0:
+        raise CliError(f"epochs must be nonnegative, got {args.epochs}")
     scenes = load_dataset(data)
     dataset = [frame for scene in scenes for frame in scene.frames]
     for path in (out, args.log):
@@ -204,6 +206,8 @@ def _cmd_eval(args) -> int:
     backends = [parse_backend(s.strip()) for s in args.backends.split(",") if s.strip()]
     if not backends:
         raise CliError("--backends must name at least one backend")
+    if args.frames < 1:
+        raise CliError(f"need at least one frame, got {args.frames}")
     _make_parent(out)
     curves = eval_divergence_curves(scenes, backends, args.frames)
     Path(out).write_text(curves.to_csv())
@@ -223,6 +227,11 @@ def _cmd_bench(args) -> int:
         raise CliError(f"bad --res list {args.res!r}") from None
     if not sizes:
         raise CliError("--res must list at least one size")
+    if args.reps < 1:
+        raise CliError(f"need at least one repetition, got {args.reps}")
+    for n in sizes:
+        if n % SIDE_MULTIPLE:
+            raise CliError(f"grid sides must be divisible by {SIDE_MULTIPLE}, got {n}x{n}")
     if args.out is not None:
         _make_parent(args.out)
     rows = bench(projection, [GridDims(n, n) for n in sizes],

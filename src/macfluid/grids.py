@@ -300,8 +300,9 @@ def _bilinear_apply(values: np.ndarray, k: np.ndarray, tx: np.ndarray,
 # ====== Geometry queries ======
 
 def _read_only(obj):
-    """Mark an array, or the array fields of ``obj``, read-only."""
-    for value in [obj] if isinstance(obj, np.ndarray) else vars(obj).values():
+    """Mark an array, or the array fields of a tuple or an object, read-only."""
+    fields = obj if isinstance(obj, tuple) else getattr(obj, "__dict__", {}).values()
+    for value in [obj, *fields]:
         if isinstance(value, np.ndarray):
             value.flags.writeable = False
     return obj

@@ -11,11 +11,13 @@ Three routes with very different cost/accuracy trade-offs.  Each solver
 builds what it reads on the grid's first solve by it and keeps it on the
 grid itself through :meth:`~macfluid.grids.OccupancyGrid.derived`, so it
 lives exactly as long as the grid and no solver builds what only another
-reads.  All three routes solve for the active cells, the fluid cells with
-a non-solid neighbor; a fluid cell walled in on all sides stays out and
-keeps +0.0.  PCG and the direct route read one matrix, A on the active
-cells (:func:`_system_matrix`).  Every route returns through
-:func:`_remove_closed_means` on the fluid cells.
+reads.  The routes and :func:`make_compatible` share one set of unknowns,
+the active cells (fluid cells with a non-solid neighbor) and their
+component labels; a fluid cell walled in on all sides keeps +0.0.  PCG
+and the direct route read one matrix, A on the active cells.  Every
+sparse matrix is a :class:`_Compressed` record, summed (:func:`_sparse`)
+and applied (:func:`_matvec`) by scipy's own kernels, bit for bit what its
+constructor and ``@`` give; only the direct route's LU gets a scipy matrix.
 
 * :func:`solve_jacobi`: fixed iteration count, cheap, smooth error decay.
   The update mirrors the pressure across solid faces and sees zero beyond
@@ -24,15 +26,9 @@ cells (:func:`_system_matrix`).  Every route returns through
   padded with one ring of zeros, so a sweep reads its four neighbors as
   shifted contiguous slices instead of gathering them.
 * :func:`solve_pcg`: conjugate gradients preconditioned with one multigrid
-  V-cycle per iteration, iterated to a residual tolerance, with A as a CSR
-  matrix on the active cells.  Every sparse product, A's and the V-cycle's,
-  is one call of scipy's CSR or CSC kernel (:func:`_matvec`), bit for bit
-  what ``@`` computes without its dispatch.  The V-cycle's set-up likewise
-  sums its matrices by scipy's own kernels called directly (:func:`_sparse`)
-  and keeps them as plain arrays (:class:`_Compressed`), so a fresh grid's
-  first solve builds no scipy matrix object beyond A.
-* :func:`solve_dense_direct`: a direct solve by a sparse LU of that
-  matrix, pinned on each closed component.
+  V-cycle per iteration, iterated to a residual tolerance.
+* :func:`solve_dense_direct`: a direct solve by a sparse LU of A, pinned
+  on each closed component.
 """
 
 from __future__ import annotations
@@ -70,15 +66,12 @@ def _project_out_constants(lab: np.ndarray, x: np.ndarray,
     return x - np.where(comps.closed, sums / comps.sizes, 0.0).take(lab)
 
 
-def _fluid_labels(g: OccupancyGrid) -> np.ndarray:
-    """The component label of each fluid cell, row-major; kept per grid."""
-    return _read_only(g.components.labels[g.fluid])
-
-
-def _remove_closed_means(values: np.ndarray, g: OccupancyGrid) -> np.ndarray:
-    fluid = g.fluid
-    out = np.zeros_like(values)
-    out[fluid] = _project_out_constants(g.derived(_fluid_labels), values[fluid], g.components)
+def _remove_closed_means(x: np.ndarray, g: OccupancyGrid) -> np.ndarray:
+    """The grid that holds ``x`` on the active cells, less its mean over each
+    closed component, and +0.0 on every other cell."""
+    out = np.zeros(g.dims.shape)
+    out[g.derived(_active_cells)] = _project_out_constants(g.derived(_active_labels), x,
+                                                           g.components)
     return out
 
 
@@ -86,10 +79,66 @@ def make_compatible(sys: PoissonSystem) -> PoissonSystem:
     """Project the right hand side onto the range of A.
 
     Subtracts the mean of b over every closed fluid component and zeroes
-    b on solid cells.  Open components are left untouched.
+    b outside the active cells: on solid cells and on walled-in fluid
+    cells, which no route solves for.  Open components are left untouched.
     """
-    b = _remove_closed_means(np.asarray(sys.b.values, dtype=np.float64), sys.g)
+    b = _remove_closed_means(sys.b.values[sys.g.derived(_active_cells)], sys.g)
     return PoissonSystem(sys.g, ScalarGrid(sys.dims, b))
+
+
+# ====== Sparse matrices as plain arrays ======
+
+class _Compressed(NamedTuple):
+    """A CSR or CSC matrix as the arrays scipy's kernels read: what
+    :func:`_matvec` and :func:`_pinv_blocks` use of a scipy matrix, and no
+    scipy object to construct, validate or dispatch through."""
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    shape: tuple[int, int]
+    format: str  # "csr" or "csc"
+
+
+def _matvec(M: _Compressed, x: np.ndarray) -> np.ndarray:
+    """M @ x for a float64 CSR or CSC record, by the scipy kernel that ``@``
+    runs on its scipy matrix: ``csr_matvec`` or ``csc_matvec`` adds
+    the products of each stored row or column into a fresh zero vector, in
+    storage order, so the result is bit for bit ``M @ x``.  On MGPCG's few
+    hundred unknowns the checks and dispatch of ``@`` cost about as much as
+    the kernel itself."""
+    y = np.zeros(M.shape[0])
+    kernel = _sparsetools.csr_matvec if M.format == "csr" else _sparsetools.csc_matvec
+    kernel(*M.shape, M.indptr, M.indices, M.data, x, y)
+    return y
+
+
+def _sparse(parts: list, shape: tuple[int, int], fmt: str = "csr") -> _Compressed:
+    """The sum of (values, rows, columns) triplets as one CSR or CSC matrix.
+
+    The arrays are bit for bit ``sp.csr_matrix((v, (i, j)), shape)`` (or
+    ``csc_matrix``), computed by the compiled kernels that constructor runs,
+    in its order: ``coo_tocsr`` (on swapped coordinates for CSC), then, only
+    if that is not canonical, ``csr_sort_indices`` where unsorted and
+    ``csr_sum_duplicates``, which keeps the first ``indptr[-1]`` entries.
+    The sort is scipy's ``std::sort``, not stable, so the order in which
+    duplicates are summed, and with it the rounding, can only come from
+    scipy's own kernel.  The index dtype is scipy's choice for these sizes.
+    """
+    v, i, j = (np.concatenate(t) for t in zip(*parts))
+    major, minor = (i, j) if fmt == "csr" else (j, i)
+    M, N = shape if fmt == "csr" else shape[::-1]
+    nnz = v.size
+    idx = sp.get_index_dtype(maxval=max(nnz, *shape))
+    indptr, indices, data = np.empty(M + 1, idx), np.empty(nnz, idx), np.empty_like(v)
+    _sparsetools.coo_tocsr(M, N, nnz, major.astype(idx), minor.astype(idx), v,
+                           indptr, indices, data)
+    if not _sparsetools.csr_has_canonical_format(M, indptr, indices):
+        if not _sparsetools.csr_has_sorted_indices(M, indptr, indices):
+            _sparsetools.csr_sort_indices(M, indptr, indices, data)
+        _sparsetools.csr_sum_duplicates(M, N, indptr, indices, data)
+        indices, data = indices[:indptr[-1]], data[:indptr[-1]]
+    return _Compressed(data, indices, indptr, shape, fmt)
 
 
 # ====== What the solvers derive per grid ======
@@ -118,13 +167,17 @@ def _jacobi_layout(g: OccupancyGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return _read_only(inactive.ravel()), _read_only(count.ravel()), _read_only(walled)
 
 
-def _system_matrix(g: OccupancyGrid) -> tuple[sp.csr_matrix, np.ndarray]:
-    """A on the active cells, row-major, as CSR, and the component label of
-    each active cell; both read-only.  PCG and the direct LU both read it.
+def _active_labels(g: OccupancyGrid) -> np.ndarray:
+    """The component label of each active cell, row-major, read-only."""
+    return _read_only(g.components.labels[g.derived(_active_cells)])
 
-    No two entries share a position, so the CSR arrays are written directly:
-    each row holds its south, west, diagonal, east and north entries, in
-    that (column) order, less the neighbors that are not active."""
+
+def _system_matrix(g: OccupancyGrid) -> _Compressed:
+    """A on the active cells, row-major, as a read-only CSR record; PCG and
+    the direct LU both read it.  Each row holds its south, west, diagonal,
+    east and north entries, in that (column) order, less the neighbors that
+    are not active, so :func:`_sparse` gets them in CSR order and neither
+    sorts nor sums."""
     st, active = g.stencil, g.derived(_active_cells)
     n = int(np.count_nonzero(active))
     # solid, outside and walled-in cells all read -1
@@ -137,10 +190,7 @@ def _system_matrix(g: OccupancyGrid) -> tuple[sp.csr_matrix, np.ndarray]:
     vals = np.full(cols.shape, -1.0 / h2)
     vals[:, 2] = st.diag[active] / h2
     has = cols >= 0
-    indptr = np.zeros(n + 1, dtype=np.intp)
-    np.cumsum(np.count_nonzero(has, axis=1), out=indptr[1:])
-    A = sp.csr_matrix((vals[has], cols[has], indptr), shape=(n, n))
-    return _read_only(A), _read_only(g.components.labels[active])
+    return _read_only(_sparse([(vals[has], np.nonzero(has)[0], cols[has])], (n, n)))
 
 
 # ====== Jacobi ======
@@ -198,7 +248,8 @@ def solve_jacobi(sys: PoissonSystem, iters: int = 34) -> ScalarGrid:
         np.multiply(t, 0.25, out=t)
         np.copyto(t, 0.0, where=inactive)
         p, q = q, p
-    return ScalarGrid(g.dims, _remove_closed_means(p.reshape(ny + 2, row)[1:-1, 1:-1], g))
+    p = p.reshape(ny + 2, row)[1:-1, 1:-1][active]
+    return ScalarGrid(g.dims, _remove_closed_means(p, g))
 
 
 # ====== Preconditioned conjugate gradients ======
@@ -216,31 +267,6 @@ class PcgInfo:
     converged: bool
     relres: float
     preconditioner: str
-
-
-class _Compressed(NamedTuple):
-    """A CSR or CSC matrix as the arrays scipy's kernels read: what
-    :func:`_matvec` and :func:`_pinv_blocks` use of a scipy matrix, and no
-    scipy object to construct, validate or dispatch through."""
-
-    data: np.ndarray
-    indices: np.ndarray
-    indptr: np.ndarray
-    shape: tuple[int, int]
-    format: str  # "csr" or "csc"
-
-
-def _matvec(M: sp.csr_matrix | _Compressed, x: np.ndarray) -> np.ndarray:
-    """M @ x for a float64 CSR or CSC matrix, a scipy one or its arrays, by
-    the scipy kernel that ``@`` runs: ``csr_matvec`` or ``csc_matvec`` adds
-    the products of each stored row or column into a fresh zero vector, in
-    storage order, so the result is bit for bit ``M @ x``.  On MGPCG's few
-    hundred unknowns the checks and dispatch of ``@`` cost about as much as
-    the kernel itself."""
-    y = np.zeros(M.shape[0])
-    kernel = _sparsetools.csr_matvec if M.format == "csr" else _sparsetools.csc_matvec
-    kernel(*M.shape, M.indptr, M.indices, M.data, x, y)
-    return y
 
 
 def _pinv_blocks(A: _Compressed, cells: np.ndarray, lab: np.ndarray,
@@ -266,34 +292,6 @@ def _pinv_blocks(A: _Compressed, cells: np.ndarray, lab: np.ndarray,
         out.append(((np.linalg.inv(block + k) - k).ravel(), np.repeat(c, c.size),
                     np.tile(c, c.size)))
     return out
-
-
-def _sparse(parts: list, shape: tuple[int, int], fmt: str = "csr") -> _Compressed:
-    """The sum of (values, rows, columns) triplets as one CSR or CSC matrix.
-
-    The arrays are bit for bit ``sp.csr_matrix((v, (i, j)), shape)`` (or
-    ``csc_matrix``), computed by the compiled kernels that constructor runs,
-    in its order: ``coo_tocsr`` (on swapped coordinates for CSC), then, only
-    if that is not canonical, ``csr_sort_indices`` where unsorted and
-    ``csr_sum_duplicates``, which keeps the first ``indptr[-1]`` entries.
-    The sort is scipy's ``std::sort``, not stable, so the order in which
-    duplicates are summed, and with it the rounding, can only come from
-    scipy's own kernel.  The index dtype is scipy's choice for these sizes.
-    """
-    v, i, j = (np.concatenate(t) for t in zip(*parts))
-    major, minor = (i, j) if fmt == "csr" else (j, i)
-    M, N = shape if fmt == "csr" else shape[::-1]
-    nnz = v.size
-    idx = sp.get_index_dtype(maxval=max(nnz, *shape))
-    indptr, indices, data = np.empty(M + 1, idx), np.empty(nnz, idx), np.empty_like(v)
-    _sparsetools.coo_tocsr(M, N, nnz, major.astype(idx), minor.astype(idx), v,
-                           indptr, indices, data)
-    if not _sparsetools.csr_has_canonical_format(M, indptr, indices):
-        if not _sparsetools.csr_has_sorted_indices(M, indptr, indices):
-            _sparsetools.csr_sort_indices(M, indptr, indices, data)
-        _sparsetools.csr_sum_duplicates(M, N, indptr, indices, data)
-        indices, data = indices[:indptr[-1]], data[:indptr[-1]]
-    return _Compressed(data, indices, indptr, shape, fmt)
 
 
 @dataclass(frozen=True)
@@ -340,17 +338,16 @@ def _build_hierarchy(g: OccupancyGrid) -> _VCycle:
     exactly empty row and smoother weight 0.  M approximates (h^2 A)^-1; CG
     ignores a positive scale.
 
-    Where no small closed component joins a level, S has A's pattern and
-    each entry is one term, or two on the diagonal, so its CSR arrays are
-    written directly; T and the coarse A sum more terms per entry, through
-    scipy's own compiled kernels called directly (:func:`_sparse`), whose
-    summation order they keep.  So does the coarsest operator.  Every
-    matrix is kept as its plain arrays: the set-up builds no scipy matrix
-    object, and so runs none of scipy's per-matrix checks, which the tests
-    run on every level instead.
+    Every matrix is a :class:`_Compressed` record summed by :func:`_sparse`.
+    S's values are computed on A's pattern, the exact blocks fill the rows
+    it leaves out, and T^T's rows follow, so the down-sweep matrix's
+    triplets come in CSR order and nothing is sorted; T and the coarse A
+    sum more terms per entry, in scipy's sort order.  No scipy matrix
+    object is built, so none of scipy's per-matrix checks run; the tests
+    run them on every level.
     """
-    A, lab = g.derived(_system_matrix)
-    A = _Compressed(np.rint(A.data * g.dims.h ** 2), A.indices, A.indptr, A.shape, "csr")
+    A, lab = g.derived(_system_matrix), g.derived(_active_labels)
+    A = A._replace(data=np.rint(A.data * g.dims.h ** 2))
     closed = g.components.closed
     live = ~(closed & (g.components.sizes <= COARSE_SIZE))[lab]
     # the small closed components join the finest level's S
@@ -363,29 +360,23 @@ def _build_hierarchy(g: OccupancyGrid) -> _VCycle:
         if first.size == agg_live.size:
             break
         n, nc = A.shape[0], first.size
-        ar, fine = np.arange(n), np.flatnonzero(live)
+        fine = np.flatnonzero(live)
         agg = np.full(n, -1)
         agg[fine] = agg_live
         d = np.empty(n)  # A.diagonal(), by the kernel it runs
         _sparsetools.csr_diagonal(0, n, n, A.indptr, A.indices, A.data, d)
         dinv = np.divide(SMOOTH_OMEGA, d, out=np.zeros_like(d), where=live & (d > 0))
-        i, j, a = np.repeat(ar, np.diff(A.indptr)), A.indices, A.data
+        i, j, a = np.repeat(np.arange(n), np.diff(A.indptr)), A.indices, A.data
         m = agg[j] >= 0  # a cell left out couples only to cells left out
         i, j, a, da = i[m], j[m], a[m], -dinv[i[m]] * a[m]
-        # S's CSR arrays; without a small closed component m keeps every entry
-        if exact:
-            S = _sparse([(2 * dinv, ar, ar), (da * dinv[j], i, j), *exact], (n, n))
-            s, s_indices, s_indptr = S.data, S.indices, S.indptr
-        else:
-            s, s_indices, s_indptr = da * dinv[j], A.indices, A.indptr
-            on = i == j
-            s[on] += 2 * dinv[i[on]]
+        s = da * dinv[j]  # S on A's pattern, less the cells left out
+        on = i == j
+        s[on] += 2 * dinv[i[on]]
         T = _sparse([(np.ones(fine.size), fine, agg_live), (da, i, agg[j])], (n, nc), "csc")
         np.multiply(T.data, math.sqrt(COARSE_ALPHA), out=T.data)
-        # T's CSC arrays are the CSR arrays of T^T, the rows below S's
-        down = _Compressed(np.concatenate([s, T.data]), np.concatenate([s_indices, T.indices]),
-                           np.concatenate([s_indptr, s_indptr[-1] + T.indptr[1:]]),
-                           (n + nc, n), "csr")
+        # S over T^T; T's CSC columns are the rows of T^T, below S's
+        tt = n + np.repeat(np.arange(nc), np.diff(T.indptr))
+        down = _sparse([(s, i, j), *exact, (T.data, tt, T.indices)], (n + nc, n))
         levels.append((down, T))
         A = _sparse([(a, agg[i], agg[j])], (nc, nc))
         fine = fine[first]
@@ -398,11 +389,12 @@ def solve_pcg(sys: PoissonSystem, tol: float = 1e-4,
               max_iter: int = 2000) -> tuple[ScalarGrid, PcgInfo]:
     """Conjugate gradients with a multigrid preconditioner (MGPCG).
 
-    A is the CSR matrix of :func:`_system_matrix` on the active cells.  It and
-    the hierarchy of :func:`_build_hierarchy` are built on the grid's first
-    PCG solve and kept on the grid; each iteration applies one symmetric
-    V-cycle and A, every product one :func:`_matvec` call.  To 1e-4 the
-    disc plume takes 7 to 10 iterations from 32^2 to 256^2.
+    A is the CSR record of :func:`_system_matrix` on the active cells.  It
+    and the hierarchy of :func:`_build_hierarchy` are built on the grid's
+    first PCG solve and kept on the grid; each iteration applies one
+    symmetric V-cycle and A, every product one :func:`_matvec` call, so the
+    solve builds no scipy matrix object.  To 1e-4 the disc plume takes 7 to
+    10 iterations from 32^2 to 256^2.
 
     Stops at the first iterate with ||A p - b|| <= tol * ||b|| (verified
     against the true residual, not just the recurrence).  The
@@ -420,17 +412,14 @@ def solve_pcg(sys: PoissonSystem, tol: float = 1e-4,
     if max_iter < 0:
         raise ValueError(f"iteration cap must be nonnegative, got {max_iter}")
     g = sys.g
-    active = g.derived(_active_cells)
-    A, lab = g.derived(_system_matrix)
+    A, lab = g.derived(_system_matrix), g.derived(_active_labels)
     comps = g.components
-    out = np.zeros(g.dims.shape)
-
-    bv = sys.b.values[active]
+    bv = sys.b.values[g.derived(_active_cells)]
     bnorm = float(np.linalg.norm(bv))
     if bnorm == 0.0:  # no active cell, or b vanishes on them
-        return ScalarGrid(g.dims, out), PcgInfo(0, True, 0.0, "multigrid")
+        return ScalarGrid.zeros(g.dims), PcgInfo(0, True, 0.0, "multigrid")
     if not math.isfinite(bnorm):
-        return ScalarGrid(g.dims, out), PcgInfo(0, False, math.nan, "multigrid")
+        return ScalarGrid.zeros(g.dims), PcgInfo(0, False, math.nan, "multigrid")
     precond = g.derived(_build_hierarchy)
 
     x = np.zeros(A.shape[0])
@@ -468,9 +457,8 @@ def solve_pcg(sys: PoissonSystem, tol: float = 1e-4,
         d += z
         rz = rz_new
 
-    out[active] = x
-    p = ScalarGrid(g.dims, _remove_closed_means(out, g))
-    return p, PcgInfo(iterations, converged, relres, "multigrid")
+    return (ScalarGrid(g.dims, _remove_closed_means(x, g)),
+            PcgInfo(iterations, converged, relres, "multigrid"))
 
 
 # ====== Sparse direct ======
@@ -478,7 +466,9 @@ def solve_pcg(sys: PoissonSystem, tol: float = 1e-4,
 def _direct_factor(g: OccupancyGrid):
     """The sparse LU of :func:`_system_matrix`, pinned: the first active cell
     of each closed component gets +1/h^2 on its diagonal, which every row
-    stores.  A is symmetric, so its CSR arrays are also its CSC arrays.
+    stores.  A is symmetric, so its CSR arrays are also its CSC arrays: the
+    pinned copy, as the CSC matrix ``splu`` reads, is this module's one
+    scipy matrix object.
 
     The pinned matrix is nonsingular.  Against a compatible right hand side
     the pinned cell solves to 0, since A is symmetric and its rows sum to
@@ -486,7 +476,7 @@ def _direct_factor(g: OccupancyGrid):
     """
     # importing scipy.sparse.linalg costs ~80 ms, which only exact solves pay
     from scipy.sparse.linalg import splu
-    A, lab = g.derived(_system_matrix)
+    A, lab = g.derived(_system_matrix), g.derived(_active_labels)
     data = A.data.copy()
     on = A.indices == np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
     comp, first = np.unique(lab, return_index=True)
@@ -504,7 +494,5 @@ def solve_dense_direct(sys: PoissonSystem) -> ScalarGrid:
     its oracle, so it stays although the solve is no longer dense.
     """
     g = sys.g
-    active = g.derived(_active_cells)
-    out = np.zeros(g.dims.shape)
-    out[active] = g.derived(_direct_factor).solve(sys.b.values[active])
-    return ScalarGrid(g.dims, _remove_closed_means(out, g))
+    x = g.derived(_direct_factor).solve(sys.b.values[g.derived(_active_cells)])
+    return ScalarGrid(g.dims, _remove_closed_means(x, g))

@@ -16,7 +16,10 @@ cell-center positions, the residual norm of
 a pressure solve and the matrix-free Poisson operator it applies, Jacobi
 sweeps that gather each cell's four neighbors through one index on the
 compressed active cells, which the package's shifted slices of a padded
-iterate reproduce bit for bit, a dense least-squares pressure solve,
+iterate reproduce bit for bit, the closed-component means removed on
+every fluid cell with the fluid cells' labels, which the package's
+removal on the active cells reproduces bit for bit but for the +0.0 it
+keeps on walled-in cells, a dense least-squares pressure solve,
 which the package's sparse LU matches to roundoff, a sparse LU of A
 assembled on its own on every fluid cell, which the package's LU of the
 active-cell matrix reproduces bit for bit, the PCG matrix and the
@@ -49,7 +52,7 @@ from macfluid.convnet import NetParams, _replicate_pad_adjoint
 from macfluid.fdops import PoissonSystem
 from macfluid.pressure import (COARSE_ALPHA, COARSE_SIZE, SMOOTH_OMEGA, PcgInfo,
                                _active_cells, _build_hierarchy, _system_matrix,
-                               _project_out_constants, _remove_closed_means)
+                               _project_out_constants)
 from macfluid.grids import (GridDims, MacVelocity, OccupancyGrid, ScalarGrid, _cone,
                             _lattice_xy)
 
@@ -346,6 +349,25 @@ def residual_norm(sys: PoissonSystem, p: ScalarGrid) -> float:
     return float(np.linalg.norm(r[sys.g.fluid]))
 
 
+def remove_closed_means_fluid(values: np.ndarray, g: OccupancyGrid) -> np.ndarray:
+    """``values`` less its mean over each closed component on every fluid
+    cell, 0 on solid cells.  A walled-in cell is its own one-cell closed
+    component, so it gets ``v - v``.  The package removes the means on the
+    active cells only and keeps +0.0 on walled-in cells, which is the same
+    bytes but where ``v`` is -0.0 or not finite."""
+    fluid = g.fluid
+    out = np.zeros_like(values)
+    out[fluid] = _project_out_constants(g.components.labels[fluid], values[fluid],
+                                        g.components)
+    return out
+
+
+def make_compatible_fluid(sys: PoissonSystem) -> PoissonSystem:
+    """``make_compatible`` by :func:`remove_closed_means_fluid`."""
+    b = remove_closed_means_fluid(np.asarray(sys.b.values, dtype=np.float64), sys.g)
+    return PoissonSystem(sys.g, ScalarGrid(sys.dims, b))
+
+
 def solve_jacobi_gather(sys: PoissonSystem, iters: int) -> ScalarGrid:
     """Jacobi sweeps on the compressed active cells from a zero guess.
 
@@ -385,8 +407,8 @@ def solve_jacobi_gather(sys: PoissonSystem, iters: int) -> ScalarGrid:
         w += own
         np.multiply(w, 0.25, out=p)
     out = np.zeros(g.dims.shape)
-    out[active] = _project_out_constants(g.components.labels[active], p, g.components)
-    return ScalarGrid(g.dims, out)
+    out[active] = p
+    return ScalarGrid(g.dims, remove_closed_means_fluid(out, g))
 
 
 
@@ -412,7 +434,7 @@ def solve_dense_lstsq(sys: PoissonSystem) -> ScalarGrid:
     x, *_ = np.linalg.lstsq(A, bv, rcond=None)
     out = np.zeros(g.dims.shape)
     out[fluid] = x
-    return ScalarGrid(g.dims, _remove_closed_means(out, g))
+    return ScalarGrid(g.dims, remove_closed_means_fluid(out, g))
 
 
 def _fluid_index(g: OccupancyGrid) -> tuple[np.ndarray, np.ndarray]:
@@ -460,7 +482,7 @@ def solve_direct_fluid(sys: PoissonSystem) -> ScalarGrid:
     lu = splu(A, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
     out = np.zeros(g.dims.shape)
     out[fluid] = lu.solve(sys.b.values[fluid])
-    return ScalarGrid(g.dims, _remove_closed_means(out, g))
+    return ScalarGrid(g.dims, remove_closed_means_fluid(out, g))
 
 
 def pcg_matrix_coo(g: OccupancyGrid) -> tuple[sp.csr_matrix, np.ndarray]:
@@ -578,7 +600,7 @@ def solve_pcg_matmul(sys: PoissonSystem, tol: float = 1e-4,
     by ``np.linalg.norm`` and the component means gathered by ``[lab]``."""
     g = sys.g
     active = _active_cells(g)
-    A, lab = g.derived(_system_matrix)
+    A, lab = scipy_matrix(g.derived(_system_matrix)), g.components.labels[active]
     comps = g.components
     out = np.zeros(g.dims.shape)
     bv = sys.b.values[active]
@@ -623,7 +645,7 @@ def solve_pcg_matmul(sys: PoissonSystem, tol: float = 1e-4,
         d += z
         rz = rz_new
     out[active] = x
-    return (ScalarGrid(g.dims, _remove_closed_means(out, g)),
+    return (ScalarGrid(g.dims, remove_closed_means_fluid(out, g)),
             PcgInfo(iterations, converged, relres, "multigrid"))
 
 

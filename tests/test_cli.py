@@ -147,6 +147,26 @@ def test_train_with_infinite_lr_writes_no_model(lr, dataset_dir, tmp_path, capsy
     assert not model.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["train", "--epochs", "-1", "--out", "new/m.fnm"], "epochs must be nonnegative, got -1"),
+    (["eval", "--frames", "0", "--backends", "none", "--out", "new/c.csv"],
+     "need at least one frame, got 0"),
+    (["eval", "--frames", "-3", "--backends", "none", "--out", "new/c.csv"],
+     "need at least one frame, got -3"),
+    (["bench", "--backend", "none", "--reps", "0", "--out", "new/b.csv"],
+     "need at least one repetition, got 0"),
+    (["bench", "--backend", "none", "--res", "30", "--out", "new/b.csv"],
+     "grid sides must be divisible by 4, got 30x30"),
+], ids=["train-epochs", "eval-frames-0", "eval-frames-negative", "bench-reps", "bench-res"])
+def test_a_refused_count_or_size_makes_no_output_directory(argv, message, dataset_dir,
+                                                           tmp_path, capsys):
+    argv = [str(tmp_path / a) if a.startswith("new/") else a for a in argv]
+    data = ["--data", str(dataset_dir)] if argv[0] in ("train", "eval") else []
+    assert cli([*argv, *data]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "new").exists()
+
+
 def test_os_failure_exits_two(tmp_path):
     blocker = tmp_path / "sim"
     blocker.write_text("in the way")

@@ -22,9 +22,10 @@ from macfluid.pressure import (
 from macfluid.datagen import GeometryConfig, SceneConfig, build_scene, random_geometry
 from macfluid.sim import ExactProjection, JacobiProjection, plume_scenario, step
 from oracles import _sparse as sparse_coo
-from oracles import (apply_poisson, build_hierarchy_three_products, pcg_matrix_coo,
-                     residual_norm, scipy_matrix, solve_dense_lstsq, solve_direct_fluid,
-                     solve_jacobi_gather, solve_pcg_matmul, vcycle_matmul)
+from oracles import (apply_poisson, build_hierarchy_three_products, make_compatible_fluid,
+                     pcg_matrix_coo, residual_norm, scipy_matrix, solve_dense_lstsq,
+                     solve_direct_fluid, solve_jacobi_gather, solve_pcg_matmul,
+                     vcycle_matmul)
 
 
 def random_system(rng, nx=8, ny=8, p_solid=0.2, open_top=False, compatible=True):
@@ -151,7 +152,7 @@ def _reference_jacobi(sys, iters):
                + np.where(pf[:-2, 1:-1], pp[:-2, 1:-1], 0.0)
                + np.where(pf[2:, 1:-1], pp[2:, 1:-1], 0.0))
         p = np.where(g.fluid, 0.25 * (hb + nbr + st.solid_count * p), 0.0)
-    return _remove_closed_means(p, g)
+    return _remove_closed_means(p[pr._active_cells(g)], g)
 
 
 def test_jacobi_matches_reference_sweep_bit_for_bit():
@@ -231,7 +232,7 @@ def test_dense_recovers_constructed_solution():
         solid = rng.random((8, 9)) < 0.2
         g = OccupancyGrid(GridDims(9, 8), solid, open_top)
         # manufacture a solvable system from a known zero-mean pressure
-        p0 = _remove_closed_means(rng.normal(size=g.dims.shape) * g.fluid, g)
+        p0 = _remove_closed_means(rng.normal(size=np.count_nonzero(pr._active_cells(g))), g)
         b = apply_poisson(g, ScalarGrid(g.dims, p0))
         got = solve_dense_direct(PoissonSystem(g, b))
         np.testing.assert_allclose(got.values, p0, atol=1e-9)
@@ -334,6 +335,56 @@ def test_direct_is_the_fluid_cell_oracle_bit_for_bit():
     assert walled >= 7
 
 
+def test_every_route_is_its_fluid_cell_mean_oracle_bit_for_bit():
+    # make_compatible and the three routes remove the closed means on the
+    # active cells, with their labels; the oracles remove them on every
+    # fluid cell, a walled-in cell its own one-cell component
+    rng = np.random.default_rng(1107)
+    walled = 0
+    for g in _direct_oracle_grids(rng):
+        walled += bool((g.fluid & ~pr._active_cells(g)).any())
+        b = ScalarGrid(g.dims, rng.standard_normal(g.dims.shape) * g.fluid)
+        sys = make_compatible(PoissonSystem(g, b))
+        case = (g.dims, g.open_top)
+        _assert_same_bytes(sys.b.values, make_compatible_fluid(PoissonSystem(g, b)).b.values,
+                           case)
+        for iters in (0, 34):
+            _assert_same_bytes(solve_jacobi(sys, iters).values,
+                               solve_jacobi_gather(sys, iters).values, case)
+        p, info = solve_pcg(sys, 1e-6)
+        q, want = solve_pcg_matmul(sys, 1e-6)
+        _assert_same_bytes(p.values, q.values, case)
+        assert info == want
+        _assert_same_bytes(solve_dense_direct(sys).values, solve_direct_fluid(sys).values, case)
+    assert walled >= 7
+
+
+@pytest.mark.parametrize("v", [np.nan, np.inf, -0.0])
+def test_make_compatible_zeroes_the_right_hand_side_of_a_walled_in_cell(v):
+    # the one value that differs from the fluid-cell oracle, which gives
+    # v - v there: NaN for a non-finite v, -0.0 for -0.0 (what -div(u) is
+    # on a walled-in cell); no route reads b there, and Jacobi, which
+    # refused a NaN or inf left on one, now solves the system
+    rng = np.random.default_rng(1108)
+    for g in _walled_grids(rng):
+        b = rng.standard_normal(g.dims.shape) * g.fluid
+        b[2, 2] = v
+        sys = PoissonSystem(g, ScalarGrid(g.dims, b))
+        got = make_compatible(sys).b.values
+        with np.errstate(invalid="ignore"):  # inf - inf
+            want = make_compatible_fluid(sys).b.values
+        walled = g.fluid & ~pr._active_cells(g)
+        assert walled[2, 2]
+        _assert_same_bytes(got[walled], np.zeros(np.count_nonzero(walled)), v)
+        _assert_same_bytes(got[~walled], want[~walled], v)
+        assert np.isnan(want[2, 2]) if v != 0 else np.signbit(want[2, 2])
+        b[2, 2] = 1.0
+        same = make_compatible(PoissonSystem(g, ScalarGrid(g.dims, b)))
+        _assert_same_bytes(got, same.b.values, v)
+        _assert_same_bytes(solve_jacobi(make_compatible(sys), 34).values,
+                           solve_jacobi(same, 34).values, v)
+
+
 def test_exact_reads_the_matrix_pcg_built(monkeypatch):
     calls = _count_setup_calls(monkeypatch)
     rng = np.random.default_rng(1105)
@@ -432,7 +483,7 @@ def test_pcg_beats_unpreconditioned_iteration_counts(monkeypatch):
     _, with_mg = solve_pcg(sys, tol=1e-8)
     with monkeypatch.context() as m:
         m.setattr(pr, "_build_hierarchy",
-                  lambda g: lambda r: r / g.derived(pr._system_matrix)[0].diagonal())
+                  lambda g: lambda r: r / scipy_matrix(g.derived(pr._system_matrix)).diagonal())
         _, without = solve_pcg(_same_geometry(sys), tol=1e-8)
     assert with_mg.converged and without.converged
     assert with_mg.iterations < without.iterations
@@ -546,7 +597,8 @@ def test_pcg_matrix_is_read_only():
     rng = np.random.default_rng(1006)
     sys = random_system(rng, nx=12, ny=9, p_solid=0.2)
     solve_pcg(sys, tol=1e-8)
-    A, lab = _kept(sys.g)[pr._system_matrix]
+    A, lab = _kept(sys.g)[pr._system_matrix], _kept(sys.g)[pr._active_labels]
+    assert type(A) is pr._Compressed and A.format == "csr"
     assert not any(a.flags.writeable for a in (A.data, A.indices, A.indptr, lab))
 
 
@@ -555,7 +607,7 @@ def test_jacobi_result_shares_no_memory_with_its_set_up():
     sys = random_system(rng, nx=12, ny=9, p_solid=0.2)
     p = solve_jacobi(sys, 20).values
     kept = _kept_values(sys.g)
-    assert len(kept) == 5  # active cells, the layout's three arrays, fluid labels
+    assert len(kept) == 5  # active cells, the layout's three arrays, active labels
     kept += [sys.g.stencil.solid_count, sys.b.values]
     assert not any(np.shares_memory(p, k) for k in kept)
     want = p.copy()
@@ -586,9 +638,8 @@ def test_pcg_setup_is_not_shared_between_geometries():
         assert pr._build_hierarchy in kept  # the hierarchy this solve built and kept
         # what the grid keeps is its own geometry's, not the other grid's
         np.testing.assert_array_equal(kept[pr._active_cells], pr._active_cells(sys.g))
-        A, lab = pr._system_matrix(sys.g)
-        assert (kept[pr._system_matrix][0] != A).nnz == 0
-        np.testing.assert_array_equal(kept[pr._system_matrix][1], lab)
+        _assert_same_arrays(kept[pr._system_matrix], pr._system_matrix(sys.g))
+        np.testing.assert_array_equal(kept[pr._active_labels], pr._active_labels(sys.g))
         assert info.converged
         assert residual_norm(sys, p) <= 1e-8 * np.linalg.norm(sys.b.values) * (1 + 1e-12)
     assert not np.array_equal(solid_a, solid_b)
@@ -602,7 +653,7 @@ def test_pcg_setup_dies_with_its_grid():
     kept = _kept(sys.g)
     assert pr._build_hierarchy in kept  # built on that solve, kept on the grid
     setup = [weakref.ref(kept[pr._build_hierarchy]), weakref.ref(kept[pr._active_cells]),
-             weakref.ref(kept[pr._system_matrix][0])]
+             weakref.ref(kept[pr._system_matrix].data)]
     del sys, kept
     gc.collect()
     assert grid() is None
@@ -746,13 +797,13 @@ def _walled_grids(rng):
 def test_pcg_matrix_is_the_matrix_free_operator():
     rng = np.random.default_rng(132)
     for g in _walled_grids(rng):
-        A, lab = pr._system_matrix(g)
+        A, lab = pr._system_matrix(g), pr._active_labels(g)
         active = pr._active_cells(g)
         assert not active[2, 2]
         np.testing.assert_array_equal(lab, g.components.labels[active])
         x = np.zeros(g.dims.shape)
         x[active] = rng.normal(size=A.shape[0])
-        np.testing.assert_allclose(A @ x[active],
+        np.testing.assert_allclose(pr._matvec(A, x[active]),
                                    apply_poisson(g, ScalarGrid(g.dims, x)).values[active],
                                    rtol=1e-13, atol=1e-13 / g.dims.h ** 2)
 
@@ -851,7 +902,7 @@ def _reference_vcycle(A, cells, r):
 def _reference_multigrid(g, r):
     """The preconditioner on h^2 A: a pseudo-inverse per closed component of
     at most COARSE_SIZE cells, one V-cycle over the other cells."""
-    A, lab = pr._system_matrix(g)
+    A, lab = scipy_matrix(pr._system_matrix(g)), pr._active_labels(g)
     A = np.rint(A.toarray() * g.dims.h ** 2)
     comps = g.components
     small = (comps.closed & (comps.sizes <= pr.COARSE_SIZE))[lab]
@@ -875,11 +926,11 @@ def test_multigrid_matches_the_documented_vcycle_and_is_symmetric(open_top):
         solid[2:4, 2:5] = False  # a closed pocket of 6 cells
         g = OccupancyGrid(GridDims(nx, ny, h), solid, open_top)
         M = pr._build_hierarchy(g)
-        a, b = rng.normal(size=(2, g.derived(pr._system_matrix)[0].shape[0]))
+        a, b = rng.normal(size=(2, g.derived(pr._system_matrix).shape[0]))
         want = _reference_multigrid(g, a)
         assert np.linalg.norm(M(a) - want) <= 1e-11 * np.linalg.norm(want)
         assert abs(a @ M(b) - b @ M(a)) <= 1e-12 * np.linalg.norm(a) * np.linalg.norm(M(b))
-        a = pr._project_out_constants(g.derived(pr._system_matrix)[1], a, g.components)
+        a = pr._project_out_constants(g.derived(pr._active_labels), a, g.components)
         assert a @ M(a) > 0
 
 
@@ -901,12 +952,9 @@ def _setup_grids(rng):
 
 def test_pcg_matrix_is_the_coo_oracle_bit_for_bit():
     for g in _setup_grids(np.random.default_rng(137)):
-        (A, lab), (B, lab_b) = pr._system_matrix(g), pcg_matrix_coo(g)
-        assert A.has_canonical_format
-        for a, b in ((A.data, B.data), (A.indices, B.indices), (A.indptr, B.indptr),
-                     (lab, lab_b)):
-            assert (a.dtype, a.shape) == (b.dtype, b.shape)
-            assert a.tobytes() == b.tobytes()
+        B, lab_b = pcg_matrix_coo(g)
+        _assert_same_arrays(pr._system_matrix(g), B)
+        _assert_same_bytes(pr._active_labels(g), lab_b, g.dims)
 
 
 def test_vcycle_is_the_three_product_oracle_bit_for_bit():
@@ -916,7 +964,7 @@ def test_vcycle_is_the_three_product_oracle_bit_for_bit():
         comps = g.components
         small.append(bool(np.any(comps.closed & (comps.sizes <= pr.COARSE_SIZE))))
         M, want = pr._build_hierarchy(g), build_hierarchy_three_products(g)
-        for r in rng.normal(size=(3, g.derived(pr._system_matrix)[0].shape[0])):
+        for r in rng.normal(size=(3, g.derived(pr._system_matrix).shape[0])):
             assert M(r).tobytes() == want(r).tobytes()
             assert M(r).tobytes() == vcycle_matmul(M, r).tobytes()
     # levels with and without a small closed component, built both ways
@@ -969,6 +1017,7 @@ def test_sparse_is_scipys_coo_constructor_bit_for_bit(fmt):
 
 def test_vcycle_arrays_are_the_three_product_oracles_bit_for_bit():
     rng = np.random.default_rng(144)
+    small = []
     for g in _setup_grids(rng):
         M, want = pr._build_hierarchy(g), build_hierarchy_three_products(g)
         assert len(M.levels) == len(want.levels)
@@ -976,13 +1025,19 @@ def test_vcycle_arrays_are_the_three_product_oracles_bit_for_bit():
             _assert_same_arrays(down, sp.vstack([S, Tt], format="csr"))
             _assert_same_arrays(T, T_want)
         _assert_same_arrays(M.coarse, want.coarse)
+        if M.levels:
+            comps = g.components
+            small.append(bool(np.any(comps.closed & (comps.sizes <= pr.COARSE_SIZE))))
+    # a finest level's S with the exact blocks of small closed components
+    # and one without them, on either side of the one way S is assembled
+    assert any(small) and not all(small)
 
 
 def test_every_vcycle_matrix_passes_scipys_full_format_check():
-    # scipy's constructor would check each matrix; the set-up calls its
-    # kernels directly, so the check runs here
+    # scipy's constructor would check A and each V-cycle matrix; the set-up
+    # calls its kernels directly, so the check runs here
     for g in _setup_grids(np.random.default_rng(145)):
-        for m in _vcycle_matrices(pr._build_hierarchy(g)):
+        for m in [pr._system_matrix(g), *_vcycle_matrices(pr._build_hierarchy(g))]:
             assert m.data.dtype == np.float64 and m.indices.dtype == m.indptr.dtype
             A = scipy_matrix(pr._Compressed(m.data.copy(), m.indices.copy(),
                                             m.indptr.copy(), m.shape, m.format))
@@ -999,15 +1054,25 @@ def test_hierarchy_builds_no_scipy_sparse_matrix(monkeypatch):
         made.append(type(self).__name__)
         init(self, *args, **kwargs)
 
-    grids = list(_setup_grids(np.random.default_rng(146)))
-    for g in grids:
-        g.derived(pr._system_matrix)  # the one scipy matrix a grid keeps
+    rng = np.random.default_rng(146)
+    systems = [make_compatible(PoissonSystem(g, ScalarGrid(g.dims, np.where(
+        g.fluid, rng.normal(size=g.dims.shape), 0.0)))) for g in _setup_grids(rng)]
     monkeypatch.setattr(sp._base._spbase, "__init__", spy)
-    for g in grids:
-        M = pr._build_hierarchy(g)
-        assert all(type(m) is pr._Compressed for m in _vcycle_matrices(M))
+    for sys in systems:
+        # a fresh grid's first PCG solve: A, the V-cycle and CG
+        solve_pcg(sys, 1e-6)
+        kept = _kept(sys.g)
+        M = kept[pr._build_hierarchy]
+        assert all(type(m) is pr._Compressed
+                   for m in (kept[pr._system_matrix], *_vcycle_matrices(M)))
     assert made == []
-    build_hierarchy_three_products(grids[0])  # the spy sees scipy's constructors
+    # the direct route builds one, the pinned CSC matrix that splu reads
+    for sys in systems[:4]:
+        solve_dense_direct(sys)
+        solve_dense_direct(sys)
+        assert made == ["csc_matrix"]
+        made.clear()
+    build_hierarchy_three_products(systems[0].g)  # the spy sees scipy's constructors
     assert made
 
 
@@ -1017,7 +1082,7 @@ def test_matvec_is_scipy_matmul_on_every_matrix_of_the_hierarchy():
     formats = set()
     for g in _setup_grids(rng):
         M = pr._build_hierarchy(g)
-        mats = [g.derived(pr._system_matrix)[0], *_vcycle_matrices(M)]
+        mats = [g.derived(pr._system_matrix), *_vcycle_matrices(M)]
         for A in mats:
             formats.add(A.format)
             x = rng.normal(size=A.shape[1])
